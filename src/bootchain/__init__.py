@@ -2,7 +2,9 @@
 high-dimensional models, with Gaussian-surrogate chains and empirical
 normal-approximation diagnostics."""
 
-from . import bootstrap, cli, config, core, distances, experiments, functionals, gaussian, models
+# cli is imported on demand (`from bootchain import cli`), not here, so that
+# `python -m bootchain.cli` does not find it already imported.
+from . import bootstrap, config, core, distances, experiments, functionals, gaussian, models
 
 __version__ = "0.1.0"
 

@@ -154,25 +154,33 @@ def fk_from_states(f, states: np.ndarray) -> tuple[float, float, int]:
     return float(vals.mean()), se, aborted
 
 
-def fk_estimate(model, f, data, k: int, n: int, m: int, rng) -> float:
-    """Bias-corrected estimate of f(theta) from one observation set.
+def fk_estimate_at(model, f, theta_hat, k: int, n: int, m: int, rng, chain=None) -> float:
+    """Bias-corrected estimate of f(theta) from the fitted value theta_hat.
 
     k = 0 is the plain plug-in f(theta_hat) and bypasses chain simulation;
     otherwise M chains of length k start at theta_hat and the collapsed
     weights realize the whole alternating correction sum in one pass.
-    Raises EstimationError when more than 1% of chains abort.
+    chain(model, start, k, n, m, rng) simulates the (k+1, M, d) states:
+    bootstrap chains by default, gaussian.tilde_chain_block for surrogate
+    chains. Raises EstimationError when more than 1% of chains abort.
     """
     _check_order(k)
-    theta_hat = models.estimate(model, data)
+    theta_hat = np.asarray(theta_hat, dtype=float)
     if k == 0:
         return float(functionals.value(f, theta_hat))
     if m < 1:
         raise ValueError("need at least one chain when k >= 1")
-    states = simulate_chain_block(model, theta_hat, k, n, m, rng)
+    states = (chain or simulate_chain_block)(model, theta_hat, k, n, m, rng)
     mean, _, aborted = fk_from_states(f, states)
     if aborted > ABORT_RATE_LIMIT * m:
         raise EstimationError(f"{aborted}/{m} chains aborted")
     return mean
+
+
+def fk_estimate(model, f, data, k: int, n: int, m: int, rng) -> float:
+    """Bias-corrected estimate of f(theta) from one observation set:
+    fk_estimate_at started at theta_hat = estimate(model, data)."""
+    return fk_estimate_at(model, f, models.estimate(model, data), k, n, m, rng)
 
 
 def bias_oracle_exp(theta, u, sigma2: float, n: int, k: int) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, distances
-from .bootstrap import collapsed_weights, difference_weights
+from .bootstrap import EstimationError, collapsed_weights, difference_weights
 from .config import load_config
 from .experiments import ConfigError, TrialSummary, run_experiment
 
@@ -376,6 +376,9 @@ def main(argv=None) -> int:
     except (ConfigError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EstimationError as exc:
+        print(f"experiment failed: {exc}", file=sys.stderr)
+        return EXIT_EXPERIMENT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

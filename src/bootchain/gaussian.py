@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import functionals, models
-from .bootstrap import ABORT_RATE_LIMIT, ChainPath, EstimationError, fk_from_states
+from .bootstrap import ChainPath, fk_estimate_at
 
 
 @dataclass(frozen=True)
@@ -122,21 +123,14 @@ def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
 def tilde_fk_estimate(
     model, f, theta_hat, k: int, n: int, delta: float | None, m: int, rng
 ) -> float:
-    """fk_estimate with truncated surrogate chains in place of bootstrap
+    """fk_estimate_at with truncated surrogate chains in place of bootstrap
     chains; delta None or inf disables truncation."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if k == 0:
-        return float(functionals.value(f, theta_hat))
-    if m < 1:
-        raise ValueError("need at least one chain when k >= 1")
     trunc = None
-    if delta is not None and math.isfinite(delta):
+    if k > 0 and delta is not None and math.isfinite(delta):
         trunc = TruncationRule(delta=delta, n=n)
-    states = tilde_chain_block(model, theta_hat, k, n, m, rng, trunc=trunc)
-    mean, _, aborted = fk_from_states(f, states)
-    if aborted > ABORT_RATE_LIMIT * m:
-        raise EstimationError(f"{aborted}/{m} chains aborted")
-    return mean
+    return fk_estimate_at(
+        model, f, theta_hat, k, n, m, rng, chain=partial(tilde_chain_block, trunc=trunc)
+    )
 
 
 def xi_squared_norm(model, theta, draws: int, rng) -> tuple[float, float]:

@@ -15,11 +15,17 @@ covariance of sqrt(n)(Xbar - Psi(theta)).
 
 Besides the per-replicate operations (sample_data / estimate / sample_xi /
 sigma) this module exposes vectorized kernels, estimate_block and
-sample_xi_block, that step many parameter rows at once. They use sum-closed
-exact re-distributions (Binomial for Rademacher sums, Gamma for exponential
-sums, Poisson additivity, exact normal means), so a block step is equal in
-law to drawing n raw observations per row and averaging. Rows whose state
-left the sampling domain come back as NaN and are counted by the callers.
+sample_xi_block, that step many parameter rows at once. Every estimator here
+sees the data only through its sample mean, so estimate_block draws that
+mean from the exact law of a sum of n draws wherever one exists: Binomial
+for Rademacher sums, Gamma for exponential sums, a difference of two
+Gamma(n, 1) sums for Laplace noise (Laplace(b) = b (E - E') with E, E'
+independent Exp(1)), Poisson additivity, and exact normal means. Those
+kernels cost O(1) per cell and are equal in law to drawing n raw
+observations per row and averaging. Logistic location noise and uniform
+component drivers have no closed sum law; they are the only kernels left
+that make n raw draws per cell. Rows whose state left the sampling domain
+come back as NaN and are counted by the callers.
 """
 
 from __future__ import annotations
@@ -192,8 +198,12 @@ def _draw_location_noise(tag: str, scale: float, rng, size) -> np.ndarray:
 
 
 def _draw_location_mean(tag: str, scale: float, rng, n: int, size) -> np.ndarray:
+    """Mean of n i.i.d. noise draws; logistic has no closed sum law."""
     if tag == "gaussian":
         return scale * rng.standard_normal(size=size) / math.sqrt(n)
+    if tag == "laplace":
+        g = rng.standard_gamma(float(n), size=(2,) + tuple(size))
+        return scale * (g[0] - g[1]) / n
     return _chunked_raw_mean(lambda r, s: _draw_location_noise(tag, scale, r, s), rng, n, size)
 
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bootchain import cli
+from bootchain import cli, distances
 from bootchain.bootstrap import DifferenceWeights
 
 MINIMAL_RISK = {
@@ -235,3 +239,49 @@ def test_svg_output_from_run(tmp_path):
     assert cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)]) == 0
     svg = (tmp_path / "s.svg").read_text()
     assert svg.count("<polyline") == 1 and "slope=" in svg
+
+
+def test_poisson_overflow_counts_every_replicate_as_aborted(tmp_path, capsys):
+    doc = dict(
+        MINIMAL_RISK,
+        model={"variant": "exponential_family", "family": "poisson_product"},
+        theta=[25.0, 0.0],
+        grid={"n": [100], "d": 2},
+        outputs={"csv": "p.csv"},
+    )
+    rc = cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    row = cli.read_results_csv(tmp_path / "p.csv")[0]
+    assert row["aborts"] == 50
+    captured = capsys.readouterr()
+    assert "aborts=50" in captured.out and "FAILED" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_w1_above_w2_is_an_experiment_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(distances, "wasserstein2", lambda a, b: -1.0)
+    doc = dict(
+        MINIMAL_RISK,
+        kind="clt",
+        functional={"variant": "linear", "u": {"rule": "e1"}},
+        mc={"M": 1, "R": 100},
+        outputs={"json": "clt.json"},
+    )
+    rc = cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds W2" in err
+
+
+@pytest.mark.parametrize("module", ["bootchain", "bootchain.cli"])
+def test_python_m_entry_points(module):
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "selftest"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count("ok  ") == 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bootchain import experiments as exp
-from bootchain import functionals, models
+from bootchain import bootstrap, functionals, gaussian, models
 
 
 def small_cfg(**over):
@@ -318,3 +318,46 @@ def test_monotone_bias_improvement_when_resolvable():
     assert abs(row0.bias) > 5.0 * row0.se_bias
     assert abs(row1.bias) > 5.0 * row1.se_bias
     assert abs(row1.bias) < abs(row0.bias)
+
+
+@pytest.mark.parametrize("use_tilde", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize(
+    "noise_map",
+    [models.IdentityMap(scale=1.3), models.DiagTanhMap(a=np.full(4, 1.0), b=np.full(4, 0.5))],
+    ids=["identity", "diag_tanh"],
+)
+def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde):
+    # For the shift model the one-row outer draw consumes the stream exactly
+    # as sample_data does, so replicate errors are bit-identical to the
+    # data-based path computed inline.
+    model = models.GaussianShift(dim=4, noise_map=noise_map)
+    f = functionals.quadratic_form()
+    theta = exp.unit_sin_theta(4)
+    f_true = float(functionals.value(f, theta))
+    n, m, seed, reps = 50, 30, 11, 40
+    delta = gaussian.default_delta(model, theta, n) if use_tilde else None
+    payload = (model, f, theta, f_true, k, n, m, delta, use_tilde, seed)
+    expected = np.empty(reps)
+    for r in range(reps):
+        rng = exp.derive_stream(seed, r, 0)
+        data = models.sample_data(model, theta, n, rng)
+        if use_tilde:
+            theta_hat = models.estimate(model, data)
+            est = gaussian.tilde_fk_estimate(model, f, theta_hat, k, n, delta, m, rng)
+        else:
+            est = bootstrap.fk_estimate(model, f, data, k, n, m, rng)
+        expected[r] = est - f_true
+    assert np.array_equal(exp._run_replicates(payload, 0, reps), expected)
+
+
+def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
+    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    f = functionals.quadratic_form()
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("chains started from a non-finite theta_hat")
+
+    monkeypatch.setattr(bootstrap, "simulate_chain_block", no_chains)
+    payload = (model, f, np.array([25.0, 0.0]), 0.0, 1, 100, 20, None, False, 5)
+    assert np.all(np.isnan(exp._run_replicates(payload, 0, 10)))
