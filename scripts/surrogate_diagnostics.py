@@ -6,6 +6,7 @@ All three comparisons are same-law under the shift model, so each W1 should
 sit inside the Monte Carlo fluctuation band 0.01 + 3 * bootstrap SE."""
 
 import argparse
+from functools import partial
 
 import numpy as np
 
@@ -34,15 +35,18 @@ def main():
     ok = True
 
     hat = bootstrap.simulate_chain_block(model, theta, 2, n, m, exp.derive_stream(args.seed, 0, 0))
-    tilde = gaussian.tilde_chain_block(model, theta, 2, n, m, exp.derive_stream(args.seed, 1, 0))
+    tilde = bootstrap.simulate_chain_block(
+        model, theta, 2, n, m, exp.derive_stream(args.seed, 1, 0), gaussian.surrogate_step
+    )
     w1, limit = band(functionals.value(f, hat[2]), functionals.value(f, tilde[2]), 0)
     ok &= w1 <= limit
     print(f"hat^(2) vs tilde^(2):  W1={w1:.5f}  band={limit:.5f}  {'ok' if w1 <= limit else 'VIOLATION'}")
 
     delta = gaussian.default_delta(model, theta, n)
     trunc = gaussian.TruncationRule(delta=delta, n=n)
-    states = gaussian.tilde_chain_block(
-        model, theta, 3, n, 10_000, exp.derive_stream(args.seed, 2, 0), trunc=trunc
+    states = bootstrap.simulate_chain_block(
+        model, theta, 3, n, 10_000, exp.derive_stream(args.seed, 2, 0),
+        partial(gaussian.surrogate_step, trunc=trunc),
     )
     worst = max(
         float((np.linalg.norm(states[j] - theta, axis=1) - j * delta).max()) for j in range(4)
@@ -54,11 +58,10 @@ def main():
         bits = tuple((idx >> b) & 1 for b in range(3))
         l = sum(bits)
         sup = gaussian.superposition_block(model, theta, bits, n, m, exp.derive_stream(args.seed, 10 + idx, 0))
-        ref = (
-            gaussian.tilde_chain_block(model, theta, l, n, m, exp.derive_stream(args.seed, 20 + idx, 0))[l]
-            if l
-            else np.broadcast_to(theta, (m, args.dim))
-        )
+        ref = bootstrap.simulate_chain_block(
+            model, theta, l, n, m, exp.derive_stream(args.seed, 20 + idx, 0),
+            gaussian.surrogate_step,
+        )[l]
         w1, limit = band(functionals.value(f, sup), functionals.value(f, ref), idx)
         ok &= w1 <= limit
         print(f"flags {bits} vs tilde^({l}):  W1={w1:.5f}  band={limit:.5f}")

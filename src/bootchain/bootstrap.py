@@ -1,7 +1,10 @@
 """Bootstrap Markov chains and higher-order bias correction.
 
 The chain refits the estimator to data simulated from its own previous
-state: state[j+1] = estimate(sample_data(state[j], n)). Signed binomial
+state: state[j+1] = estimate(sample_data(state[j], n)). simulate_chain_block
+is the one chain driver; its step argument swaps this bootstrap transition
+(models.estimate_block) for another kernel with the same signature, such as
+the Gaussian surrogate step gaussian.surrogate_step. Signed binomial
 weights turn chain evaluations of f into Monte Carlo estimates of the
 iterated bias operator applied to f, and the collapsed weights fold the
 whole alternating partial sum of corrections into a single pass over one
@@ -28,21 +31,6 @@ class EstimationError(RuntimeError):
 
 
 ABORT_RATE_LIMIT = 0.01
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """One realization (state_0, ..., state_k); states has shape (k+1, d)."""
-
-    states: np.ndarray
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def length(self) -> int:
-        return self.states.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -79,27 +67,16 @@ def collapsed_weights(k: int) -> CollapsedWeights:
     return CollapsedWeights(order=k, weights=v)
 
 
-def simulate_chain(model, start, k: int, n: int, rng) -> ChainPath:
-    """One bootstrap chain of length k started at start (literal per-step
-    resampling; the Monte Carlo estimators below use the block kernel)."""
-    start = np.asarray(start, dtype=float)
-    if k < 0:
-        raise ValueError("chain length k must be >= 0")
-    states = np.empty((k + 1, start.shape[0]))
-    states[0] = start
-    for j in range(k):
-        data = models.sample_data(model, states[j], n, rng)
-        states[j + 1] = models.estimate(model, data)
-    return ChainPath(states=states)
-
-
-def simulate_chain_block(model, start, k: int, n: int, m: int, rng) -> np.ndarray:
+def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
     """M independent chains at once: returns states of shape (k+1, M, d).
 
     start may be a single (d,) vector (all chains share it) or an (M, d)
-    block of starting points. Aborted chains carry NaN from the step where
-    their state left the model domain.
+    block of starting points. step(model, states, n, rng) maps the (M, d)
+    states to the next ones; None selects the bootstrap step
+    models.estimate_block, looked up at call time. Aborted chains carry NaN
+    from the step where their state left the model domain.
     """
+    step = step or models.estimate_block
     start = np.asarray(start, dtype=float)
     if start.ndim == 1:
         start = np.broadcast_to(start, (m, start.shape[0]))
@@ -108,13 +85,8 @@ def simulate_chain_block(model, start, k: int, n: int, m: int, rng) -> np.ndarra
     states = np.empty((k + 1,) + start.shape)
     states[0] = start
     for j in range(k):
-        states[j + 1] = models.estimate_block(model, states[j], n, rng)
+        states[j + 1] = step(model, states[j], n, rng)
     return states
-
-
-def chain_functional_values(f, states: np.ndarray) -> np.ndarray:
-    """f evaluated on every chain state: (k+1, M, d) -> (k+1, M)."""
-    return np.asarray(functionals.value(f, states))
 
 
 def estimate_Bjf(model, f, theta, j: int, n: int, m: int, rng) -> tuple[float, float]:
@@ -129,7 +101,7 @@ def estimate_Bjf(model, f, theta, j: int, n: int, m: int, rng) -> tuple[float, f
         raise ValueError("need at least 2 chains for a standard error")
     w = np.array(difference_weights(j).weights, dtype=float)
     states = simulate_chain_block(model, theta, j, n, m, rng)
-    vals = w @ chain_functional_values(f, states)  # (M,)
+    vals = w @ functionals.value(f, states)  # (M,)
     vals = vals[np.isfinite(vals)]
     if len(vals) < 2:
         raise EstimationError("fewer than 2 chains survived")
@@ -144,7 +116,7 @@ def fk_from_states(f, states: np.ndarray) -> tuple[float, float, int]:
     """
     k = states.shape[0] - 1
     v = np.array(collapsed_weights(k).weights, dtype=float)
-    per_chain = v @ chain_functional_values(f, states)  # (M,)
+    per_chain = v @ functionals.value(f, states)  # (M,)
     valid = np.isfinite(per_chain)
     aborted = int(per_chain.shape[0] - valid.sum())
     if not np.any(valid):
@@ -154,14 +126,14 @@ def fk_from_states(f, states: np.ndarray) -> tuple[float, float, int]:
     return float(vals.mean()), se, aborted
 
 
-def fk_estimate_at(model, f, theta_hat, k: int, n: int, m: int, rng, chain=None) -> float:
+def fk_estimate_at(model, f, theta_hat, k: int, n: int, m: int, rng, step=None) -> float:
     """Bias-corrected estimate of f(theta) from the fitted value theta_hat.
 
     k = 0 is the plain plug-in f(theta_hat) and bypasses chain simulation;
     otherwise M chains of length k start at theta_hat and the collapsed
     weights realize the whole alternating correction sum in one pass.
-    chain(model, start, k, n, m, rng) simulates the (k+1, M, d) states:
-    bootstrap chains by default, gaussian.tilde_chain_block for surrogate
+    step is the chain's transition kernel (see simulate_chain_block):
+    bootstrap chains by default, gaussian.surrogate_step for surrogate
     chains. Raises EstimationError when more than 1% of chains abort.
     """
     _check_order(k)
@@ -170,7 +142,7 @@ def fk_estimate_at(model, f, theta_hat, k: int, n: int, m: int, rng, chain=None)
         return float(functionals.value(f, theta_hat))
     if m < 1:
         raise ValueError("need at least one chain when k >= 1")
-    states = (chain or simulate_chain_block)(model, theta_hat, k, n, m, rng)
+    states = simulate_chain_block(model, theta_hat, k, n, m, rng, step)
     mean, _, aborted = fk_from_states(f, states)
     if aborted > ABORT_RATE_LIMIT * m:
         raise EstimationError(f"{aborted}/{m} chains aborted")

@@ -227,7 +227,9 @@ def cmd_run(config_path: str, out_dir: str | None, threads: int) -> int:
 
 def cmd_report(csv_path: str, svg_path: str) -> int:
     rows = read_results_csv(Path(csv_path))
-    rows = [r for r in rows if math.isfinite(r["rmse"]) and r["rmse"] > 0 and r["n"] > 0]
+    top_k = max((r["k"] for r in rows), default=0)  # cfg.k, the one order run plots
+    rows = [r for r in rows if r["k"] == top_k and math.isfinite(r["rmse"])]
+    rows = [r for r in rows if r["rmse"] > 0 and r["n"] > 0]
     if len(rows) < 2:
         raise ReportError("need at least 2 data rows with positive rmse")
     if len({r["n"] for r in rows}) < 2:

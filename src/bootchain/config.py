@@ -255,6 +255,13 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
         if not isinstance(val, str) or not val:
             raise ConfigError(f"outputs.{key}: expected a non-empty path string")
 
+    if kind == "clt":  # the diagnostic runs no chains and compares no estimators
+        unused = {"k": _as_int(doc["k"], "k", 0) != 0, "mc.M": m != 1, "delta": "delta" in doc}
+        unused.update({f"compare.{key}": flag for key, flag in compare.items()})
+        for name, bad in unused.items():
+            if bad:
+                raise ConfigError(f"{name}: clt configs need k = 0, M = 1, no delta, no compare")
+
     sigma0 = doc.get("sigma0", 1e-8)
     cfg = ExperimentConfig(
         kind=kind,

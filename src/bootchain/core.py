@@ -1,4 +1,4 @@
-"""Dense linear-algebra helpers, parameter vectors, and the Pauli basis.
+"""Parameter vectors, the Hilbert-Schmidt inner product, and the Pauli basis.
 
 Parameters are plain 1-D float64 arrays throughout the package; Hermitian
 matrices appear only here and are handed to the statistical machinery as
@@ -33,53 +33,6 @@ def as_param_vector(x) -> np.ndarray:
     return v
 
 
-def check_symmetric(mat: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Validate a square real matrix as symmetric within relative tolerance."""
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("covariance matrix must be square")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > rtol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return m
-
-
-def check_psd(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Opt-in PSD check: smallest eigenvalue >= -tol * ||mat||.
-
-    Not run on every construction; validation cost dominates at high
-    replication counts, so callers invoke this in debug paths only.
-    """
-    m = check_symmetric(mat)
-    norm = max(np.abs(m).max(), 1.0)
-    w = np.linalg.eigvalsh(m)
-    if w.min() < -tol * norm:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():g}")
-    return m
-
-
-def sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix via eigendecomposition.
-
-    Eigenvalues are clamped at zero, so slightly indefinite inputs (rounding
-    noise) still produce a valid factor with sqrt_psd(S) @ sqrt_psd(S).T ~ S.
-    """
-    m = check_symmetric(mat)
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-
-
-def check_hermitian(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a square complex matrix as Hermitian within tolerance."""
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("Hermitian matrix must be square")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return m
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Hilbert-Schmidt inner product Re tr(a^dagger b).
 
@@ -91,14 +44,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.real(np.vdot(a, b)))
-
-
-def mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if m.ndim != 2 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
-    return m @ v
 
 
 def pauli_basis(l: int) -> list[np.ndarray]:

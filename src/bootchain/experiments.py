@@ -318,27 +318,30 @@ def run_clt_diagnostic(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSum
         good = np.isfinite(dev)
         aborts = int(dev.size - good.sum())
         dev_ok = dev[good]
-        w1 = distances.wasserstein1(dev_ok, xi_proj[good])
-        w2 = distances.wasserstein2(dev_ok, xi_proj[good])
-        if not w1 <= w2 + 1e-12:
-            raise bootstrap.EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
-        seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
-
         sig_u = gaussian.sigma_f(model, func, theta)
-        errs = dev_ok / math.sqrt(n)
-        bias = float(errs.mean())
-        sd = float(errs.std(ddof=1))
-        rmse = float(math.sqrt(np.mean(errs**2)))
-        d_k = (
-            distances.kolmogorov_to_std_normal(dev_ok / sig_u) if sig_u > 0 else math.nan
-        )
+        bias = se_bias = sd = rmse = d_k = math.nan
+        extra = {}
+        if dev_ok.size >= 2:  # else a failed row, as in _summarize_point
+            w1 = distances.wasserstein1(dev_ok, xi_proj[good])
+            w2 = distances.wasserstein2(dev_ok, xi_proj[good])
+            if not w1 <= w2 + 1e-12:
+                raise bootstrap.EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
+            extra = {"w1": w1, "w2": w2}
+            errs = dev_ok / math.sqrt(n)
+            bias = float(errs.mean())
+            sd = float(errs.std(ddof=1))
+            se_bias = sd / math.sqrt(dev_ok.size)
+            rmse = float(math.sqrt(np.mean(errs**2)))
+            if sig_u > 0:
+                d_k = distances.kolmogorov_to_std_normal(dev_ok / sig_u)
+        seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
         out.append(
             TrialSummary(
                 n=n,
                 d=d,
                 k=0,
                 bias=bias,
-                se_bias=sd / math.sqrt(dev_ok.size),
+                se_bias=se_bias,
                 sd=sd,
                 rmse=rmse,
                 sqrt_n_rmse=math.sqrt(n) * rmse,
@@ -346,8 +349,8 @@ def run_clt_diagnostic(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSum
                 d_k=d_k,
                 aborts=aborts,
                 seconds=seconds,
-                failed=aborts > bootstrap.ABORT_RATE_LIMIT * cfg.replicates,
-                extra={"w1": w1, "w2": w2},
+                failed=aborts > bootstrap.ABORT_RATE_LIMIT * cfg.replicates or dev_ok.size < 2,
+                extra=extra,
             )
         )
     return out

@@ -1,15 +1,14 @@
 """Smooth target functionals f with analytic gradients.
 
-All built-ins are analytic (declared smoothness = inf); finite-smoothness
-worst cases are a research problem and are emulated by the experiment
-design, not by non-smooth functions. Every operation accepts parameter
-arrays with arbitrary leading batch dimensions (the last axis is the
-coordinate axis), which the chain machinery relies on.
+All built-ins are analytic; finite-smoothness worst cases are a research
+problem and are emulated by the experiment design, not by non-smooth
+functions. Every operation accepts parameter arrays with arbitrary leading
+batch dimensions (the last axis is the coordinate axis), which the chain
+machinery relies on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ class Functional:
     p: int | None = None
     Q: np.ndarray | None = None
     profile: str | None = None
-    smoothness: float = math.inf
 
 
 def linear(u) -> Functional:

@@ -1,10 +1,12 @@
 """Gaussian-surrogate chains, truncation, and the limiting standard deviation.
 
 The surrogate chain replaces the bootstrap transition (resample data, refit)
-by the additive Gaussian step state + xi(state)/sqrt(n). Truncation zeroes a
-drawn xi when its norm reaches delta*sqrt(n), so each truncated step moves
-the state by strictly less than delta and a chain started at theta stays
-within k*delta of it after k steps.
+by the additive Gaussian step state + xi(state)/sqrt(n): surrogate_step is
+that transition kernel, and bootstrap.simulate_chain_block runs it through
+the same chain driver as the bootstrap step. Truncation zeroes a drawn xi
+when its norm reaches delta*sqrt(n), so each truncated step moves the state
+by strictly less than delta and a chain started at theta stays within
+k*delta of it after k steps.
 
 Truncation here is per draw, on the norm of xi at the current state. An
 alternative rule would condition on the sup of the noise process over all
@@ -22,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import functionals, models
-from .bootstrap import ChainPath, fk_estimate_at
+from .bootstrap import fk_estimate_at
 
 
 @dataclass(frozen=True)
@@ -68,28 +70,9 @@ def _truncate(xi: np.ndarray, trunc: TruncationRule | None) -> np.ndarray:
     return np.where((norms >= trunc.threshold)[..., None], 0.0, xi)
 
 
-def tilde_chain_block(
-    model, start, k: int, n: int, m: int, rng, trunc: TruncationRule | None = None
-) -> np.ndarray:
-    """M surrogate chains at once: states of shape (k+1, M, d)."""
-    start = np.asarray(start, dtype=float)
-    if start.ndim == 1:
-        start = np.broadcast_to(start, (m, start.shape[0]))
-    states = np.empty((k + 1,) + start.shape)
-    states[0] = start
-    root_n = math.sqrt(n)
-    for j in range(k):
-        xi = models.sample_xi_block(model, states[j], rng)
-        states[j + 1] = states[j] + _truncate(xi, trunc) / root_n
-    return states
-
-
-def simulate_tilde_chain(
-    model, theta, k: int, n: int, rng, trunc: TruncationRule | None = None
-) -> ChainPath:
-    """One surrogate chain (optionally truncated) started at theta."""
-    states = tilde_chain_block(model, theta, k, n, 1, rng, trunc=trunc)
-    return ChainPath(states=states[:, 0, :])
+def surrogate_step(model, states, n: int, rng, trunc: TruncationRule | None = None) -> np.ndarray:
+    """One surrogate step for a block of states: states + trunc(xi(states))/sqrt(n)."""
+    return states + _truncate(models.sample_xi_block(model, states, rng), trunc) / math.sqrt(n)
 
 
 def sigma_f(model, f, theta) -> float:
@@ -101,22 +84,17 @@ def sigma_f(model, f, theta) -> float:
     return math.sqrt(max(quad, 0.0))
 
 
-def superposition_eval(model, theta, flags, n: int, rng) -> np.ndarray:
-    """Apply the flagged surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n)
-    sequentially; binary flags make this equal in law to skipping the steps
-    with t_j = 0, which is how it is computed."""
-    return superposition_block(model, theta, flags, n, 1, rng)[0]
-
-
 def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
-    """M independent draws of the flag superposition: shape (M, d)."""
+    """M independent draws of the flag superposition: the flagged surrogate
+    steps G_j(.) = . + t_j xi_j(.)/sqrt(n) applied in turn, shape (M, d).
+    Binary flags make this equal in law to skipping the steps with t_j = 0,
+    which is how it is computed."""
     bits = flags.bits if isinstance(flags, HomotopyFlags) else HomotopyFlags(tuple(flags)).bits
     theta = np.asarray(theta, dtype=float)
     states = np.broadcast_to(theta, (m, theta.shape[0])).copy()
-    root_n = math.sqrt(n)
     for t in bits:
         if t:
-            states = states + models.sample_xi_block(model, states, rng) / root_n
+            states = surrogate_step(model, states, n, rng)
     return states
 
 
@@ -129,7 +107,7 @@ def tilde_fk_estimate(
     if k > 0 and delta is not None and math.isfinite(delta):
         trunc = TruncationRule(delta=delta, n=n)
     return fk_estimate_at(
-        model, f, theta_hat, k, n, m, rng, chain=partial(tilde_chain_block, trunc=trunc)
+        model, f, theta_hat, k, n, m, rng, step=partial(surrogate_step, trunc=trunc)
     )
 
 

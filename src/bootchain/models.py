@@ -5,7 +5,7 @@ Four model variants are provided:
   * GaussianShift          X = theta + A(theta) z / sqrt(n), single draw
   * IndependentComponents  X = theta + A(theta) sum_j eta_j x_j, n i.i.d.
   * ExponentialFamily      product Poisson / Gaussian-mean, MLE via the
-                           mean map and its closed-form inverse
+                           closed-form inverse of the mean map
   * LogConcaveLocation     X = theta + eta, n i.i.d., sample-mean estimator
 
 Every variant carries a Gaussian surrogate (a sampler for xi(theta) and the
@@ -13,19 +13,20 @@ exact covariance Sigma(theta)). For the exponential families the surrogate
 lives on the mean-map scale: Sigma(theta) = Psi'(theta), which is the
 covariance of sqrt(n)(Xbar - Psi(theta)).
 
-Besides the per-replicate operations (sample_data / estimate / sample_xi /
-sigma) this module exposes vectorized kernels, estimate_block and
-sample_xi_block, that step many parameter rows at once. Every estimator here
-sees the data only through its sample mean, so estimate_block draws that
-mean from the exact law of a sum of n draws wherever one exists: Binomial
-for Rademacher sums, Gamma for exponential sums, a difference of two
-Gamma(n, 1) sums for Laplace noise (Laplace(b) = b (E - E') with E, E'
-independent Exp(1)), Poisson additivity, and exact normal means. Those
-kernels cost O(1) per cell and are equal in law to drawing n raw
-observations per row and averaging. Logistic location noise and uniform
-component drivers have no closed sum law; they are the only kernels left
-that make n raw draws per cell. Rows whose state left the sampling domain
-come back as NaN and are counted by the callers.
+Besides the per-replicate operations (sample_data / estimate / sigma) this
+module exposes vectorized kernels, estimate_block and sample_xi_block, that
+step many parameter rows at once; a single row is a block with one row.
+Every estimator here sees the data only through its sample mean, so
+estimate_block draws that mean from the exact law of a sum of n draws
+wherever one exists: Binomial for Rademacher sums, Gamma for exponential
+sums, a difference of two Gamma(n, 1) sums for Laplace noise
+(Laplace(b) = b (E - E') with E, E' independent Exp(1)), Poisson
+additivity, and exact normal means. Those kernels cost O(1) per cell and
+are equal in law to drawing n raw observations per row and averaging.
+Logistic location noise and uniform component drivers have no closed sum
+law; they are the only kernels left that make n raw draws per cell. Rows
+whose state left the sampling domain come back as NaN and are counted by
+the callers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 
 from .core import as_param_vector
 
-RAW_RETENTION_MAX = 100_000  # above this, only running means are kept
 POISSON_LAM_MAX = 1e12  # per-coordinate total-count guard for the sampler
 _CHUNK_SCALARS = 4_000_000  # raw-draw budget per chunk in block stepping
 
@@ -347,41 +347,27 @@ Model = GaussianShift | IndependentComponents | ExponentialFamily | LogConcaveLo
 
 @dataclass(frozen=True)
 class Data:
-    """Observation container: running mean always, raw draws while small."""
+    """Observation container: every estimator here reads only the mean."""
 
     n: int
     mean: np.ndarray
-    raw: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
-# mean map (exponential families)
-
-
-def mean_map(model: ExponentialFamily, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if model.family == "poisson_product":
-        return np.exp(theta)
-    return model.base * theta
-
-
-def mean_map_inverse(model: ExponentialFamily, vartheta: np.ndarray) -> np.ndarray:
-    vartheta = np.asarray(vartheta, dtype=float)
-    if model.family == "poisson_product":
-        if np.any(vartheta <= 0):
-            raise DomainError("mean-map inverse needs positive coordinates")
-        return np.log(vartheta)
-    return vartheta / model.base
+# maximum likelihood (exponential families)
 
 
 def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
+    """Psi^{-1}(Xbar) per row of xbar, (d,) or (M, d). A Poisson row with a
+    zero coordinate has no MLE; it falls back to theta0, or else to the clamp
+    rule log(max(Xbar, 1e-6))."""
     if model.family == "gaussian_mean":
         return xbar / model.base
-    if np.all(xbar > 0):
-        return np.log(xbar)
-    if model.theta0 is not None:
-        return np.asarray(model.theta0, dtype=float)
-    return np.log(np.maximum(xbar, DEFAULT_MLE_CLAMP))
+    fallback = model.theta0
+    if fallback is None:
+        fallback = np.log(np.maximum(xbar, DEFAULT_MLE_CLAMP))
+    with np.errstate(divide="ignore"):
+        return np.where(np.all(xbar > 0, axis=-1, keepdims=True), np.log(xbar), fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +377,8 @@ def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
 def sample_data(model: Model, theta, n: int, rng) -> Data:
     """Draw one observation set under P_theta^(n).
 
-    GaussianShift yields the single vector X; the i.i.d. models yield n
-    copies, retaining raw draws only up to RAW_RETENTION_MAX rows.
+    GaussianShift yields the single vector X; the i.i.d. models draw n
+    copies and keep their mean.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dim,):
@@ -403,16 +389,15 @@ def sample_data(model: Model, theta, n: int, rng) -> Data:
     if isinstance(model, GaussianShift):
         z = rng.standard_normal(model.dim)
         x = theta + model.noise_map.apply(theta, z) / math.sqrt(n)
-        return Data(n=n, mean=x, raw=x.reshape(1, -1))
+        return Data(n=n, mean=x)
 
-    keep = n <= RAW_RETENTION_MAX
     if isinstance(model, IndependentComponents):
         eta = np.empty((n, model.dim))
         for j, tag in enumerate(model.noise_dist):
             eta[:, j] = _draw_ic_noise(tag, rng, n)
         mix = eta if model.directions is None else eta @ model.directions.T
         draws = theta + model.noise_map.apply(theta, mix)
-        return Data(n=n, mean=draws.mean(axis=0), raw=draws if keep else None)
+        return Data(n=n, mean=draws.mean(axis=0))
 
     if isinstance(model, ExponentialFamily):
         if model.family == "poisson_product":
@@ -424,14 +409,14 @@ def sample_data(model: Model, theta, n: int, rng) -> Data:
         else:
             mu = model.base * theta
             draws = mu + np.sqrt(model.base) * rng.standard_normal((n, model.dim))
-        return Data(n=n, mean=draws.mean(axis=0), raw=draws if keep else None)
+        return Data(n=n, mean=draws.mean(axis=0))
 
     if isinstance(model, LogConcaveLocation):
         eta = np.empty((n, model.dim))
         for j, (tag, s) in enumerate(zip(model.noise_dist, model.scale)):
             eta[:, j] = _draw_location_noise(tag, s, rng, n)
         draws = theta + eta
-        return Data(n=n, mean=draws.mean(axis=0), raw=draws if keep else None)
+        return Data(n=n, mean=draws.mean(axis=0))
 
     raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -442,11 +427,6 @@ def estimate(model: Model, data: Data) -> np.ndarray:
     if isinstance(model, ExponentialFamily):
         return _mle_from_mean(model, data.mean)
     return np.asarray(data.mean, dtype=float)
-
-
-def sample_xi(model: Model, theta, rng) -> np.ndarray:
-    """One draw of the Gaussian surrogate xi(theta) ~ N(0, Sigma(theta))."""
-    return sample_xi_block(model, np.asarray(theta, dtype=float)[None, :], rng)[0]
 
 
 def sigma(model: Model, theta) -> np.ndarray:
@@ -508,16 +488,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
         out = np.full((m, d), np.nan)
         ok = ~bad
         if np.any(ok):
-            xbar = rng.poisson(lam[ok]).astype(float) / n
-            pos = np.all(xbar > 0, axis=1)
-            res = np.empty_like(xbar)
-            res[pos] = np.log(xbar[pos])
-            if np.any(~pos):
-                if model.theta0 is not None:
-                    res[~pos] = model.theta0
-                else:
-                    res[~pos] = np.log(np.maximum(xbar[~pos], DEFAULT_MLE_CLAMP))
-            out[ok] = res
+            out[ok] = _mle_from_mean(model, rng.poisson(lam[ok]) / n)
         return out
 
     if isinstance(model, LogConcaveLocation):

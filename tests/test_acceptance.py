@@ -8,6 +8,7 @@ green suite is reproducible bit-for-bit.
 import json
 import math
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -183,7 +184,9 @@ def test_c7_surrogate_equivalence():
         f = functionals.quadratic_form()
         n, k, m = 100, 2, 20_000
         hat = bootstrap.simulate_chain_block(model, theta, k, n, m, exp.derive_stream(1007, 0, 0))
-        tilde = gaussian.tilde_chain_block(model, theta, k, n, m, exp.derive_stream(1007, 1, 0))
+        tilde = bootstrap.simulate_chain_block(
+            model, theta, k, n, m, exp.derive_stream(1007, 1, 0), gaussian.surrogate_step
+        )
         a = np.asarray(functionals.value(f, hat[k]))
         b = np.asarray(functionals.value(f, tilde[k]))
         w1 = distances.wasserstein1(a, b)
@@ -192,8 +195,9 @@ def test_c7_surrogate_equivalence():
 
         delta = gaussian.default_delta(model, theta, n)
         trunc = gaussian.TruncationRule(delta=delta, n=n)
-        states = gaussian.tilde_chain_block(
-            model, theta, 3, n, 10_000, exp.derive_stream(1007, 2, 0), trunc=trunc
+        states = bootstrap.simulate_chain_block(
+            model, theta, 3, n, 10_000, exp.derive_stream(1007, 2, 0),
+            partial(gaussian.surrogate_step, trunc=trunc),
         )
         for j in range(4):
             assert np.all(np.linalg.norm(states[j] - theta, axis=1) <= j * delta)
@@ -211,11 +215,11 @@ def test_c8_homotopy_superposition():
             sup = gaussian.superposition_block(
                 model, theta, bits, n, m, exp.derive_stream(1008, idx, 0)
             )
-            chain = gaussian.tilde_chain_block(
-                model, theta, l, n, m, exp.derive_stream(1008, idx, 1)
-            ) if l else np.broadcast_to(theta, (1, m, 5))
+            chain = bootstrap.simulate_chain_block(
+                model, theta, l, n, m, exp.derive_stream(1008, idx, 1), gaussian.surrogate_step
+            )
             a = np.asarray(functionals.value(f, sup))
-            b = np.asarray(functionals.value(f, chain[l] if l else chain[0]))
+            b = np.asarray(functionals.value(f, chain[l]))
             w1 = distances.wasserstein1(a, b)
             se = distances.wasserstein1_bootstrap_se(
                 a, b, np.random.default_rng(idx), n_boot=60

@@ -57,14 +57,12 @@ def test_simulate_chain_k0_and_deterministic_kernel():
     model = models.GaussianShift(dim=3)
     rng = derive_stream(201, 0, 0)
     start = unit_sin_theta(3)
-    path = bootstrap.simulate_chain(model, start, 0, 100, rng)
-    assert path.length == 0
-    assert np.array_equal(path.states, start[None, :])
-    assert np.array_equal(path.start, start)
+    states = bootstrap.simulate_chain_block(model, start, 0, 100, 1, rng)
+    assert np.array_equal(states, start[None, None, :])
 
     frozen = models.GaussianShift(dim=3, noise_map=models.IdentityMap(scale=0.0))
-    path = bootstrap.simulate_chain(frozen, start, 5, 100, rng)
-    assert np.array_equal(path.states, np.broadcast_to(start, (6, 3)))
+    states = bootstrap.simulate_chain_block(frozen, start, 5, 100, 1, rng)
+    assert np.array_equal(states[:, 0], np.broadcast_to(start, (6, 3)))
 
 
 def test_chain_increments_have_variance_one_over_n():
@@ -145,7 +143,7 @@ def test_telescoping_equivalence_on_shared_chains():
     start = unit_sin_theta(3)
     states = bootstrap.simulate_chain_block(model, start, k, n, m, rng)
     f = functionals.exp_linear(np.array([0.5, -0.2, 0.1]))
-    fv = bootstrap.chain_functional_values(f, states)
+    fv = np.asarray(functionals.value(f, states))
 
     collapsed, _, _ = bootstrap.fk_from_states(f, states)
     alternating = 0.0

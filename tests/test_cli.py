@@ -133,6 +133,25 @@ def test_report_power_law_slope_label(tmp_path):
     assert "slope=-0.50" in svg
 
 
+def test_report_plots_only_the_run_order(tmp_path):
+    # a compare.plugin CSV holds k = 0 and k = 1 rows; report, like run, plots k = 1
+    doc = dict(
+        MINIMAL_RISK,
+        grid={"n": [100, 400, 1600], "d": 2},
+        compare={"plugin": True},
+        outputs={"csv": "r.csv", "svg": "run.svg"},
+    )
+    assert cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)]) == 0
+    assert [r["k"] for r in cli.read_results_csv(tmp_path / "r.csv")] == [0, 1] * 3
+    svg_path = tmp_path / "report.svg"
+    assert cli.main(["report", str(tmp_path / "r.csv"), "--svg", str(svg_path)]) == 0
+    report, run = svg_path.read_text(), (tmp_path / "run.svg").read_text()
+    assert report.count("<circle") == 3
+    label = next(line for line in run.splitlines() if "slope=" in line)
+    assert label in report
+    assert report == run
+
+
 def test_report_two_points_ok(tmp_path):
     csv_path = tmp_path / "two.csv"
     header = ",".join(cli.CSV_COLUMNS)
@@ -196,6 +215,7 @@ def test_clt_run_reports_distances_in_json(tmp_path):
     doc = dict(
         MINIMAL_RISK,
         kind="clt",
+        k=0,
         functional={"variant": "linear", "u": {"rule": "e1"}},
         model={"variant": "independent_components", "noise_dist": "rademacher"},
         mc={"M": 1, "R": 500},
@@ -258,11 +278,53 @@ def test_poisson_overflow_counts_every_replicate_as_aborted(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+CLT_RADEMACHER = dict(
+    MINIMAL_RISK,
+    kind="clt",
+    k=0,
+    functional={"variant": "linear", "u": {"rule": "e1"}},
+    model={"variant": "independent_components", "noise_dist": "rademacher"},
+    mc={"M": 1, "R": 50},
+)
+
+
+def test_clt_run_without_two_survivors_is_a_failed_row(tmp_path, capsys):
+    doc = dict(
+        CLT_RADEMACHER,
+        model={"variant": "exponential_family", "family": "poisson_product"},
+        theta=[25.0, 0.0],
+        grid={"n": [100], "d": 2},
+        outputs={"csv": "c.csv"},
+    )
+    rc = cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    row = cli.read_results_csv(tmp_path / "c.csv")[0]
+    assert row["aborts"] == 50
+    assert math.isnan(row["bias"]) and math.isnan(row["d_k"])
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("k", {"k": 3}),
+        ("mc.M", {"mc": {"M": 999, "R": 50}}),
+        ("delta", {"delta": 0.5}),
+        ("compare.tilde", {"compare": {"tilde": True}}),
+        ("compare.plugin", {"compare": {"plugin": True}}),
+    ],
+)
+def test_clt_config_rejects_fields_it_ignores(tmp_path, capsys, field, patch):
+    assert cli.main(["run", str(write_cfg(tmp_path, dict(CLT_RADEMACHER, **patch)))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
 def test_w1_above_w2_is_an_experiment_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(distances, "wasserstein2", lambda a, b: -1.0)
     doc = dict(
         MINIMAL_RISK,
         kind="clt",
+        k=0,
         functional={"variant": "linear", "u": {"rule": "e1"}},
         mc={"M": 1, "R": 100},
         outputs={"json": "clt.json"},

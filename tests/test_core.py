@@ -82,16 +82,6 @@ def test_hs_inner_dimension_mismatch():
         core.hs_inner(np.eye(2), np.eye(3))
 
 
-def test_mat_vec():
-    v = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(core.mat_vec(np.eye(3), v), v)
-    assert np.array_equal(core.mat_vec(np.zeros((3, 3)), v), np.zeros(3))
-    got = core.mat_vec(np.diag([1.0, 2.0, 3.0]), np.ones(3))
-    assert np.array_equal(got, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        core.mat_vec(np.eye(2), v)
-
-
 def test_as_param_vector():
     v = core.as_param_vector([1.0, 2.0])
     assert v.dtype == float and not v.flags.writeable
@@ -101,28 +91,3 @@ def test_as_param_vector():
         core.as_param_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         core.as_param_vector([])
-
-
-def test_sqrt_psd_factors_covariances():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((4, 4))
-    sig = a @ a.T
-    root = core.sqrt_psd(sig)
-    assert np.abs(root @ root.T - sig).max() <= 1e-10
-    assert np.abs(root - root.T).max() <= 1e-10
-    # tiny negative eigenvalues from rounding are clamped, not propagated
-    wobble = sig - 1e-14 * np.eye(4)
-    root2 = core.sqrt_psd(wobble)
-    assert np.all(np.isfinite(root2))
-
-
-def test_matrix_checks():
-    core.check_symmetric(np.eye(3))
-    with pytest.raises(ValueError):
-        core.check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    core.check_psd(np.diag([1.0, 0.0, 2.0]))
-    with pytest.raises(ValueError):
-        core.check_psd(np.diag([1.0, -1.0]))
-    core.check_hermitian(np.array([[1.0, 1j], [-1j, 0.0]]))
-    with pytest.raises(ValueError):
-        core.check_hermitian(np.array([[1.0, 1j], [1j, 0.0]]))

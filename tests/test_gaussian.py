@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ def test_tiny_delta_freezes_chain():
     theta = unit_sin_theta(3)
     trunc = gaussian.TruncationRule(delta=1e-12, n=100)
     rng = derive_stream(301, 0, 0)
-    path = gaussian.simulate_tilde_chain(model, theta, 5, 100, rng, trunc=trunc)
-    assert np.array_equal(path.states, np.broadcast_to(theta, (6, 3)))
+    step = partial(gaussian.surrogate_step, trunc=trunc)
+    states = bootstrap.simulate_chain_block(model, theta, 5, 100, 1, rng, step)
+    assert np.array_equal(states[:, 0], np.broadcast_to(theta, (6, 3)))
 
 
 def test_truncated_chain_containment_hard():
@@ -23,7 +25,8 @@ def test_truncated_chain_containment_hard():
     delta = 0.18  # threshold near the median noise norm so truncation fires
     trunc = gaussian.TruncationRule(delta=delta, n=n)
     rng = derive_stream(302, 0, 0)
-    states = gaussian.tilde_chain_block(model, theta, k, n, m, rng, trunc=trunc)
+    step = partial(gaussian.surrogate_step, trunc=trunc)
+    states = bootstrap.simulate_chain_block(model, theta, k, n, m, rng, step)
     fired = False
     for j in range(k + 1):
         dist_j = np.linalg.norm(states[j] - theta, axis=1)
@@ -39,7 +42,9 @@ def test_tilde_chain_matches_hat_chain_for_shift_model():
     n, k, m = 100, 2, 10_000
     f = functionals.quadratic_form()
     hat = bootstrap.simulate_chain_block(model, theta, k, n, m, derive_stream(303, 0, 0))
-    tilde = gaussian.tilde_chain_block(model, theta, k, n, m, derive_stream(303, 1, 0))
+    tilde = bootstrap.simulate_chain_block(
+        model, theta, k, n, m, derive_stream(303, 1, 0), gaussian.surrogate_step
+    )
     a = np.asarray(functionals.value(f, hat[k]))
     b = np.asarray(functionals.value(f, tilde[k]))
     w1 = distances.wasserstein1(a, b)
@@ -67,8 +72,8 @@ def test_superposition_zero_flags_identity():
     model = models.GaussianShift(dim=3)
     theta = unit_sin_theta(3)
     rng = derive_stream(304, 0, 0)
-    out = gaussian.superposition_eval(model, theta, (0, 0, 0), 100, rng)
-    assert np.array_equal(out, theta)
+    out = gaussian.superposition_block(model, theta, (0, 0, 0), 100, 1, rng)
+    assert np.array_equal(out, theta[None, :])
 
 
 def test_superposition_matches_shorter_chain():
@@ -77,7 +82,9 @@ def test_superposition_matches_shorter_chain():
     n, m = 100, 10_000
     f = functionals.quadratic_form()
     sup = gaussian.superposition_block(model, theta, (1, 0, 1), n, m, derive_stream(305, 0, 0))
-    chain = gaussian.tilde_chain_block(model, theta, 2, n, m, derive_stream(305, 1, 0))
+    chain = bootstrap.simulate_chain_block(
+        model, theta, 2, n, m, derive_stream(305, 1, 0), gaussian.surrogate_step
+    )
     a = np.asarray(functionals.value(f, sup))
     b = np.asarray(functionals.value(f, chain[2]))
     w1 = distances.wasserstein1(a, b)
@@ -184,9 +191,11 @@ def test_sigma_f_nonnegative_everywhere():
             assert gaussian.sigma_f(model, f, theta) >= 0.0
 
 
-def test_simulate_tilde_chain_shape():
+def test_surrogate_chain_shape():
     model = models.GaussianShift(dim=2)
     rng = derive_stream(311, 0, 0)
-    path = gaussian.simulate_tilde_chain(model, np.zeros(2), 4, 50, rng)
-    assert path.states.shape == (5, 2)
-    assert np.array_equal(path.start, np.zeros(2))
+    states = bootstrap.simulate_chain_block(
+        model, np.zeros(2), 4, 50, 1, rng, gaussian.surrogate_step
+    )
+    assert states.shape == (5, 1, 2)
+    assert np.array_equal(states[0, 0], np.zeros(2))
