@@ -8,8 +8,10 @@ the Gaussian surrogate step gaussian.surrogate_step. Signed binomial
 weights turn chain evaluations of f into Monte Carlo estimates of the
 iterated bias operator applied to f, and the collapsed weights fold the
 whole alternating partial sum of corrections into a single pass over one
-chain: one length-k chain feeds every order j <= k through its prefixes.
-Chain reuse correlates orders within a replicate but leaves the corrected
+chain. One length-k chain feeds every order j <= k through its prefixes:
+fk_estimate_at returns all requested orders from one simulation, each equal
+to what a run of that order alone computes from the same stream. Chain
+reuse correlates orders within a replicate but leaves the corrected
 estimator unbiased for the weighted sum of state expectations; the standard
 errors reported by the Monte Carlo layer absorb the correlation.
 """
@@ -17,7 +19,7 @@ errors reported by the Monte Carlo layer absorb the correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,38 +35,24 @@ class EstimationError(RuntimeError):
 ABORT_RATE_LIMIT = 0.01
 
 
-@dataclass(frozen=True)
-class DifferenceWeights:
-    """w_j = (-1)^(k-j) C(k, j): k-th order difference along a chain."""
-
-    order: int
-    weights: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CollapsedWeights:
-    """v_i = (-1)^i C(k+1, i+1): one-pass weights summing all correction
-    orders j <= k (hockey-stick collapse of the alternating double sum)."""
-
-    order: int
-    weights: tuple[int, ...]
-
-
 def _check_order(k: int):
     if not (0 <= k <= MAX_ORDER):
         raise ValueError(f"order k must be in [0, {MAX_ORDER}], got {k}")
 
 
-def difference_weights(k: int) -> DifferenceWeights:
+@lru_cache(maxsize=None)
+def difference_weights(k: int) -> tuple[int, ...]:
+    """w_j = (-1)^(k-j) C(k, j): k-th order difference along a chain."""
     _check_order(k)
-    w = tuple((-1) ** (k - j) * math.comb(k, j) for j in range(k + 1))
-    return DifferenceWeights(order=k, weights=w)
+    return tuple((-1) ** (k - j) * math.comb(k, j) for j in range(k + 1))
 
 
-def collapsed_weights(k: int) -> CollapsedWeights:
+@lru_cache(maxsize=None)
+def collapsed_weights(k: int) -> tuple[int, ...]:
+    """v_i = (-1)^i C(k+1, i+1): one-pass weights summing all correction
+    orders j <= k (hockey-stick collapse of the alternating double sum)."""
     _check_order(k)
-    v = tuple((-1) ** i * math.comb(k + 1, i + 1) for i in range(k + 1))
-    return CollapsedWeights(order=k, weights=v)
+    return tuple((-1) ** i * math.comb(k + 1, i + 1) for i in range(k + 1))
 
 
 def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
@@ -99,7 +87,7 @@ def estimate_Bjf(model, f, theta, j: int, n: int, m: int, rng) -> tuple[float, f
         raise ValueError("order j must be >= 1")
     if m < 2:
         raise ValueError("need at least 2 chains for a standard error")
-    w = np.array(difference_weights(j).weights, dtype=float)
+    w = np.array(difference_weights(j), dtype=float)
     states = simulate_chain_block(model, theta, j, n, m, rng)
     vals = w @ functionals.value(f, states)  # (M,)
     vals = vals[np.isfinite(vals)]
@@ -115,7 +103,7 @@ def fk_from_states(f, states: np.ndarray) -> tuple[float, float, int]:
     corrected value over the valid chains in states (shape (k+1, M, d)).
     """
     k = states.shape[0] - 1
-    v = np.array(collapsed_weights(k).weights, dtype=float)
+    v = np.array(collapsed_weights(k), dtype=float)
     per_chain = v @ functionals.value(f, states)  # (M,)
     valid = np.isfinite(per_chain)
     aborted = int(per_chain.shape[0] - valid.sum())
@@ -126,33 +114,49 @@ def fk_from_states(f, states: np.ndarray) -> tuple[float, float, int]:
     return float(vals.mean()), se, aborted
 
 
-def fk_estimate_at(model, f, theta_hat, k: int, n: int, m: int, rng, step=None) -> float:
-    """Bias-corrected estimate of f(theta) from the fitted value theta_hat.
+def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) -> np.ndarray:
+    """Bias-corrected estimates of f(theta) of every requested order from the
+    fitted value theta_hat, one entry per element of orders.
 
-    k = 0 is the plain plug-in f(theta_hat) and bypasses chain simulation;
-    otherwise M chains of length k start at theta_hat and the collapsed
-    weights realize the whole alternating correction sum in one pass.
-    step is the chain's transition kernel (see simulate_chain_block):
-    bootstrap chains by default, gaussian.surrogate_step for surrogate
-    chains. Raises EstimationError when more than 1% of chains abort.
+    Order 0 is the plain plug-in f(theta_hat). M chains of length
+    max(orders) start at theta_hat (none when that maximum is 0), and order
+    k >= 1 is the collapsed-weight fold over their first k steps: since the
+    chains draw step by step, that prefix is exactly the chain a run of
+    order k alone would simulate. step is the chains' transition kernel (see
+    simulate_chain_block): bootstrap chains by default,
+    gaussian.surrogate_step for surrogate chains. An order whose prefix lost
+    more than 1% of its chains, or all of them, is NaN.
     """
-    _check_order(k)
+    orders = tuple(orders)
+    for k in orders:
+        _check_order(k)
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if k == 0:
-        return float(functionals.value(f, theta_hat))
-    if m < 1:
-        raise ValueError("need at least one chain when k >= 1")
-    states = simulate_chain_block(model, theta_hat, k, n, m, rng, step)
-    mean, _, aborted = fk_from_states(f, states)
-    if aborted > ABORT_RATE_LIMIT * m:
-        raise EstimationError(f"{aborted}/{m} chains aborted")
-    return mean
+    out = np.empty(len(orders))
+    top = max(orders)
+    if top > 0:
+        if m < 1:
+            raise ValueError("need at least one chain when k >= 1")
+        states = simulate_chain_block(model, theta_hat, top, n, m, rng, step)
+    for i, k in enumerate(orders):
+        if k == 0:
+            out[i] = functionals.value(f, theta_hat)
+            continue
+        try:
+            mean, _, aborted = fk_from_states(f, states[: k + 1])
+        except EstimationError:  # every chain aborted
+            mean, aborted = math.nan, m
+        out[i] = mean if aborted <= ABORT_RATE_LIMIT * m else math.nan
+    return out
 
 
 def fk_estimate(model, f, data, k: int, n: int, m: int, rng) -> float:
     """Bias-corrected estimate of f(theta) from one observation set:
-    fk_estimate_at started at theta_hat = estimate(model, data)."""
-    return fk_estimate_at(model, f, models.estimate(model, data), k, n, m, rng)
+    fk_estimate_at started at theta_hat = estimate(model, data). Raises
+    EstimationError when more than 1% of the chains abort."""
+    est = float(fk_estimate_at(model, f, models.estimate(model, data), (k,), n, m, rng)[0])
+    if k > 0 and math.isnan(est):
+        raise EstimationError(f"more than {ABORT_RATE_LIMIT:.0%} of {m} chains aborted")
+    return est
 
 
 def bias_oracle_exp(theta, u, sigma2: float, n: int, k: int) -> float:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,8 @@ def cmd_report(csv_path: str, svg_path: str) -> int:
 def _selftest_checks():
     def weights_ok():
         for k in range(13):
-            dw = difference_weights(k).weights
-            cw = collapsed_weights(k).weights
+            dw = difference_weights(k)
+            cw = collapsed_weights(k)
             # independent recomputation via the Pascal recurrence
             pascal = [[1]]
             for row in range(1, k + 2):
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
     except (ConfigError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EstimationError as exc:
+    except (EstimationError, BrokenProcessPool) as exc:  # the latter: a pool worker died
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
     except OSError as exc:

@@ -3,6 +3,9 @@
 Reproducibility contract: every replicate r draws all of its randomness from
 the counter-based stream derive_stream(master_seed, r, 0): first theta_hat,
 as one row of the block kernel models.estimate_block, then its chains.
+Each grid point runs its replicates once: every order row it reports (the
+plug-in row of compare_plugin, each oracle-check order) is folded from the
+same theta_hat and the prefixes of the same chains, in one worker pool.
 Replicates are independent work items; a worker pool of any size partitions
 the replicate index range, and the aggregation is a sequential fold in index
 order, so summaries are bit-identical for a fixed seed regardless of the
@@ -177,24 +180,19 @@ def _prime_allocator() -> None:
 
 
 def _run_replicates(payload: tuple, start: int, stop: int) -> np.ndarray:
-    """Errors of replicates [start, stop); NaN marks an aborted replicate."""
+    """Errors of replicates [start, stop), one row per order; NaN marks an
+    aborted replicate. A non-finite theta_hat (the outer draw left the model
+    domain) aborts every order before any chain starts."""
     _prime_allocator()
-    model, func, theta, f_true, k, n, m, delta, use_tilde, seed = payload
+    model, func, theta, f_true, orders, n, m, step, seed = payload
     theta_row = theta[None, :]
-    errs = np.empty(stop - start)
+    errs = np.full((len(orders), stop - start), np.nan)
     for i, r in enumerate(range(start, stop)):
         rng = derive_stream(seed, r, 0)
-        try:
-            theta_hat = models.estimate_block(model, theta_row, n, rng)[0]
-            if not np.isfinite(theta_hat).all():
-                raise models.DomainError("outer draw left the model domain")
-            if use_tilde:
-                est = gaussian.tilde_fk_estimate(model, func, theta_hat, k, n, delta, m, rng)
-            else:
-                est = bootstrap.fk_estimate_at(model, func, theta_hat, k, n, m, rng)
-            errs[i] = est - f_true
-        except (models.DomainError, bootstrap.EstimationError):
-            errs[i] = np.nan
+        theta_hat = models.estimate_block(model, theta_row, n, rng)[0]
+        if np.isfinite(theta_hat).all():
+            est = bootstrap.fk_estimate_at(model, func, theta_hat, orders, n, m, rng, step)
+            errs[:, i] = est - f_true
     return errs
 
 
@@ -205,18 +203,27 @@ def _batched_errors(payload: tuple, total: int, threads: int) -> np.ndarray:
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(_run_replicates, *zip(*[(payload, lo, hi) for lo, hi in ranges])))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=1)
 
 
-def _resolve_delta(cfg: ExperimentConfig, model, theta, n: int) -> float | None:
-    if cfg.delta is None or cfg.delta == "auto":
-        return gaussian.default_delta(model, theta, n) if cfg.use_tilde else None
-    return float(cfg.delta)
+def _chain_step(cfg: ExperimentConfig, model, theta, n: int):
+    """The chains' transition kernel at a grid point: None (the bootstrap
+    step), or the surrogate step truncated at delta (default
+    3 sqrt(tr Sigma / n); an infinite delta disables truncation)."""
+    if not cfg.use_tilde:
+        return None
+    delta = cfg.delta
+    if delta is None or delta == "auto":
+        delta = gaussian.default_delta(model, theta, n)
+    trunc = gaussian.TruncationRule(delta=float(delta), n=n) if math.isfinite(delta) else None
+    return partial(gaussian.surrogate_step, trunc=trunc)
 
 
 def _summarize_point(
-    cfg: ExperimentConfig, k: int, n: int, d: int, threads: int, keep_errors: bool
-) -> TrialSummary:
+    cfg: ExperimentConfig, orders: tuple[int, ...], n: int, d: int, threads: int, keep_errors: bool
+) -> list[TrialSummary]:
+    """One pass of R replicates at grid point (n, d), summarized once per
+    order; every row shares the pass's wall time."""
     model = cfg.model(d)
     func = cfg.functional(d)
     theta = np.asarray(cfg.theta(d), dtype=float)
@@ -224,41 +231,46 @@ def _summarize_point(
         raise ConfigError(f"theta has dimension {theta.shape}, grid point needs {d}")
     f_true = float(functionals.value(func, theta))
     sig_f = gaussian.sigma_f(model, func, theta)
-    delta = _resolve_delta(cfg, model, theta, n)
+    step = _chain_step(cfg, model, theta, n) if max(orders) > 0 else None
 
     t0 = time.perf_counter()
-    payload = (model, func, theta, f_true, k, n, cfg.inner_chains, delta, cfg.use_tilde, cfg.seed)
-    errs = _batched_errors(payload, cfg.replicates, threads)
+    payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)
+    errs_by_order = _batched_errors(payload, cfg.replicates, threads)
     seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
 
-    valid = errs[np.isfinite(errs)]
-    aborts = int(errs.size - valid.size)
-    failed = aborts > bootstrap.ABORT_RATE_LIMIT * cfg.replicates or valid.size < 2
-    if valid.size >= 2:
-        bias = float(valid.mean())
-        sd = float(valid.std(ddof=1))
-        rmse = float(math.sqrt(np.mean(valid**2)))
-        se_bias = sd / math.sqrt(valid.size)
-        std = valid * math.sqrt(n) / sig_f if sig_f > 0 else None
-        d_k = distances.kolmogorov_to_std_normal(std) if std is not None else math.nan
-    else:
-        bias = sd = rmse = se_bias = d_k = math.nan
-    return TrialSummary(
-        n=n,
-        d=d,
-        k=k,
-        bias=bias,
-        se_bias=se_bias,
-        sd=sd,
-        rmse=rmse,
-        sqrt_n_rmse=math.sqrt(n) * rmse,
-        sigma_f=sig_f,
-        d_k=d_k,
-        aborts=aborts,
-        seconds=seconds,
-        failed=failed,
-        errors=valid if keep_errors else None,
-    )
+    out = []
+    for k, errs in zip(orders, errs_by_order):
+        valid = errs[np.isfinite(errs)]
+        aborts = int(errs.size - valid.size)
+        failed = aborts > bootstrap.ABORT_RATE_LIMIT * cfg.replicates or valid.size < 2
+        if valid.size >= 2:
+            bias = float(valid.mean())
+            sd = float(valid.std(ddof=1))
+            rmse = float(math.sqrt(np.mean(valid**2)))
+            se_bias = sd / math.sqrt(valid.size)
+            std = valid * math.sqrt(n) / sig_f if sig_f > 0 else None
+            d_k = distances.kolmogorov_to_std_normal(std) if std is not None else math.nan
+        else:
+            bias = sd = rmse = se_bias = d_k = math.nan
+        out.append(
+            TrialSummary(
+                n=n,
+                d=d,
+                k=k,
+                bias=bias,
+                se_bias=se_bias,
+                sd=sd,
+                rmse=rmse,
+                sqrt_n_rmse=math.sqrt(n) * rmse,
+                sigma_f=sig_f,
+                d_k=d_k,
+                aborts=aborts,
+                seconds=seconds,
+                failed=failed,
+                errors=valid if keep_errors else None,
+            )
+        )
+    return out
 
 
 def run_risk_experiment(
@@ -266,12 +278,11 @@ def run_risk_experiment(
 ) -> list[TrialSummary]:
     """R replicates per grid point: draw data, compute the order-k corrected
     estimate, record the error against f(theta). With compare_plugin set, a
-    k=0 row accompanies each grid point."""
+    k=0 row accompanies each grid point, folded from the same replicates."""
+    orders = (0, cfg.k) if cfg.compare_plugin and cfg.k > 0 else (cfg.k,)
     out = []
     for n, d in cfg.grid.points():
-        if cfg.compare_plugin and cfg.k > 0:
-            out.append(_summarize_point(cfg, 0, n, d, threads, keep_errors))
-        out.append(_summarize_point(cfg, cfg.k, n, d, threads, keep_errors))
+        out.extend(_summarize_point(cfg, orders, n, d, threads, keep_errors))
     return out
 
 
@@ -359,7 +370,8 @@ def run_clt_diagnostic(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSum
 def run_oracle_check(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
     """Measured bias of the corrected estimator vs the closed-form oracle for
     f = exp(<., u>) under the constant-isotropic shift model, one row per
-    order 0..k. extra carries the oracle target and the pass verdict."""
+    order 0..k, all folded from one pass of replicates per grid point. extra
+    carries the oracle target and the pass verdict."""
     d0 = cfg.grid.points()[0][1]
     model = cfg.model(d0)
     func = cfg.functional(d0)
@@ -375,8 +387,8 @@ def run_oracle_check(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSumma
     out = []
     for n, d in cfg.grid.points():
         theta = np.asarray(cfg.theta(d), dtype=float)
-        for k in range(cfg.k + 1):
-            summ = _summarize_point(cfg, k, n, d, threads, keep_errors=False)
+        rows = _summarize_point(cfg, tuple(range(cfg.k + 1)), n, d, threads, keep_errors=False)
+        for k, summ in enumerate(rows):
             target = bootstrap.bias_oracle_exp(theta, cfg.functional(d).u, sigma2, n, k)
             signed = (-1) ** k * target
             ok = abs(summ.bias - signed) <= 4.0 * summ.se_bias or abs(summ.bias) <= max(

@@ -3,7 +3,9 @@
 The surrogate chain replaces the bootstrap transition (resample data, refit)
 by the additive Gaussian step state + xi(state)/sqrt(n): surrogate_step is
 that transition kernel, and bootstrap.simulate_chain_block runs it through
-the same chain driver as the bootstrap step. Truncation zeroes a drawn xi
+the same chain driver as the bootstrap step; the corrected estimator on
+surrogate chains is bootstrap.fk_estimate_at with
+step=partial(surrogate_step, trunc=...). Truncation zeroes a drawn xi
 when its norm reaches delta*sqrt(n), so each truncated step moves the state
 by strictly less than delta and a chain started at theta stays within
 k*delta of it after k steps.
@@ -19,12 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import functionals, models
-from .bootstrap import fk_estimate_at
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,6 @@ def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
         if t:
             states = surrogate_step(model, states, n, rng)
     return states
-
-
-def tilde_fk_estimate(
-    model, f, theta_hat, k: int, n: int, delta: float | None, m: int, rng
-) -> float:
-    """fk_estimate_at with truncated surrogate chains in place of bootstrap
-    chains; delta None or inf disables truncation."""
-    trunc = None
-    if k > 0 and delta is not None and math.isfinite(delta):
-        trunc = TruncationRule(delta=delta, n=n)
-    return fk_estimate_at(
-        model, f, theta_hat, k, n, m, rng, step=partial(surrogate_step, trunc=trunc)
-    )
 
 
 def xi_squared_norm(model, theta, draws: int, rng) -> tuple[float, float]:

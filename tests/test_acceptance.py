@@ -33,8 +33,8 @@ def criterion(label):
 def test_c1_weight_identities():
     with criterion("C1 weight identities"):
         for k in range(13):
-            dw = bootstrap.difference_weights(k).weights
-            cw = bootstrap.collapsed_weights(k).weights
+            dw = bootstrap.difference_weights(k)
+            cw = bootstrap.collapsed_weights(k)
             if k >= 1:
                 assert sum(dw) == 0
             assert sum(cw) == 1

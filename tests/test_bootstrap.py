@@ -15,13 +15,13 @@ EXPM1_A_SQ = 2.5125365365930775e-5
 
 
 def test_difference_weights_examples():
-    assert bootstrap.difference_weights(1).weights == (-1, 1)
-    assert bootstrap.difference_weights(2).weights == (1, -2, 1)
-    assert bootstrap.difference_weights(0).weights == (1,)
+    assert bootstrap.difference_weights(1) == (-1, 1)
+    assert bootstrap.difference_weights(2) == (1, -2, 1)
+    assert bootstrap.difference_weights(0) == (1,)
 
 
 def test_collapsed_weights_example_with_double_sum_oracle():
-    got = bootstrap.collapsed_weights(2).weights
+    got = bootstrap.collapsed_weights(2)
     assert got == (3, -3, 1)
     # direct double sum v_i = sum_{j=i}^{k} (-1)^i C(j, i)
     k = 2
@@ -34,8 +34,8 @@ def test_collapsed_weights_example_with_double_sum_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 12))
 def test_weight_identities_exact(k):
-    dw = bootstrap.difference_weights(k).weights
-    cw = bootstrap.collapsed_weights(k).weights
+    dw = bootstrap.difference_weights(k)
+    cw = bootstrap.collapsed_weights(k)
     if k >= 1:
         assert sum(dw) == 0
     assert dw[k] == 1
@@ -148,7 +148,7 @@ def test_telescoping_equivalence_on_shared_chains():
     collapsed, _, _ = bootstrap.fk_from_states(f, states)
     alternating = 0.0
     for j in range(k + 1):
-        w = np.array(bootstrap.difference_weights(j).weights, dtype=float)
+        w = np.array(bootstrap.difference_weights(j), dtype=float)
         alternating += (-1) ** j * float((w @ fv[: j + 1]).mean())
     assert abs(collapsed - alternating) <= 1e-12
 
@@ -224,6 +224,30 @@ def test_all_aborted_chains_raise():
     f = functionals.linear(np.array([1.0]))
     with pytest.raises(bootstrap.EstimationError):
         bootstrap.fk_estimate(model, f, data, 1, 10, 50, rng)
+
+
+def test_fk_estimate_at_orders_are_their_single_order_runs():
+    # lambda n just below the Poisson domain guard: chains abort more often
+    # the longer they run, so each order has its own abort pattern
+    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    f = functionals.quadratic_form()
+    theta = np.array([math.log(1e10 * (1 - 5e-7)), 0.0])
+    n, m, orders = 100, 50, (0, 1, 2, 3)
+
+    def estimates(r, orders):
+        rng = derive_stream(212, r, 0)
+        theta_hat = models.estimate_block(model, theta[None, :], n, rng)[0]
+        return bootstrap.fk_estimate_at(model, f, theta_hat, orders, n, m, rng)
+
+    got = np.array([estimates(r, orders) for r in range(30)])
+    for r in range(30):
+        for i, k in enumerate(orders):
+            assert np.array_equal(got[r, i : i + 1], estimates(r, (k,)), equal_nan=True)
+    nan_count = np.isnan(got).sum(axis=0)
+    assert nan_count[0] == 0 and 0 < nan_count[1] < nan_count[2] < 30
+    with pytest.raises(bootstrap.EstimationError):
+        data = models.Data(n=n, mean=np.exp(theta))
+        bootstrap.fk_estimate(model, f, data, 3, n, m, derive_stream(212, 0, 0))
 
 
 def test_fk_from_states_counts_aborts():

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootchain import cli, distances
-from bootchain.bootstrap import DifferenceWeights
+from bootchain import cli, distances, experiments
 
 MINIMAL_RISK = {
     "kind": "risk",
@@ -197,7 +196,7 @@ def test_selftest_passes_and_lists_checks(capsys):
 
 def test_selftest_fault_injection(monkeypatch, capsys):
     def corrupted(k):
-        return DifferenceWeights(order=k, weights=tuple(1 for _ in range(k + 1)))
+        return tuple(1 for _ in range(k + 1))
 
     monkeypatch.setattr(cli, "difference_weights", corrupted)
     assert cli.main(["selftest"]) == 3
@@ -333,6 +332,23 @@ def test_w1_above_w2_is_an_experiment_failure(tmp_path, monkeypatch, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeds W2" in err
+
+
+def _kill_worker(payload, start, stop):
+    os._exit(1)
+
+
+def test_killed_pool_worker_is_an_experiment_failure(tmp_path, monkeypatch, capsys):
+    # the worker dies without a result, so the pool breaks under the run
+    monkeypatch.setattr(experiments, "_run_replicates", _kill_worker)
+    doc = dict(MINIMAL_RISK, outputs={"csv": "k.csv"})
+    rc = cli.main(
+        ["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path), "--threads", "2"]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: ") and err.count("\n") == 1
+    assert not (tmp_path / "k.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["bootchain", "bootchain.cli"])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -330,25 +332,35 @@ def test_monotone_bias_improvement_when_resolvable():
 def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde):
     # For the shift model the one-row outer draw consumes the stream exactly
     # as sample_data does, so replicate errors are bit-identical to the
-    # data-based path computed inline.
+    # data-based path computed inline, one order at a time. Every order row
+    # of a pass that folds several orders from one chain (top order k: (k,),
+    # (0, k) and (0, ..., k)) must equal that single-order path.
     model = models.GaussianShift(dim=4, noise_map=noise_map)
     f = functionals.quadratic_form()
     theta = exp.unit_sin_theta(4)
     f_true = float(functionals.value(f, theta))
     n, m, seed, reps = 50, 30, 11, 40
-    delta = gaussian.default_delta(model, theta, n) if use_tilde else None
-    payload = (model, f, theta, f_true, k, n, m, delta, use_tilde, seed)
-    expected = np.empty(reps)
-    for r in range(reps):
-        rng = exp.derive_stream(seed, r, 0)
-        data = models.sample_data(model, theta, n, rng)
-        if use_tilde:
-            theta_hat = models.estimate(model, data)
-            est = gaussian.tilde_fk_estimate(model, f, theta_hat, k, n, delta, m, rng)
-        else:
-            est = bootstrap.fk_estimate(model, f, data, k, n, m, rng)
-        expected[r] = est - f_true
-    assert np.array_equal(exp._run_replicates(payload, 0, reps), expected)
+    step = None
+    if use_tilde:
+        trunc = gaussian.TruncationRule(gaussian.default_delta(model, theta, n), n)
+        step = partial(gaussian.surrogate_step, trunc=trunc)
+    expected = np.empty((k + 1, reps))
+    for j in range(k + 1):
+        for r in range(reps):
+            rng = exp.derive_stream(seed, r, 0)
+            data = models.sample_data(model, theta, n, rng)
+            if use_tilde:
+                theta_hat = models.estimate(model, data)
+                est = bootstrap.fk_estimate_at(model, f, theta_hat, (j,), n, m, rng, step)[0]
+            else:
+                est = bootstrap.fk_estimate(model, f, data, j, n, m, rng)
+            expected[j, r] = est - f_true
+    for orders in sorted({(k,), (0, k), tuple(range(k + 1))}):
+        payload = (model, f, theta, f_true, orders, n, m, step, seed)
+        got = exp._run_replicates(payload, 0, reps)
+        assert got.shape == (len(orders), reps)
+        for row, j in zip(got, orders):
+            assert np.array_equal(row, expected[j])
 
 
 def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
@@ -359,5 +371,89 @@ def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
         raise AssertionError("chains started from a non-finite theta_hat")
 
     monkeypatch.setattr(bootstrap, "simulate_chain_block", no_chains)
-    payload = (model, f, np.array([25.0, 0.0]), 0.0, 1, 100, 20, None, False, 5)
+    payload = (model, f, np.array([25.0, 0.0]), 0.0, (0, 1), 100, 20, None, 5)
     assert np.all(np.isnan(exp._run_replicates(payload, 0, 10)))
+
+
+ONE_PASS_CASES = {
+    "risk_plugin_bootstrap": dict(compare_plugin=True, k=2, replicates=200, inner_chains=30),
+    "risk_plugin_surrogate": dict(
+        compare_plugin=True, k=2, replicates=200, inner_chains=30, use_tilde=True, delta=0.05
+    ),
+    "oracle_bootstrap": dict(
+        kind="oracle-check",
+        functional=functionals.exp_linear(np.array([1.0, 0.0, 0.0])),
+        theta=np.zeros(3),
+        k=3,
+        replicates=200,
+        inner_chains=30,
+    ),
+    "oracle_surrogate": dict(
+        kind="oracle-check",
+        functional=functionals.exp_linear(np.array([1.0, 0.0, 0.0])),
+        theta=np.zeros(3),
+        k=3,
+        replicates=200,
+        inner_chains=30,
+        use_tilde=True,
+        delta=0.05,
+    ),
+    # lambda n sits just below the Poisson domain guard: chains step over
+    # it, so the k=2 row loses most replicates and the k=0 row none
+    "poisson_overflow_edge": dict(
+        model=models.ExponentialFamily(dim=2, family="poisson_product"),
+        theta=np.array([math.log(1e10 * (1 - 5e-7)), 0.0]),
+        grid=exp.GridSpec(n_values=(100,), d_fixed=2),
+        compare_plugin=True,
+        k=2,
+        replicates=300,
+        inner_chains=50,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_PASS_CASES))
+def test_every_order_row_equals_a_run_of_that_order_alone(case):
+    cfg = small_cfg(timing="none", **ONE_PASS_CASES[case])
+    rows = exp.run_experiment(cfg)
+    assert [s.k for s in rows] == ([0, 1, 2, 3] if cfg.kind == "oracle-check" else [0, 2])
+    for s in rows:
+        alone_cfg = dataclasses.replace(cfg, kind="risk", k=s.k, compare_plugin=False)
+        (alone,) = exp.run_risk_experiment(alone_cfg)
+        fields = ("bias", "se_bias", "sd", "rmse", "d_k", "aborts")
+        assert np.array_equal(
+            [getattr(s, f) for f in fields], [getattr(alone, f) for f in fields], equal_nan=True
+        )
+    if case == "poisson_overflow_edge":
+        assert rows[0].aborts == 0
+        assert rows[1].aborts > 0.9 * cfg.replicates
+
+
+def test_oracle_check_starts_one_pool_per_grid_point(monkeypatch):
+    pools, passes = [], []
+
+    class CountingPool(exp.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    batched = exp._batched_errors
+
+    def counting_batched(*args, **kwargs):
+        passes.append(1)
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(exp, "_batched_errors", counting_batched)
+    cfg = small_cfg(
+        kind="oracle-check",
+        functional=functionals.exp_linear(np.array([1.0, 0.0, 0.0])),
+        theta=np.zeros(3),
+        k=2,
+        replicates=20,
+        inner_chains=10,
+        grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
+    )
+    rows = exp.run_oracle_check(cfg, threads=2)
+    assert [s.k for s in rows] == [0, 1, 2, 0, 1, 2]
+    assert len(pools) == 2 and len(passes) == 2

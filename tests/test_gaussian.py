@@ -102,9 +102,9 @@ def test_tilde_fk_agrees_with_fk_in_mean_for_shift_model():
         data = models.sample_data(model, theta, n, derive_stream(306, r, 0))
         theta_hat = models.estimate(model, data)
         hat = bootstrap.fk_estimate(model, f, data, 2, n, m, derive_stream(306, r, 1))
-        tilde = gaussian.tilde_fk_estimate(
-            model, f, theta_hat, 2, n, None, m, derive_stream(306, r, 2)
-        )
+        tilde = bootstrap.fk_estimate_at(
+            model, f, theta_hat, (2,), n, m, derive_stream(306, r, 2), gaussian.surrogate_step
+        )[0]
         diffs[r] = hat - tilde
     se = diffs.std(ddof=1) / math.sqrt(reps)
     assert abs(diffs.mean()) <= 4.0 * se
@@ -115,7 +115,8 @@ def test_total_truncation_returns_plugin_value():
     theta_hat = unit_sin_theta(3) * 1.3
     f = functionals.exp_linear(np.array([0.2, 0.1, -0.4]))
     rng = derive_stream(307, 0, 0)
-    got = gaussian.tilde_fk_estimate(model, f, theta_hat, 3, 100, 1e-12, 200, rng)
+    step = partial(gaussian.surrogate_step, trunc=gaussian.TruncationRule(1e-12, 100))
+    got = bootstrap.fk_estimate_at(model, f, theta_hat, (3,), 100, 200, rng, step)[0]
     # frozen chain: sum_i v_i f(theta_hat) = f(theta_hat) since sum v_i = 1
     assert got == pytest.approx(functionals.value(f, theta_hat), rel=1e-12)
 
@@ -126,7 +127,9 @@ def test_deterministic_noise_gives_plugin_for_all_k():
     f = functionals.quadratic_form()
     for k in (0, 1, 3):
         rng = derive_stream(308, k, 0)
-        got = gaussian.tilde_fk_estimate(model, f, theta_hat, k, 50, None, 20, rng)
+        got = bootstrap.fk_estimate_at(
+            model, f, theta_hat, (k,), 50, 20, rng, gaussian.surrogate_step
+        )[0]
         assert got == pytest.approx(functionals.value(f, theta_hat), rel=1e-12)
 
 
