@@ -9,7 +9,8 @@ weights turn chain evaluations of f into Monte Carlo estimates of the
 iterated bias operator applied to f, and the collapsed weights fold the
 whole alternating partial sum of corrections into a single pass over one
 chain. One length-k chain feeds every order j <= k through its prefixes:
-fk_estimate_at returns all requested orders from one simulation, each equal
+fk_estimate_at evaluates f once on every state of one simulation and folds
+each requested order from the leading rows of that value array, each equal
 to what a run of that order alone computes from the same stream. Chain
 reuse correlates orders within a replicate but leaves the corrected
 estimator unbiased for the weighted sum of state expectations; the standard
@@ -77,50 +78,14 @@ def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -
     return states
 
 
-def estimate_Bjf(model, f, theta, j: int, n: int, m: int, rng) -> tuple[float, float]:
-    """Monte Carlo estimate of the j-times-iterated bias operator at theta.
-
-    Averages the j-th order difference of f along M independent chains;
-    returns (mean, standard error).
-    """
-    if j < 1:
-        raise ValueError("order j must be >= 1")
-    if m < 2:
-        raise ValueError("need at least 2 chains for a standard error")
-    w = np.array(difference_weights(j), dtype=float)
-    states = simulate_chain_block(model, theta, j, n, m, rng)
-    vals = w @ functionals.value(f, states)  # (M,)
-    vals = vals[np.isfinite(vals)]
-    if len(vals) < 2:
-        raise EstimationError("fewer than 2 chains survived")
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-
-
-def fk_from_states(f, states: np.ndarray) -> tuple[float, float, int]:
-    """Collapsed-weight fold over simulated chains.
-
-    Returns (mean, standard error, aborted-chain count) of the one-pass
-    corrected value over the valid chains in states (shape (k+1, M, d)).
-    """
-    k = states.shape[0] - 1
-    v = np.array(collapsed_weights(k), dtype=float)
-    per_chain = v @ functionals.value(f, states)  # (M,)
-    valid = np.isfinite(per_chain)
-    aborted = int(per_chain.shape[0] - valid.sum())
-    if not np.any(valid):
-        raise EstimationError("all chains aborted")
-    vals = per_chain[valid]
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se, aborted
-
-
 def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) -> np.ndarray:
     """Bias-corrected estimates of f(theta) of every requested order from the
     fitted value theta_hat, one entry per element of orders.
 
     Order 0 is the plain plug-in f(theta_hat). M chains of length
-    max(orders) start at theta_hat (none when that maximum is 0), and order
-    k >= 1 is the collapsed-weight fold over their first k steps: since the
+    max(orders) start at theta_hat (none when that maximum is 0), f is
+    evaluated once on all their states, and order k >= 1 is the
+    collapsed-weight fold of the values of their first k steps: since the
     chains draw step by step, that prefix is exactly the chain a run of
     order k alone would simulate. step is the chains' transition kernel (see
     simulate_chain_block): bootstrap chains by default,
@@ -137,15 +102,14 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
         if m < 1:
             raise ValueError("need at least one chain when k >= 1")
         states = simulate_chain_block(model, theta_hat, top, n, m, rng, step)
+        vals = functionals.value(f, states)  # (top+1, M)
     for i, k in enumerate(orders):
         if k == 0:
             out[i] = functionals.value(f, theta_hat)
             continue
-        try:
-            mean, _, aborted = fk_from_states(f, states[: k + 1])
-        except EstimationError:  # every chain aborted
-            mean, aborted = math.nan, m
-        out[i] = mean if aborted <= ABORT_RATE_LIMIT * m else math.nan
+        per_chain = np.array(collapsed_weights(k), dtype=float) @ vals[: k + 1]
+        survivors = per_chain[np.isfinite(per_chain)]
+        out[i] = survivors.mean() if m - survivors.size <= ABORT_RATE_LIMIT * m else math.nan
     return out
 
 

@@ -408,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary
     if cfg.kind in ("risk", "sweep"):
         out = run_risk_experiment(cfg, threads=threads)
         if cfg.kind == "sweep":
-            rows = [s for s in out if s.k == cfg.k and not s.failed]
+            rows = [s for s in out if s.k == cfg.k and not s.failed and s.rmse > 0]
             if len(rows) >= 3:
                 slope, intercept, r2 = rate_fit(
                     [s.n for s in rows], [s.rmse for s in rows]

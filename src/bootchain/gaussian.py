@@ -97,12 +97,3 @@ def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
             states = surrogate_step(model, states, n, rng)
     return states
 
-
-def xi_squared_norm(model, theta, draws: int, rng) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of ||xi(theta)||^2; its target is
-    tr Sigma(theta). This second moment is the computable complexity measure
-    of the surrogate noise that the risk bounds are driven by."""
-    theta = np.asarray(theta, dtype=float)
-    xi = models.sample_xi_block(model, np.broadcast_to(theta, (draws, theta.shape[0])), rng)
-    sq = np.sum(xi * xi, axis=1)
-    return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(draws))

@@ -1,4 +1,7 @@
+import copy
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,21 +80,36 @@ def test_chain_increments_have_variance_one_over_n():
         assert np.all(np.abs(emp - 1.0 / n) <= 5.0 * se)
 
 
+def _mean_and_se(vals):
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
+
+
+def _per_chain_folds(f, states):
+    k = states.shape[0] - 1
+    return np.array(bootstrap.collapsed_weights(k), dtype=float) @ functionals.value(f, states)
+
+
 def test_estimate_Bjf_quadratic_and_linear():
+    # the j-th order difference of f along a chain from theta averages to B^j f(theta)
     model = models.GaussianShift(dim=3)
     theta = unit_sin_theta(3)
     n, m = 50, 20_000
-    f_quad = functionals.quadratic_form()
 
-    mean, se = bootstrap.estimate_Bjf(model, f_quad, theta, 1, n, m, derive_stream(203, 0, 0))
+    def bjf(f, j, rng):
+        states = bootstrap.simulate_chain_block(model, theta, j, n, m, rng)
+        w = np.array(bootstrap.difference_weights(j), dtype=float)
+        return _mean_and_se(w @ functionals.value(f, states))
+
+    f_quad = functionals.quadratic_form()
+    mean, se = bjf(f_quad, 1, derive_stream(203, 0, 0))
     assert abs(mean - 3.0 / n) <= 4.0 * se  # Bf = tr(Sigma)/n
 
-    mean, se = bootstrap.estimate_Bjf(model, f_quad, theta, 2, n, m, derive_stream(203, 1, 0))
+    mean, se = bjf(f_quad, 2, derive_stream(203, 1, 0))
     assert abs(mean) <= 4.0 * se  # Bf constant, so B^2 f = 0
 
     f_lin = functionals.linear(np.array([1.0, -2.0, 0.5]))
     for j in (1, 2, 3):
-        mean, se = bootstrap.estimate_Bjf(model, f_lin, theta, j, n, m, derive_stream(203, 2, j))
+        mean, se = bjf(f_lin, j, derive_stream(203, 2, j))
         assert abs(mean) <= 4.0 * se  # unbiased estimator preserves linear f
 
 
@@ -113,9 +131,13 @@ def test_fk_estimate_k1_quadratic_matches_closed_form():
     data = models.sample_data(model, unit_sin_theta(5), n, rng)
     theta_hat = models.estimate(model, data)
     f = functionals.quadratic_form()
-    states = bootstrap.simulate_chain_block(model, theta_hat, 1, n, m, rng)
-    mean, se, aborted = bootstrap.fk_from_states(f, states)
-    assert aborted == 0
+    twin = copy.deepcopy(rng)
+    mean = bootstrap.fk_estimate_at(model, f, theta_hat, (1,), n, m, rng)[0]
+    states = bootstrap.simulate_chain_block(model, theta_hat, 1, n, m, twin)
+    per_chain = _per_chain_folds(f, states)
+    assert np.isfinite(per_chain).all()
+    per_chain_mean, se = _mean_and_se(per_chain)
+    assert mean == per_chain_mean
     closed = functionals.value(f, theta_hat) - 5.0 / n
     assert abs(mean - closed) <= 4.0 * se
 
@@ -139,13 +161,13 @@ def test_fk_estimate_k1_cubic_unbiased():
 def test_telescoping_equivalence_on_shared_chains():
     model = models.GaussianShift(dim=3)
     k, n, m = 3, 50, 500
-    rng = derive_stream(207, 0, 0)
     start = unit_sin_theta(3)
-    states = bootstrap.simulate_chain_block(model, start, k, n, m, rng)
+    states = bootstrap.simulate_chain_block(model, start, k, n, m, derive_stream(207, 0, 0))
     f = functionals.exp_linear(np.array([0.5, -0.2, 0.1]))
     fv = np.asarray(functionals.value(f, states))
 
-    collapsed, _, _ = bootstrap.fk_from_states(f, states)
+    # the estimator draws the same chains from a twin stream
+    collapsed = bootstrap.fk_estimate_at(model, f, start, (k,), n, m, derive_stream(207, 0, 0))[0]
     alternating = 0.0
     for j in range(k + 1):
         w = np.array(bootstrap.difference_weights(j), dtype=float)
@@ -209,9 +231,7 @@ def test_bias_decay_geometry_ratio():
         rng = derive_stream(210, r, 0)
         data = models.sample_data(model, np.zeros(1), n, rng)
         theta_hat = models.estimate(model, data)
-        states = bootstrap.simulate_chain_block(model, theta_hat, 2, n, m, rng)
-        errs2[r] = bootstrap.fk_from_states(f, states)[0] - 1.0
-        errs1[r] = bootstrap.fk_from_states(f, states[:2])[0] - 1.0
+        errs1[r], errs2[r] = bootstrap.fk_estimate_at(model, f, theta_hat, (1, 2), n, m, rng) - 1.0
     ratio = abs(errs2.mean()) / abs(errs1.mean())
     geom = math.expm1(0.5)
     assert 0.5 * geom <= ratio <= 2.0 * geom
@@ -250,12 +270,49 @@ def test_fk_estimate_at_orders_are_their_single_order_runs():
         bootstrap.fk_estimate(model, f, data, 3, n, m, derive_stream(212, 0, 0))
 
 
-def test_fk_from_states_counts_aborts():
-    f = functionals.linear(np.array([1.0, 0.0]))
-    states = np.zeros((2, 4, 2))
-    states[1, 2] = np.nan  # one aborted chain
-    mean, se, aborted = bootstrap.fk_from_states(f, states)
-    assert aborted == 1
-    assert mean == 0.0 and se == 0.0
-    with pytest.raises(bootstrap.EstimationError):
-        bootstrap.fk_from_states(f, np.full((2, 3, 2), np.nan))
+def _aborting_step(model, states, n, rng, dead):
+    out = models.estimate_block(model, states, n, rng)
+    out[dead] = np.nan
+    return out
+
+
+def test_abort_limit_boundary():
+    # at M = 200 the 1% limit tolerates 2 aborted chains, not 3
+    model = models.GaussianShift(dim=2)
+    f = functionals.quadratic_form()
+    theta_hat = unit_sin_theta(2)
+    n, m = 50, 200
+    plugin = functionals.value(f, theta_hat)
+    for dead in ([5, 117], [5, 117, 199], list(range(m))):
+        step = partial(_aborting_step, dead=dead)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bootstrap.fk_estimate_at(
+                model, f, theta_hat, (0, 1), n, m, derive_stream(213, 0, 0), step
+            )
+        assert got[0] == plugin
+        if len(dead) > 2:
+            assert np.isnan(got[1])
+            continue
+        states = bootstrap.simulate_chain_block(
+            model, theta_hat, 1, n, m, derive_stream(213, 0, 0), step
+        )
+        per_chain = _per_chain_folds(f, states)
+        assert np.isnan(per_chain[dead]).all()
+        assert got[1] == np.delete(per_chain, dead).mean()
+
+
+def test_chain_states_are_evaluated_once(monkeypatch):
+    points = []
+    value = functionals.value
+
+    def counting_value(f, theta):
+        points.append(np.asarray(theta)[..., 0].size)
+        return value(f, theta)
+
+    monkeypatch.setattr(functionals, "value", counting_value)
+    model = models.GaussianShift(dim=3)
+    theta_hat = unit_sin_theta(3)
+    f = functionals.quadratic_form()
+    bootstrap.fk_estimate_at(model, f, theta_hat, (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
+    assert sum(points) == 1 + 4 * 50  # theta_hat once, each of the 4 x 50 chain states once

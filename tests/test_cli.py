@@ -351,15 +351,40 @@ def test_killed_pool_worker_is_an_experiment_failure(tmp_path, monkeypatch, caps
     assert not (tmp_path / "k.csv").exists()
 
 
-@pytest.mark.parametrize("module", ["bootchain", "bootchain.cli"])
-def test_python_m_entry_points(module):
+def _python_m(module, *args):
     src = Path(cli.__file__).resolve().parents[1]
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "selftest"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("module", ["bootchain", "bootchain.cli"])
+def test_python_m_entry_points(module):
+    proc = _python_m(module, "selftest")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.count("ok  ") == 5
+
+
+def test_sweep_with_zero_rmse_rows_fits_no_slope(tmp_path):
+    # zero noise: every replicate's estimate is exact, so no row has a
+    # positive rmse to fit on a log scale
+    doc = {
+        "kind": "sweep",
+        "model": {"variant": "gaussian_shift", "noise": {"kind": "identity", "scale": 0.0}},
+        "functional": {"variant": "quadratic_form"},
+        "k": 0,
+        "grid": {"n": [10, 20, 40], "d": 2},
+        "mc": {"M": 5, "R": 20},
+        "seed": 1,
+        "outputs": {"json": "z.json"},
+    }
+    proc = _python_m("bootchain", "run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    mirror = (tmp_path / "z.json").read_text()
+    assert [r["rmse"] for r in json.loads(mirror)["rows"]] == [0.0, 0.0, 0.0]
+    assert "slope" not in mirror

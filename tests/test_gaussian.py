@@ -153,7 +153,10 @@ def test_xi_squared_norm_matches_trace():
         noise_map=models.DiagTanhMap(a=np.array([1.0, 2.0, 1.5]), b=np.array([0.3, -0.5, 0.0])),
     )
     theta = np.array([0.2, -0.4, 0.9])
-    mean, se = gaussian.xi_squared_norm(model, theta, 10_000, derive_stream(310, 0, 0))
+    draws = 10_000
+    xi = models.sample_xi_block(model, np.broadcast_to(theta, (draws, 3)), derive_stream(310, 0, 0))
+    sq = np.sum(xi * xi, axis=1)
+    mean, se = sq.mean(), sq.std(ddof=1) / math.sqrt(draws)
     target = float(np.trace(models.sigma(model, theta)))
     assert abs(mean - target) <= 5.0 * se
 
