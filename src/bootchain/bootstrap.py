@@ -11,10 +11,13 @@ whole alternating partial sum of corrections into a single pass over one
 chain. One length-k chain feeds every order j <= k through its prefixes:
 fk_estimate_at evaluates f once on every state of one simulation and folds
 each requested order from the leading rows of that value array, each equal
-to what a run of that order alone computes from the same stream. Chain
-reuse correlates orders within a replicate but leaves the corrected
-estimator unbiased for the weighted sum of state expectations; the standard
-errors reported by the Monte Carlo layer absorb the correlation.
+to what a run of that order alone computes from the same stream. It takes a
+single fitted value or a block of them: all chains of a block step together
+through one kernel call per step, and each row is folded exactly as a lone
+row's chains would be. Chain reuse correlates orders within a replicate but
+leaves the corrected estimator unbiased for the weighted sum of state
+expectations; the standard errors reported by the Monte Carlo layer absorb
+the correlation.
 """
 
 from __future__ import annotations
@@ -57,60 +60,77 @@ def collapsed_weights(k: int) -> tuple[int, ...]:
 
 
 def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
-    """M independent chains at once: returns states of shape (k+1, M, d).
+    """M independent chains from each start: states of shape (k+1, M, d) for
+    a (d,) start, (k+1, B, M, d) for a (B, d) block of starts.
 
-    start may be a single (d,) vector (all chains share it) or an (M, d)
-    block of starting points. step(model, states, n, rng) maps the (M, d)
-    states to the next ones; None selects the bootstrap step
-    models.estimate_block, looked up at call time. Aborted chains carry NaN
-    from the step where their state left the model domain.
+    step(model, states, n, rng) maps the (B*M, d) states of one step to the
+    next; None selects the bootstrap step models.estimate_block, looked up
+    at call time. Aborted chains carry NaN from the step where their state
+    left the model domain.
     """
     step = step or models.estimate_block
     start = np.asarray(start, dtype=float)
-    if start.ndim == 1:
-        start = np.broadcast_to(start, (m, start.shape[0]))
-    if start.shape[0] != m:
-        raise ValueError("start block size mismatch")
-    states = np.empty((k + 1,) + start.shape)
-    states[0] = start
+    rows = start.reshape(-1, start.shape[-1])
+    states = np.empty((k + 1, rows.shape[0] * m, rows.shape[1]))
+    states[0].reshape(rows.shape[0], m, -1)[...] = rows[:, None, :]
     for j in range(k):
         states[j + 1] = step(model, states[j], n, rng)
-    return states
+    return states.reshape((k + 1,) + start.shape[:-1] + (m, start.shape[-1]))
+
+
+def _survivor_mean(per_chain: np.ndarray, m: int) -> np.ndarray:
+    """Mean of each row's finite chains; NaN for a row that lost more than
+    1% of its M chains, or all of them."""
+    finite = np.isfinite(per_chain)
+    if finite.all():
+        return per_chain.mean(axis=1)
+    out = np.full(per_chain.shape[0], math.nan)
+    for i, keep in enumerate(finite):
+        if m - keep.sum() <= ABORT_RATE_LIMIT * m:
+            out[i] = per_chain[i, keep].mean()
+    return out
 
 
 def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) -> np.ndarray:
     """Bias-corrected estimates of f(theta) of every requested order from the
-    fitted value theta_hat, one entry per element of orders.
+    fitted value theta_hat: one entry per order for a (d,) fit, shape
+    (len(orders), B) for a (B, d) block of fits.
 
     Order 0 is the plain plug-in f(theta_hat). M chains of length
-    max(orders) start at theta_hat (none when that maximum is 0), f is
-    evaluated once on all their states, and order k >= 1 is the
+    max(orders) start at each finite row (none when that maximum is 0), f
+    is evaluated once on all their states, and order k >= 1 is the
     collapsed-weight fold of the values of their first k steps: since the
     chains draw step by step, that prefix is exactly the chain a run of
-    order k alone would simulate. step is the chains' transition kernel (see
-    simulate_chain_block): bootstrap chains by default,
-    gaussian.surrogate_step for surrogate chains. An order whose prefix lost
-    more than 1% of its chains, or all of them, is NaN.
+    order k alone would simulate. step is the chains' transition kernel
+    (see simulate_chain_block). Every order of a row with a non-finite
+    theta_hat is NaN, and so is an order whose prefix lost more than 1% of
+    that row's chains, or all of them.
     """
     orders = tuple(orders)
     for k in orders:
         _check_order(k)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    out = np.empty(len(orders))
     top = max(orders)
+    if top > 0 and m < 1:
+        raise ValueError("need at least one chain when k >= 1")
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    rows = theta_hat.reshape(-1, theta_hat.shape[-1])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        out = np.full((len(orders), rows.shape[0]), math.nan)
+        if finite.any():
+            out[:, finite] = fk_estimate_at(model, f, rows[finite], orders, n, m, rng, step)
+        return out if theta_hat.ndim > 1 else out[:, 0]
     if top > 0:
-        if m < 1:
-            raise ValueError("need at least one chain when k >= 1")
-        states = simulate_chain_block(model, theta_hat, top, n, m, rng, step)
-        vals = functionals.value(f, states)  # (top+1, M)
+        states = simulate_chain_block(model, rows, top, n, m, rng, step)
+        # (rows, top+1, M), each row's values contiguous as for a lone chain
+        vals = np.ascontiguousarray(functionals.value(f, states).swapaxes(0, 1))
+    out = np.empty((len(orders), rows.shape[0]))
     for i, k in enumerate(orders):
         if k == 0:
-            out[i] = functionals.value(f, theta_hat)
-            continue
-        per_chain = np.array(collapsed_weights(k), dtype=float) @ vals[: k + 1]
-        survivors = per_chain[np.isfinite(per_chain)]
-        out[i] = survivors.mean() if m - survivors.size <= ABORT_RATE_LIMIT * m else math.nan
-    return out
+            out[i] = functionals.value(f, rows)
+        else:
+            out[i] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
+    return out if theta_hat.ndim > 1 else out[:, 0]
 
 
 def fk_estimate(model, f, data, k: int, n: int, m: int, rng) -> float:

@@ -19,13 +19,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
 from . import core, distances
-from .bootstrap import EstimationError, collapsed_weights, difference_weights
+from .bootstrap import collapsed_weights, difference_weights
 from .config import load_config
 from .experiments import ConfigError, TrialSummary, run_experiment
 
@@ -379,12 +378,13 @@ def main(argv=None) -> int:
     except (ConfigError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EstimationError, BrokenProcessPool) as exc:  # the latter: a pool worker died
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a failed check, a kernel's error, a pool worker that died
+        reason = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"experiment failed: {reason}", file=sys.stderr)
+        return EXIT_EXPERIMENT
 
 
 if __name__ == "__main__":

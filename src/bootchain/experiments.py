@@ -1,16 +1,18 @@
 """Declarative experiment harness: risk, normality, CLT diagnostics, sweeps.
 
-Reproducibility contract: every replicate r draws all of its randomness from
-the counter-based stream derive_stream(master_seed, r, 0): first theta_hat,
-as one row of the block kernel models.estimate_block, then its chains.
-Each grid point runs its replicates once: every order row it reports (the
-plug-in row of compare_plugin, each oracle-check order) is folded from the
-same theta_hat and the prefixes of the same chains, in one worker pool.
-Replicates are independent work items; a worker pool of any size partitions
-the replicate index range, and the aggregation is a sequential fold in index
-order, so summaries are bit-identical for a fixed seed regardless of the
-worker count. Wall time is the one nondeterministic field; timing="none"
-zeroes it for byte-stable output files.
+Reproducibility contract: a grid point's R replicates run in blocks of
+B = max(1, 2^14 // (M d)) (models._BLOCK_SCALARS), and block b draws all of
+its randomness from the counter-based stream derive_stream(master_seed, b,
+0): first its B theta_hat rows, as one call of the block kernel
+models.estimate_block, then the chains of its finite rows, one kernel call
+per step. At B = 1 a block is one replicate. Every order row a grid point
+reports (the plug-in row of compare_plugin, each oracle-check order) is
+folded from the same theta_hat and the prefixes of the same chains. B
+depends on (M, d) alone; a run's one worker pool splits the block range at
+any size, and the aggregation is a sequential fold in replicate order, so
+summaries are bit-identical for a fixed seed at every worker count and for
+every set of orders. Wall time is the one nondeterministic field;
+timing="none" zeroes it for byte-stable output files.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -38,7 +41,8 @@ class ConfigError(ValueError):
 
 
 def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
-    """Independent-quality random stream keyed by (seed, replicate, chain).
+    """Independent-quality random stream keyed by (seed, replicate, chain);
+    the harness passes a replicate block's index, or a clt grid point's.
 
     Counter-based: the tuple is packed into a Philox-4x64 key, so the map
     from index tuples to streams is injective and stateless. Identical
@@ -48,9 +52,7 @@ def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
         raise ValueError("master seed must fit in 64 bits")
     if not (0 <= replicate_index < MAX_INDEX and 0 <= chain_index < MAX_INDEX):
         raise ValueError("replicate/chain indices must fit in 32 bits")
-    key = np.array(
-        [master_seed, (replicate_index << 32) | chain_index], dtype=np.uint64
-    )
+    key = np.array([master_seed, (replicate_index << 32) | chain_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -167,42 +169,52 @@ class TrialSummary:
 def _prime_allocator() -> None:
     """Keep the replicate loop's arrays on the heap.
 
-    Every replicate allocates and frees arrays of up to (k+1)*M*d doubles.
+    Every block allocates and frees arrays of up to (k+1)*B*M*d doubles.
     glibc malloc maps blocks above a dynamic threshold (128 KiB at start)
-    straight from the OS and trims the heap top beyond twice that, so,
-    depending on what the process happened to free before, such arrays can
-    be faulted in afresh on every replicate. On a 2-vCPU Linux VM that was
-    a quarter of the wall time of a surrogate sweep, all of it system time.
+    straight from the OS and trims the heap top beyond twice that, so such
+    arrays can be faulted in afresh on every block: on a 2-vCPU Linux VM, a
+    quarter of the wall time of a surrogate sweep, all of it system time.
     Freeing one large mapped block raises both thresholds for the rest of
     the process; other allocators are unaffected.
     """
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
 
 
+def _block_size(m: int, d: int) -> int:
+    """Replicates per block: a function of (M, d) alone, never of the
+    worker count or the orders."""
+    return max(1, models._BLOCK_SCALARS // (m * d))
+
+
 def _run_replicates(payload: tuple, start: int, stop: int) -> np.ndarray:
-    """Errors of replicates [start, stop), one row per order; NaN marks an
-    aborted replicate. A non-finite theta_hat (the outer draw left the model
-    domain) aborts every order before any chain starts."""
+    """Errors of replicates [start, stop), start a block boundary, one row
+    per order; NaN marks an aborted replicate. A non-finite theta_hat (the
+    outer draw left the model domain) aborts every order of its replicate
+    before any chain starts from it."""
     _prime_allocator()
     model, func, theta, f_true, orders, n, m, step, seed = payload
-    theta_row = theta[None, :]
-    errs = np.full((len(orders), stop - start), np.nan)
-    for i, r in enumerate(range(start, stop)):
-        rng = derive_stream(seed, r, 0)
-        theta_hat = models.estimate_block(model, theta_row, n, rng)[0]
-        if np.isfinite(theta_hat).all():
-            est = bootstrap.fk_estimate_at(model, func, theta_hat, orders, n, m, rng, step)
-            errs[:, i] = est - f_true
+    size = _block_size(m, theta.shape[0])
+    errs = np.empty((len(orders), stop - start))
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        rng = derive_stream(seed, lo // size, 0)
+        theta_hat = models.estimate_block(model, np.repeat(theta[None, :], hi - lo, axis=0), n, rng)
+        est = bootstrap.fk_estimate_at(model, func, theta_hat, orders, n, m, rng, step)
+        errs[:, lo - start : hi - start] = est - f_true
     return errs
 
 
-def _batched_errors(payload: tuple, total: int, threads: int) -> np.ndarray:
-    if threads <= 1 or total < 2 * threads:
+def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.ndarray:
+    """Errors of replicates [0, total), split on block boundaries over the
+    threads workers of pool (in process without a pool, or with fewer than
+    two blocks per worker)."""
+    size = _block_size(payload[6], payload[2].shape[0])
+    blocks = -(-total // size)
+    if pool is None or blocks < 2 * threads:
         return _run_replicates(payload, 0, total)
-    bounds = np.linspace(0, total, threads + 1, dtype=int)
-    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_run_replicates, *zip(*[(payload, lo, hi) for lo, hi in ranges])))
+    cuts = [min(int(b) * size, total) for b in np.linspace(0, blocks, threads + 1, dtype=int)]
+    ranges = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    parts = list(pool.map(_run_replicates, *zip(*[(payload, lo, hi) for lo, hi in ranges])))
     return np.concatenate(parts, axis=1)
 
 
@@ -220,10 +232,10 @@ def _chain_step(cfg: ExperimentConfig, model, theta, n: int):
 
 
 def _summarize_point(
-    cfg: ExperimentConfig, orders: tuple[int, ...], n: int, d: int, threads: int, keep_errors: bool
+    cfg: ExperimentConfig, orders: tuple[int, ...], n: int, d: int, threads: int, pool, keep_errors
 ) -> list[TrialSummary]:
-    """One pass of R replicates at grid point (n, d), summarized once per
-    order; every row shares the pass's wall time."""
+    """One pass of R replicates at grid point (n, d) on the run's pool,
+    summarized once per order; every row shares the pass's wall time."""
     model = cfg.model(d)
     func = cfg.functional(d)
     theta = np.asarray(cfg.theta(d), dtype=float)
@@ -235,7 +247,7 @@ def _summarize_point(
 
     t0 = time.perf_counter()
     payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)
-    errs_by_order = _batched_errors(payload, cfg.replicates, threads)
+    errs_by_order = _batched_errors(payload, cfg.replicates, threads, pool)
     seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
 
     out = []
@@ -273,6 +285,19 @@ def _summarize_point(
     return out
 
 
+def _summarize_points(
+    cfg: ExperimentConfig, orders: tuple[int, ...], threads: int, keep_errors: bool
+) -> list[TrialSummary]:
+    """Every grid point's pass in grid order, on one worker pool for the
+    whole run; its workers start on the first pass that splits."""
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        return [
+            row
+            for n, d in cfg.grid.points()
+            for row in _summarize_point(cfg, orders, n, d, threads, pool, keep_errors)
+        ]
+
+
 def run_risk_experiment(
     cfg: ExperimentConfig, threads: int = 1, keep_errors: bool = False
 ) -> list[TrialSummary]:
@@ -280,10 +305,7 @@ def run_risk_experiment(
     estimate, record the error against f(theta). With compare_plugin set, a
     k=0 row accompanies each grid point, folded from the same replicates."""
     orders = (0, cfg.k) if cfg.compare_plugin and cfg.k > 0 else (cfg.k,)
-    out = []
-    for n, d in cfg.grid.points():
-        out.extend(_summarize_point(cfg, orders, n, d, threads, keep_errors))
-    return out
+    return _summarize_points(cfg, orders, threads, keep_errors)
 
 
 def run_normality_experiment(
@@ -384,21 +406,19 @@ def run_oracle_check(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSumma
         raise ConfigError("oracle check needs the exp_linear functional")
     sigma2 = model.noise_map.scale**2
 
-    out = []
-    for n, d in cfg.grid.points():
-        theta = np.asarray(cfg.theta(d), dtype=float)
-        rows = _summarize_point(cfg, tuple(range(cfg.k + 1)), n, d, threads, keep_errors=False)
-        for k, summ in enumerate(rows):
-            target = bootstrap.bias_oracle_exp(theta, cfg.functional(d).u, sigma2, n, k)
-            signed = (-1) ** k * target
-            ok = abs(summ.bias - signed) <= 4.0 * summ.se_bias or abs(summ.bias) <= max(
-                4.0 * summ.se_bias, 2.0 * target
-            )
-            summ.extra.update(
-                {"oracle_bias": target, "oracle_bias_signed": signed, "oracle_pass": bool(ok)}
-            )
-            summ.failed = summ.failed or not ok
-            out.append(summ)
+    out = _summarize_points(cfg, tuple(range(cfg.k + 1)), threads, keep_errors=False)
+    for summ in out:
+        theta = np.asarray(cfg.theta(summ.d), dtype=float)
+        u = cfg.functional(summ.d).u
+        target = bootstrap.bias_oracle_exp(theta, u, sigma2, summ.n, summ.k)
+        signed = (-1) ** summ.k * target
+        ok = abs(summ.bias - signed) <= 4.0 * summ.se_bias or abs(summ.bias) <= max(
+            4.0 * summ.se_bias, 2.0 * target
+        )
+        summ.extra.update(
+            {"oracle_bias": target, "oracle_bias_signed": signed, "oracle_pass": bool(ok)}
+        )
+        summ.failed = summ.failed or not ok
     return out
 
 

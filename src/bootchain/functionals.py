@@ -99,23 +99,3 @@ def grad(f: Functional, theta) -> np.ndarray:
         return 2.0 * g1[..., None] * t
     raise ValueError(f"unknown functional variant {f.variant!r}")
 
-
-def grad_check(f: Functional, theta, h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient against central differences.
-
-    Relative error per coordinate is |fd - analytic| / (1 + |analytic|); the
-    1 in the denominator avoids blowup near gradient zeros.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    t = np.asarray(theta, dtype=float)
-    g = grad(f, t)
-    worst = 0.0
-    for i in range(t.shape[0]):
-        tp = t.copy()
-        tm = t.copy()
-        tp[i] += h
-        tm[i] -= h
-        fd = (value(f, tp) - value(f, tm)) / (2.0 * h)
-        worst = max(worst, abs(fd - g[i]) / (1.0 + abs(g[i])))
-    return worst

@@ -43,19 +43,6 @@ class TruncationRule:
         return self.delta * math.sqrt(self.n)
 
 
-@dataclass(frozen=True)
-class HomotopyFlags:
-    """Binary time flags (t_1, ..., t_k) selecting which surrogate steps fire."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("flags must be binary")
-        object.__setattr__(self, "bits", bits)
-
-
 def default_delta(model, theta, n: int) -> float:
     """delta = 3 sqrt(tr Sigma(theta) / n): truncation probability ~ 0 at the
     configured scale (Gaussian norm concentration)."""
@@ -85,11 +72,13 @@ def sigma_f(model, f, theta) -> float:
 
 
 def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
-    """M independent draws of the flag superposition: the flagged surrogate
-    steps G_j(.) = . + t_j xi_j(.)/sqrt(n) applied in turn, shape (M, d).
-    Binary flags make this equal in law to skipping the steps with t_j = 0,
-    which is how it is computed."""
-    bits = flags.bits if isinstance(flags, HomotopyFlags) else HomotopyFlags(tuple(flags)).bits
+    """M independent draws of the flag superposition, shape (M, d): the
+    surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n) for binary time flags
+    (t_1, ..., t_k), applied in turn. Binary flags make this equal in law to
+    skipping the steps with t_j = 0, which is how it is computed."""
+    bits = tuple(int(t) for t in flags)
+    if any(t not in (0, 1) for t in bits):
+        raise ValueError("flags must be binary")
     theta = np.asarray(theta, dtype=float)
     states = np.broadcast_to(theta, (m, theta.shape[0])).copy()
     for t in bits:

@@ -40,6 +40,7 @@ from .core import as_param_vector
 
 POISSON_LAM_MAX = 1e12  # per-coordinate total-count guard for the sampler
 _CHUNK_SCALARS = 4_000_000  # raw-draw budget per chunk in block stepping
+_BLOCK_SCALARS = 2**14  # chain-state budget B*M*d of one block of replicates
 
 DEFAULT_MLE_CLAMP = 1e-6
 
@@ -138,18 +139,11 @@ IC_NOISE_TAGS = ("rademacher", "uniform", "centered_exponential", "gaussian")
 
 _SQRT3 = math.sqrt(3.0)
 
-# location-model noises: variance and documented Poincare constant per unit
-# scale; the Poincare constants are informational metadata only (the logistic
-# entry is the 1-D log-concave bound 12*Var)
+# location-model noises: variance per unit scale
 LOCATION_NOISE_TAGS = ("laplace", "logistic", "gaussian")
 LOCATION_VARIANCE = {
     "laplace": lambda b: 2.0 * b**2,
     "logistic": lambda s: (math.pi**2 / 3.0) * s**2,
-    "gaussian": lambda s: s**2,
-}
-LOCATION_POINCARE = {
-    "laplace": lambda b: 4.0 * b**2,
-    "logistic": lambda s: 12.0 * (math.pi**2 / 3.0) * s**2,
     "gaussian": lambda s: s**2,
 }
 
@@ -322,12 +316,6 @@ class LogConcaveLocation:
         if not np.all(s > 0):
             raise ValueError("noise scales must be positive")
         object.__setattr__(self, "scale", s)
-
-    def poincare_constants(self) -> np.ndarray:
-        """Documented per-coordinate Poincare constants (metadata only)."""
-        return np.array(
-            [LOCATION_POINCARE[t](s) for t, s in zip(self.noise_dist, self.scale)]
-        )
 
 
 Model = GaussianShift | IndependentComponents | ExponentialFamily | LogConcaveLocation

@@ -338,10 +338,15 @@ def _kill_worker(payload, start, stop):
     os._exit(1)
 
 
+# M d = 40, so a block holds 409 replicates: R = 2000 gives 5 blocks, enough
+# to split over 2 workers
+SPLIT_RISK = dict(MINIMAL_RISK, mc={"M": 20, "R": 2000})
+
+
 def test_killed_pool_worker_is_an_experiment_failure(tmp_path, monkeypatch, capsys):
     # the worker dies without a result, so the pool breaks under the run
     monkeypatch.setattr(experiments, "_run_replicates", _kill_worker)
-    doc = dict(MINIMAL_RISK, outputs={"csv": "k.csv"})
+    doc = dict(SPLIT_RISK, outputs={"csv": "k.csv"})
     rc = cli.main(
         ["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path), "--threads", "2"]
     )
@@ -349,6 +354,25 @@ def test_killed_pool_worker_is_an_experiment_failure(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("experiment failed: ") and err.count("\n") == 1
     assert not (tmp_path / "k.csv").exists()
+
+
+def _kernel_error(payload, start, stop):
+    raise ValueError("kernel failed\non a second line")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_error_in_the_replicate_pass_is_an_experiment_failure(
+    tmp_path, monkeypatch, capsys, threads
+):
+    monkeypatch.setattr(experiments, "_run_replicates", _kernel_error)
+    doc = dict(SPLIT_RISK, outputs={"csv": "e.csv"})
+    rc = cli.main(
+        ["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path), "--threads", threads]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "experiment failed: kernel failed on a second line\n"
+    assert not (tmp_path / "e.csv").exists()
 
 
 def _python_m(module, *args):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from functools import partial
 
@@ -7,6 +8,9 @@ import pytest
 
 from bootchain import experiments as exp
 from bootchain import bootstrap, functionals, gaussian, models
+
+# SHA-256 of the error matrix of test_stream_contract_pin
+STREAM_CONTRACT_DIGEST = "4b504dfa005f4610c173342cdebcc8cd426e5212772db4067f681b7b6a21e356"
 
 
 def small_cfg(**over):
@@ -322,6 +326,18 @@ def test_monotone_bias_improvement_when_resolvable():
     assert abs(row1.bias) < abs(row0.bias)
 
 
+def _shift_step(model, n, use_tilde):
+    if not use_tilde:
+        return None
+    theta = exp.unit_sin_theta(model.dim)
+    trunc = gaussian.TruncationRule(gaussian.default_delta(model, theta, n), n)
+    return partial(gaussian.surrogate_step, trunc=trunc)
+
+
+def _orders_passes(k):
+    return sorted({(k,), (0, k), tuple(range(k + 1))})
+
+
 @pytest.mark.parametrize("use_tilde", [False, True])
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize(
@@ -330,20 +346,23 @@ def test_monotone_bias_improvement_when_resolvable():
     ids=["identity", "diag_tanh"],
 )
 def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde):
-    # For the shift model the one-row outer draw consumes the stream exactly
-    # as sample_data does, so replicate errors are bit-identical to the
-    # data-based path computed inline, one order at a time. Every order row
-    # of a pass that folds several orders from one chain (top order k: (k,),
-    # (0, k) and (0, ..., k)) must equal that single-order path.
+    # Stream contract (README "Determinism"): block b of B = max(1, 2^14 // (M d))
+    # replicates draws its B theta_hat rows and then every step of all its
+    # chains from derive_stream(seed, b, 0). Every order row of a pass that
+    # folds several orders from one chain (top order k: (k,), (0, k) and
+    # (0, ..., k)) must equal the single-order reference.
     model = models.GaussianShift(dim=4, noise_map=noise_map)
     f = functionals.quadratic_form()
     theta = exp.unit_sin_theta(4)
     f_true = float(functionals.value(f, theta))
-    n, m, seed, reps = 50, 30, 11, 40
-    step = None
-    if use_tilde:
-        trunc = gaussian.TruncationRule(gaussian.default_delta(model, theta, n), n)
-        step = partial(gaussian.surrogate_step, trunc=trunc)
+    n, seed = 50, 11
+    step = _shift_step(model, n, use_tilde)
+
+    # B = 1 (M d > 2^14): a block is one replicate, and for the shift model its
+    # one-row outer draw consumes the stream exactly as sample_data does, so
+    # the errors are bit-identical to the data-based path computed inline
+    m, reps = 4100, 3
+    assert exp._block_size(m, 4) == 1
     expected = np.empty((k + 1, reps))
     for j in range(k + 1):
         for r in range(reps):
@@ -355,12 +374,61 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
             else:
                 est = bootstrap.fk_estimate(model, f, data, j, n, m, rng)
             expected[j, r] = est - f_true
-    for orders in sorted({(k,), (0, k), tuple(range(k + 1))}):
+    for orders in _orders_passes(k):
         payload = (model, f, theta, f_true, orders, n, m, step, seed)
         got = exp._run_replicates(payload, 0, reps)
         assert got.shape == (len(orders), reps)
         for row, j in zip(got, orders):
             assert np.array_equal(row, expected[j])
+
+    # B > 1, R not a multiple of B: an inline reference draws each block's
+    # theta_hat rows one sample_data call at a time, then steps the rows'
+    # chains in row order at every step, and folds each replicate's chains
+    # on their own
+    m, reps = 100, 90
+    size = exp._block_size(m, 4)
+    assert size == 40
+    kernel = step or models.estimate_block
+    expected = np.empty((k + 1, reps))
+    for b, lo in enumerate(range(0, reps, size)):
+        rng = exp.derive_stream(seed, b, 0)
+        hats = [
+            models.estimate(model, models.sample_data(model, theta, n, rng))
+            for _ in range(min(size, reps - lo))
+        ]
+        chains = [[np.broadcast_to(h, (m, 4))] for h in hats]
+        for _ in range(k):
+            for chain in chains:
+                chain.append(kernel(model, chain[-1], n, rng))
+        for i, (h, chain) in enumerate(zip(hats, chains)):
+            vals = functionals.value(f, np.stack(chain))
+            expected[0, lo + i] = functionals.value(f, h) - f_true
+            for j in range(1, k + 1):
+                per_chain = np.array(bootstrap.collapsed_weights(j), dtype=float) @ vals[: j + 1]
+                expected[j, lo + i] = per_chain.mean() - f_true
+    for orders in _orders_passes(k):
+        payload = (model, f, theta, f_true, orders, n, m, step, seed)
+        got = exp._run_replicates(payload, 0, reps)
+        for row, j in zip(got, orders):
+            assert np.array_equal(row, expected[j])
+
+
+def test_stream_contract_pin():
+    # Pins the numbers one seed produces, so that a change of how they are
+    # drawn cannot land unnoticed. Rounded to 1e-12, far above any last-bit
+    # difference between BLAS kernels, far below any change of the draws.
+    model = models.GaussianShift(dim=3)
+    f = functionals.quadratic_form()
+    theta = exp.unit_sin_theta(3)
+    m, reps = 40, 300
+    assert exp._block_size(m, 3) == 136  # B > 1, R not a multiple of B
+    payload = (model, f, theta, float(functionals.value(f, theta)), (0, 2), 100, m, None, 2026)
+    errs = exp._batched_errors(payload, reps, 1)
+    digest = hashlib.sha256(np.round(errs, 12).tobytes()).hexdigest()
+    assert digest == STREAM_CONTRACT_DIGEST, (
+        "the numbers a seed produces changed: state the new stream contract in "
+        'README "Determinism" and CHANGES.md, then update STREAM_CONTRACT_DIGEST'
+    )
 
 
 def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
@@ -429,21 +497,34 @@ def test_every_order_row_equals_a_run_of_that_order_alone(case):
         assert rows[1].aborts > 0.9 * cfg.replicates
 
 
-def test_oracle_check_starts_one_pool_per_grid_point(monkeypatch):
-    pools, passes = [], []
+class SpyPool(exp.ProcessPoolExecutor):
+    """A worker pool that records its constructions and the replicate
+    ranges each split pass hands out."""
 
-    class CountingPool(exp.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
+    starts = []
+    splits = []
 
+    def __init__(self, *args, **kwargs):
+        SpyPool.starts.append(1)
+        super().__init__(*args, **kwargs)
+
+    def map(self, fn, payloads, los, his, **kwargs):
+        los, his = list(los), list(his)
+        SpyPool.splits.append(list(zip(los, his)))
+        return super().map(fn, payloads, los, his, **kwargs)
+
+
+def test_oracle_check_starts_one_pool_per_run(monkeypatch):
+    passes = []
     batched = exp._batched_errors
 
     def counting_batched(*args, **kwargs):
         passes.append(1)
         return batched(*args, **kwargs)
 
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(SpyPool, "starts", [])
+    monkeypatch.setattr(SpyPool, "splits", [])
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(exp, "_batched_errors", counting_batched)
     cfg = small_cfg(
         kind="oracle-check",
@@ -451,9 +532,56 @@ def test_oracle_check_starts_one_pool_per_grid_point(monkeypatch):
         theta=np.zeros(3),
         k=2,
         replicates=20,
-        inner_chains=10,
+        inner_chains=2000,  # B = 2: 10 blocks, so both passes split
         grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
     )
     rows = exp.run_oracle_check(cfg, threads=2)
     assert [s.k for s in rows] == [0, 1, 2, 0, 1, 2]
-    assert len(pools) == 2 and len(passes) == 2
+    assert len(SpyPool.starts) == 1 and len(passes) == 2 and len(SpyPool.splits) == 2
+
+
+def test_block_partition_is_thread_invariant(monkeypatch):
+    monkeypatch.setattr(SpyPool, "starts", [])
+    monkeypatch.setattr(SpyPool, "splits", [])
+    model = models.GaussianShift(dim=3)
+    f = functionals.quadratic_form()
+    theta = exp.unit_sin_theta(3)
+    m = 500
+    size = exp._block_size(m, 3)
+    reps = 7 * size + 5  # 8 blocks, the last one short
+    payload = (model, f, theta, float(functionals.value(f, theta)), (0, 2), 100, m, None, 17)
+    alone = exp._batched_errors(payload, reps, 1)
+    assert alone.shape == (2, reps) and np.isfinite(alone).all()
+    for threads in (2, 3):
+        with SpyPool(max_workers=threads) as pool:
+            split = exp._batched_errors(payload, reps, threads, pool)
+        assert np.array_equal(split, alone)
+        ranges = SpyPool.splits[-1]
+        assert len(ranges) == threads and ranges[0][0] == 0 and ranges[-1][1] == reps
+        assert all(lo % size == 0 for lo, _ in ranges)
+        assert all(a[1] == b[0] for a, b in zip(ranges[:-1], ranges[1:]))
+
+
+def test_poisson_block_folds_only_its_finite_rows(monkeypatch):
+    # rows 1 and 3 have no fitted value: they start no chain and draw nothing,
+    # so the finite rows are exactly the fold of a block made of them alone
+    starts = []
+    simulate = bootstrap.simulate_chain_block
+
+    def spy(model, start, *args):
+        starts.append(np.array(start))
+        return simulate(model, start, *args)
+
+    monkeypatch.setattr(bootstrap, "simulate_chain_block", spy)
+    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    f = functionals.quadratic_form()
+    ok = np.array([[-0.5, 0.3], [0.2, -1.0], [1.0, 0.0]])
+    mixed = np.array([ok[0], [np.nan, 0.0], ok[1], [np.inf, 0.2], ok[2]])
+    orders, n, m = (0, 1, 2), 100, 50
+    got = bootstrap.fk_estimate_at(model, f, mixed, orders, n, m, exp.derive_stream(5, 0, 0))
+    assert got.shape == (3, 5)
+    assert np.isnan(got[:, [1, 3]]).all()
+    assert np.isfinite(got[:, [0, 2, 4]]).all()
+    assert len(starts) == 1 and np.array_equal(starts[0], ok)
+    alone = bootstrap.fk_estimate_at(model, f, ok, orders, n, m, exp.derive_stream(5, 0, 0))
+    assert np.array_equal(got[:, [0, 2, 4]], alone)

@@ -173,9 +173,14 @@ def test_validation():
         gaussian.TruncationRule(delta=0.0, n=10)
     with pytest.raises(ValueError):
         gaussian.TruncationRule(delta=1.0, n=0)
+    model = models.GaussianShift(dim=2)
     with pytest.raises(ValueError):
-        gaussian.HomotopyFlags((0, 2))
-    assert gaussian.HomotopyFlags((True, False)).bits == (1, 0)
+        gaussian.superposition_block(model, np.zeros(2), (0, 2), 50, 3, derive_stream(312, 0, 0))
+    as_bools = gaussian.superposition_block(
+        model, np.zeros(2), (True, False), 50, 3, derive_stream(312, 0, 0)
+    )
+    as_bits = gaussian.superposition_block(model, np.zeros(2), (1, 0), 50, 3, derive_stream(312, 0, 0))
+    assert np.array_equal(as_bools, as_bits)
 
 
 def test_sigma_f_nonnegative_everywhere():

@@ -113,16 +113,6 @@ def test_sigma_examples():
     assert np.allclose(models.sigma(gs, theta), np.diag(diag**2))
 
 
-def test_log_concave_poincare_metadata():
-    loc = models.LogConcaveLocation(
-        dim=3, noise_dist=("laplace", "gaussian", "logistic"), scale=[0.5, 2.0, 1.0]
-    )
-    cp = loc.poincare_constants()
-    assert cp[0] == pytest.approx(4 * 0.5**2)
-    assert cp[1] == pytest.approx(4.0)
-    assert cp[2] == pytest.approx(12.0 * math.pi**2 / 3.0)
-
-
 @pytest.mark.parametrize(
     "model",
     [
