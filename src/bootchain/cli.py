@@ -102,7 +102,7 @@ def _summary_line(s: TrialSummary) -> str:
     if "oracle_pass" in s.extra:
         parts.insert(
             -1,
-            f"oracle={s.extra['oracle_bias_signed']:.6g} "
+            f"oracle={s.extra['oracle_bias_signed']:.6g} z={s.extra['oracle_z']:.2f} "
             f"{'PASS' if s.extra['oracle_pass'] else 'FAIL'}",
         )
     if s.failed:
@@ -114,10 +114,20 @@ def _summary_line(s: TrialSummary) -> str:
 # rate chart
 
 
-def _slope_fit(ns, rmses) -> float:
+def _rate_chart(rows: list[dict]) -> tuple[str, float, int]:
+    """(SVG, fitted slope, point count) of the rows of the highest order
+    (the run's k, the one order it plots) with finite positive rmse."""
+    top_k = max((r["k"] for r in rows), default=0)
+    rows = [r for r in rows if r["k"] == top_k and math.isfinite(r["rmse"])]
+    rows = [r for r in rows if r["rmse"] > 0 and r["n"] > 0]
+    if len({r["n"] for r in rows}) < 2:
+        raise ReportError("need at least 2 distinct n values with positive rmse to fit a rate")
+    ns = [r["n"] for r in rows]
+    rmses = [r["rmse"] for r in rows]
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(rmses, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    slope = float(np.polyfit(x, y, 1)[0])
+    return render_rate_chart(ns, rmses, slope), slope, len(rows)
 
 
 def render_rate_chart(ns, rmses, slope: float) -> str:
@@ -211,34 +221,19 @@ def cmd_run(config_path: str, out_dir: str | None, threads: int) -> int:
     if "json" in outputs:
         write_json(resolve(outputs["json"]), cfg.kind, summaries)
     if "svg" in outputs:
-        rows = [s for s in summaries if s.k == cfg.k and math.isfinite(s.rmse) and s.rmse > 0]
-        if len({s.n for s in rows}) >= 2:
-            ns = [s.n for s in rows]
-            rmses = [s.rmse for s in rows]
-            resolve(outputs["svg"]).write_text(
-                render_rate_chart(ns, rmses, _slope_fit(ns, rmses))
-            )
-        else:
-            print("svg output skipped: fewer than 2 plottable rows", file=sys.stderr)
+        try:
+            resolve(outputs["svg"]).write_text(_rate_chart([summary_row(s) for s in summaries])[0])
+        except ReportError as exc:
+            print(f"svg output skipped: {exc}", file=sys.stderr)
     for s in summaries:
         print(_summary_line(s))
     return EXIT_EXPERIMENT if any(s.failed for s in summaries) else EXIT_OK
 
 
 def cmd_report(csv_path: str, svg_path: str) -> int:
-    rows = read_results_csv(Path(csv_path))
-    top_k = max((r["k"] for r in rows), default=0)  # cfg.k, the one order run plots
-    rows = [r for r in rows if r["k"] == top_k and math.isfinite(r["rmse"])]
-    rows = [r for r in rows if r["rmse"] > 0 and r["n"] > 0]
-    if len(rows) < 2:
-        raise ReportError("need at least 2 data rows with positive rmse")
-    if len({r["n"] for r in rows}) < 2:
-        raise ReportError("need at least 2 distinct n values to fit a rate")
-    ns = [r["n"] for r in rows]
-    rmses = [r["rmse"] for r in rows]
-    slope = _slope_fit(ns, rmses)
-    Path(svg_path).write_text(render_rate_chart(ns, rmses, slope))
-    print(f"wrote {svg_path} (slope={slope:.2f}, {len(rows)} points)")
+    svg, slope, points = _rate_chart(read_results_csv(Path(csv_path)))
+    Path(svg_path).write_text(svg)
+    print(f"wrote {svg_path} (slope={slope:.2f}, {points} points)")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import functionals, models
-from .experiments import ConfigError, ExperimentConfig, GridSpec, unit_sin_theta
+from .experiments import ConfigError, ExperimentConfig, GridSpec, _grid_point, unit_sin_theta
 
 KINDS = ("risk", "normality", "clt", "sweep", "oracle-check")
 
@@ -31,7 +31,6 @@ _TOP_KEYS = {
     "delta",
     "seed",
     "outputs",
-    "sigma0",
     "timing",
     "compare",
 }
@@ -81,10 +80,6 @@ def _as_vector(value, where: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # factories (module-level so worker processes can unpickle them)
-
-
-def _theta_rule(rule: str, d: int) -> np.ndarray:
-    return unit_sin_theta(d)
 
 
 def _u_rule(rule: str, d: int) -> np.ndarray:
@@ -190,22 +185,17 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
     raise ConfigError(f"{where}.variant: unknown functional {variant!r}")
 
 
-def _theta_factory(cfg):
+def _theta(cfg) -> np.ndarray | None:
+    """None for the unit_sin rule, else the fixed vector."""
     if cfg is None:
-        return unit_sin_theta
+        return None
     if isinstance(cfg, dict):
         _reject_unknown(cfg, {"rule"}, "theta")
         rule = _require(cfg, "rule", "theta")
         if rule not in THETA_RULES:
             raise ConfigError(f"theta.rule: unknown rule {rule!r}")
-        return partial(_theta_rule, rule)
-    return partial(_fixed_theta, _as_vector(cfg, "theta"))
-
-
-def _fixed_theta(vec: np.ndarray, d: int) -> np.ndarray:
-    if vec.size != d:
-        raise ConfigError(f"theta: length {vec.size} does not match grid dimension {d}")
-    return vec
+        return None
+    return _as_vector(cfg, "theta")
 
 
 def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
@@ -262,28 +252,23 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
             if bad:
                 raise ConfigError(f"{name}: clt configs need k = 0, M = 1, no delta, no compare")
 
-    sigma0 = doc.get("sigma0", 1e-8)
     cfg = ExperimentConfig(
         kind=kind,
         model=partial(build_model, dict(doc["model"])),
         functional=partial(build_functional, dict(doc["functional"])),
-        theta=_theta_factory(doc.get("theta")),
+        theta=_theta(doc.get("theta")),
         k=_as_int(doc["k"], "k", 0),
         grid=grid,
         inner_chains=m,
         replicates=r,
         delta=delta,
         seed=_as_int(doc["seed"], "seed", 0),
-        sigma0=_as_number(sigma0, "sigma0"),
         use_tilde=bool(compare.get("tilde", False)),
         compare_plugin=bool(compare.get("plugin", False)),
         timing=doc.get("timing", "wall"),
     )
-    # fail fast on builder errors for fixed-d grids instead of mid-run
-    probe_d = cfg.grid.points()[0][1]
-    cfg.model(probe_d)
-    cfg.functional(probe_d)
-    cfg.theta(probe_d)
+    # fail fast on builder errors and theta's length instead of mid-run
+    _grid_point(cfg, *cfg.grid.points()[0])
     return cfg, outputs
 
 

@@ -1,5 +1,12 @@
 """Declarative experiment harness: risk, normality, CLT diagnostics, sweeps.
 
+Every kind takes one path through a grid point: _grid_point resolves the
+model, functional, theta (the one check of its dimension) and sigma_f, and
+_summary turns the point's error vector into its row (bias, se, sd, rmse,
+d_k, aborts, the failed flag). risk, sweep, normality and oracle-check rows
+come from one replicate pass per point; clt rows from a plug-in draw and a
+surrogate draw per point, with W1/W2 in the row's extra.
+
 Reproducibility contract: a grid point's R replicates run in blocks of
 B = max(1, 2^14 // (M d)) (models._BLOCK_SCALARS), and block b draws all of
 its randomness from the counter-based stream derive_stream(master_seed, b,
@@ -34,6 +41,8 @@ MAX_INDEX = 2**32
 # glibc malloc caps its dynamic mmap threshold at 32 MiB; a freed mapped
 # block below the cap raises the threshold to the block's size
 _ALLOCATOR_PRIME_BYTES = 16 * 2**20
+# a normality run divides its errors by sigma_f; below this it is degenerate
+SIGMA_F_FLOOR = 1e-8
 
 
 class ConfigError(ValueError):
@@ -115,7 +124,6 @@ class ExperimentConfig:
     replicates: int = 2000  # R
     delta: float | str | None = None  # None/"auto" -> 3 sqrt(tr Sigma / n)
     seed: int = 0
-    sigma0: float = 1e-8
     use_tilde: bool = False
     compare_plugin: bool = False
     timing: str = "wall"
@@ -159,7 +167,6 @@ class TrialSummary:
     seconds: float
     failed: bool = False
     extra: dict = field(default_factory=dict)
-    errors: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -231,96 +238,98 @@ def _chain_step(cfg: ExperimentConfig, model, theta, n: int):
     return partial(gaussian.surrogate_step, trunc=trunc)
 
 
-def _summarize_point(
-    cfg: ExperimentConfig, orders: tuple[int, ...], n: int, d: int, threads: int, pool, keep_errors
-) -> list[TrialSummary]:
-    """One pass of R replicates at grid point (n, d) on the run's pool,
-    summarized once per order; every row shares the pass's wall time."""
+def _grid_point(cfg: ExperimentConfig, n: int, d: int):
+    """(model, functional, theta, sigma_f) at grid point (n, d); the one
+    check that theta has the grid's dimension."""
     model = cfg.model(d)
     func = cfg.functional(d)
     theta = np.asarray(cfg.theta(d), dtype=float)
     if theta.shape != (d,):
-        raise ConfigError(f"theta has dimension {theta.shape}, grid point needs {d}")
+        raise ConfigError(f"theta has dimension {theta.shape}, grid point (n={n}, d={d}) needs {d}")
+    return model, func, theta, gaussian.sigma_f(model, func, theta)
+
+
+def _summary(
+    n: int, d: int, k: int, errs: np.ndarray, sig_f: float, seconds: float, dev=None
+) -> TrialSummary:
+    """The row of one order at one grid point from its R errors (NaN marks
+    an aborted replicate). d_k is the Kolmogorov distance of dev / sigma_f
+    to N(0, 1), where dev is sqrt(n) errs unless the caller drew it exactly."""
+    good = np.isfinite(errs)
+    valid = errs[good]
+    aborts = int(errs.size - valid.size)
+    bias = se_bias = sd = rmse = d_k = math.nan
+    if valid.size >= 2:
+        bias = float(valid.mean())
+        sd = float(valid.std(ddof=1))
+        rmse = float(math.sqrt(np.mean(valid**2)))
+        se_bias = sd / math.sqrt(valid.size)
+        if sig_f > 0:
+            dev = valid * math.sqrt(n) if dev is None else dev[good]
+            d_k = distances.kolmogorov_to_std_normal(dev / sig_f)
+    return TrialSummary(
+        n=n,
+        d=d,
+        k=k,
+        bias=bias,
+        se_bias=se_bias,
+        sd=sd,
+        rmse=rmse,
+        sqrt_n_rmse=math.sqrt(n) * rmse,
+        sigma_f=sig_f,
+        d_k=d_k,
+        aborts=aborts,
+        seconds=seconds,
+        failed=aborts > bootstrap.ABORT_RATE_LIMIT * errs.size or valid.size < 2,
+    )
+
+
+def _summarize_point(
+    cfg: ExperimentConfig, orders: tuple[int, ...], point: tuple, threads: int, pool
+) -> list[TrialSummary]:
+    """One pass of R replicates at a resolved grid point on the run's pool,
+    summarized once per order; every row shares the pass's wall time."""
+    n, d, (model, func, theta, sig_f) = point
     f_true = float(functionals.value(func, theta))
-    sig_f = gaussian.sigma_f(model, func, theta)
     step = _chain_step(cfg, model, theta, n) if max(orders) > 0 else None
 
     t0 = time.perf_counter()
     payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)
     errs_by_order = _batched_errors(payload, cfg.replicates, threads, pool)
     seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
-
-    out = []
-    for k, errs in zip(orders, errs_by_order):
-        valid = errs[np.isfinite(errs)]
-        aborts = int(errs.size - valid.size)
-        failed = aborts > bootstrap.ABORT_RATE_LIMIT * cfg.replicates or valid.size < 2
-        if valid.size >= 2:
-            bias = float(valid.mean())
-            sd = float(valid.std(ddof=1))
-            rmse = float(math.sqrt(np.mean(valid**2)))
-            se_bias = sd / math.sqrt(valid.size)
-            std = valid * math.sqrt(n) / sig_f if sig_f > 0 else None
-            d_k = distances.kolmogorov_to_std_normal(std) if std is not None else math.nan
-        else:
-            bias = sd = rmse = se_bias = d_k = math.nan
-        out.append(
-            TrialSummary(
-                n=n,
-                d=d,
-                k=k,
-                bias=bias,
-                se_bias=se_bias,
-                sd=sd,
-                rmse=rmse,
-                sqrt_n_rmse=math.sqrt(n) * rmse,
-                sigma_f=sig_f,
-                d_k=d_k,
-                aborts=aborts,
-                seconds=seconds,
-                failed=failed,
-                errors=valid if keep_errors else None,
-            )
-        )
-    return out
+    return [_summary(n, d, k, errs, sig_f, seconds) for k, errs in zip(orders, errs_by_order)]
 
 
 def _summarize_points(
-    cfg: ExperimentConfig, orders: tuple[int, ...], threads: int, keep_errors: bool
+    cfg: ExperimentConfig, orders: tuple[int, ...], threads: int
 ) -> list[TrialSummary]:
     """Every grid point's pass in grid order, on one worker pool for the
-    whole run; its workers start on the first pass that splits."""
+    whole run; its workers start on the first pass that splits. Every point
+    is resolved, and a normality run's sigma_f floor checked, before any
+    replicate runs."""
+    points = [(n, d, _grid_point(cfg, n, d)) for n, d in cfg.grid.points()]
+    for n, d, (*_, sig_f) in points:
+        if cfg.kind == "normality" and not sig_f >= SIGMA_F_FLOOR:
+            raise ConfigError(
+                f"sigma_f = {sig_f:g} below the {SIGMA_F_FLOOR:g} floor at (n={n}, d={d})"
+            )
     with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         return [
-            row
-            for n, d in cfg.grid.points()
-            for row in _summarize_point(cfg, orders, n, d, threads, pool, keep_errors)
+            row for point in points for row in _summarize_point(cfg, orders, point, threads, pool)
         ]
 
 
-def run_risk_experiment(
-    cfg: ExperimentConfig, threads: int = 1, keep_errors: bool = False
-) -> list[TrialSummary]:
+def run_risk_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
     """R replicates per grid point: draw data, compute the order-k corrected
     estimate, record the error against f(theta). With compare_plugin set, a
-    k=0 row accompanies each grid point, folded from the same replicates."""
+    k=0 row accompanies each grid point, folded from the same replicates.
+    A normality config is rejected where sigma_f falls below SIGMA_F_FLOOR."""
     orders = (0, cfg.k) if cfg.compare_plugin and cfg.k > 0 else (cfg.k,)
-    return _summarize_points(cfg, orders, threads, keep_errors)
+    return _summarize_points(cfg, orders, threads)
 
 
-def run_normality_experiment(
-    cfg: ExperimentConfig, threads: int = 1, keep_errors: bool = False
-) -> list[TrialSummary]:
-    """Risk run whose headline output is the Kolmogorov distance of the
-    standardized errors sqrt(n) err / sigma_f(theta) to N(0, 1). Rejects
-    configurations where sigma_f falls below the configured floor."""
-    for n, d in cfg.grid.points():
-        sig_f = gaussian.sigma_f(cfg.model(d), cfg.functional(d), np.asarray(cfg.theta(d)))
-        if not sig_f >= cfg.sigma0 or sig_f <= 0.0:
-            raise ConfigError(
-                f"sigma_f = {sig_f:g} below the sigma0 = {cfg.sigma0:g} floor at (n={n}, d={d})"
-            )
-    return run_risk_experiment(cfg, threads=threads, keep_errors=keep_errors)
+# a normality run's headline d_k standardizes the errors by sigma_f(theta)
+run_normality_experiment = run_risk_experiment
 
 
 def run_clt_diagnostic(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
@@ -334,69 +343,37 @@ def run_clt_diagnostic(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSum
     """
     out = []
     for gi, (n, d) in enumerate(cfg.grid.points()):
-        model = cfg.model(d)
-        func = cfg.functional(d)
+        model, func, theta, sig_u = _grid_point(cfg, n, d)
         if func.variant != "linear":
             raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
-        u = func.u
-        theta = np.asarray(cfg.theta(d), dtype=float)
         t0 = time.perf_counter()
-        rng_data = derive_stream(cfg.seed, gi, 0)
-        rng_xi = derive_stream(cfg.seed, gi, 1)
         block = np.broadcast_to(theta, (cfg.replicates, d))
-        theta_hat = models.estimate_block(model, block, n, rng_data)
-        dev = math.sqrt(n) * ((theta_hat - theta) @ u)
-        xi_proj = models.sample_xi_block(model, block, rng_xi) @ u
+        theta_hat = models.estimate_block(model, block, n, derive_stream(cfg.seed, gi, 0))
+        dev = math.sqrt(n) * ((theta_hat - theta) @ func.u)
+        xi_proj = models.sample_xi_block(model, block, derive_stream(cfg.seed, gi, 1)) @ func.u
 
         good = np.isfinite(dev)
-        aborts = int(dev.size - good.sum())
-        dev_ok = dev[good]
-        sig_u = gaussian.sigma_f(model, func, theta)
-        bias = se_bias = sd = rmse = d_k = math.nan
         extra = {}
-        if dev_ok.size >= 2:  # else a failed row, as in _summarize_point
-            w1 = distances.wasserstein1(dev_ok, xi_proj[good])
-            w2 = distances.wasserstein2(dev_ok, xi_proj[good])
+        if good.sum() >= 2:  # else _summary marks the row failed
+            w1 = distances.wasserstein1(dev[good], xi_proj[good])
+            w2 = distances.wasserstein2(dev[good], xi_proj[good])
             if not w1 <= w2 + 1e-12:
                 raise bootstrap.EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
             extra = {"w1": w1, "w2": w2}
-            errs = dev_ok / math.sqrt(n)
-            bias = float(errs.mean())
-            sd = float(errs.std(ddof=1))
-            se_bias = sd / math.sqrt(dev_ok.size)
-            rmse = float(math.sqrt(np.mean(errs**2)))
-            if sig_u > 0:
-                d_k = distances.kolmogorov_to_std_normal(dev_ok / sig_u)
         seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
-        out.append(
-            TrialSummary(
-                n=n,
-                d=d,
-                k=0,
-                bias=bias,
-                se_bias=se_bias,
-                sd=sd,
-                rmse=rmse,
-                sqrt_n_rmse=math.sqrt(n) * rmse,
-                sigma_f=sig_u,
-                d_k=d_k,
-                aborts=aborts,
-                seconds=seconds,
-                failed=aborts > bootstrap.ABORT_RATE_LIMIT * cfg.replicates or dev_ok.size < 2,
-                extra=extra,
-            )
-        )
+        summ = _summary(n, d, 0, dev / math.sqrt(n), sig_u, seconds, dev=dev)
+        summ.extra = extra
+        out.append(summ)
     return out
 
 
 def run_oracle_check(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
     """Measured bias of the corrected estimator vs the closed-form oracle for
     f = exp(<., u>) under the constant-isotropic shift model, one row per
-    order 0..k, all folded from one pass of replicates per grid point. extra
-    carries the oracle target and the pass verdict."""
-    d0 = cfg.grid.points()[0][1]
-    model = cfg.model(d0)
-    func = cfg.functional(d0)
+    order 0..k, all folded from one pass of replicates per grid point. A row
+    passes iff |bias - signed target| <= 4 se_bias; extra carries the target,
+    the z-score (bias - signed target) / se_bias and the verdict."""
+    model, func, _, _ = _grid_point(cfg, *cfg.grid.points()[0])
     if not (
         isinstance(model, models.GaussianShift)
         and isinstance(model.noise_map, models.IdentityMap)
@@ -406,17 +383,20 @@ def run_oracle_check(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSumma
         raise ConfigError("oracle check needs the exp_linear functional")
     sigma2 = model.noise_map.scale**2
 
-    out = _summarize_points(cfg, tuple(range(cfg.k + 1)), threads, keep_errors=False)
+    out = _summarize_points(cfg, tuple(range(cfg.k + 1)), threads)
     for summ in out:
-        theta = np.asarray(cfg.theta(summ.d), dtype=float)
-        u = cfg.functional(summ.d).u
-        target = bootstrap.bias_oracle_exp(theta, u, sigma2, summ.n, summ.k)
+        _, func, theta, _ = _grid_point(cfg, summ.n, summ.d)
+        target = bootstrap.bias_oracle_exp(theta, func.u, sigma2, summ.n, summ.k)
         signed = (-1) ** summ.k * target
-        ok = abs(summ.bias - signed) <= 4.0 * summ.se_bias or abs(summ.bias) <= max(
-            4.0 * summ.se_bias, 2.0 * target
-        )
+        ok = summ.se_bias > 0 and abs(summ.bias - signed) <= 4.0 * summ.se_bias
+        z = (summ.bias - signed) / summ.se_bias if summ.se_bias > 0 else math.nan
         summ.extra.update(
-            {"oracle_bias": target, "oracle_bias_signed": signed, "oracle_pass": bool(ok)}
+            {
+                "oracle_bias": target,
+                "oracle_bias_signed": signed,
+                "oracle_z": z,
+                "oracle_pass": bool(ok),
+            }
         )
         summ.failed = summ.failed or not ok
     return out

@@ -39,7 +39,7 @@ import numpy as np
 from .core import as_param_vector
 
 POISSON_LAM_MAX = 1e12  # per-coordinate total-count guard for the sampler
-_CHUNK_SCALARS = 4_000_000  # raw-draw budget per chunk in block stepping
+_CHUNK_SCALARS = 2**16  # raw-draw budget per chunk in block stepping: 0.5 MB, cache-sized
 _BLOCK_SCALARS = 2**14  # chain-state budget B*M*d of one block of replicates
 
 DEFAULT_MLE_CLAMP = 1e-6

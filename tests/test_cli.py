@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootchain import cli, distances, experiments
+from bootchain import cli, config, distances, experiments
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 MINIMAL_RISK = {
     "kind": "risk",
@@ -96,9 +98,16 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
         {"kind": "nope"},
         {"delta": -1.0},
         {"outputs": {"csv": ""}},
+        {"sigma0": 1e-6},
     ):
         doc = dict(MINIMAL_RISK, **patch)
         assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2, patch
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_parses(path):
+    cfg, outputs = config.load_config(path)
+    assert cfg.kind in config.KINDS and outputs
 
 
 def test_failed_grid_point_exits_3(tmp_path):

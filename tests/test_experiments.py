@@ -220,6 +220,24 @@ def test_normality_rejects_degenerate_sigma_f():
         exp.run_normality_experiment(cfg)
 
 
+def _shift_silent_above_d2(d):
+    return models.GaussianShift(dim=d, noise_map=models.IdentityMap(scale=0.0 if d > 2 else 1.0))
+
+
+def test_normality_checks_every_sigma_f_before_any_replicate(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a replicate pass ran before the sigma_f floor check")
+
+    monkeypatch.setattr(exp, "_batched_errors", no_pass)
+    cfg = small_cfg(
+        kind="normality",
+        model=_shift_silent_above_d2,
+        grid=exp.GridSpec(n_values=(4, 100), alpha=0.3),  # d = 2, then d = 4
+    )
+    with pytest.raises(exp.ConfigError, match="n=100, d=4"):
+        exp.run_normality_experiment(cfg)
+
+
 def test_normality_replicate_floor():
     with pytest.raises(exp.ConfigError):
         small_cfg(kind="normality", replicates=50)
@@ -257,6 +275,42 @@ def test_oracle_check_runner():
         assert s.extra["oracle_pass"]
         assert s.extra["oracle_bias_signed"] == (-1) ** s.k * s.extra["oracle_bias"]
     assert rows[0].extra["oracle_bias"] == pytest.approx(0.0050125208594010634, rel=1e-12)
+
+
+def test_oracle_verdict_fails_a_wrong_target(monkeypatch):
+    oracle = bootstrap.bias_oracle_exp
+    monkeypatch.setattr(bootstrap, "bias_oracle_exp", lambda *args: 2.0 * oracle(*args))
+    d = 5
+    cfg = small_cfg(
+        kind="oracle-check",
+        functional=functionals.exp_linear(np.eye(d)[0]),
+        model=models.GaussianShift(dim=d),
+        theta=np.zeros(d),
+        k=0,
+        replicates=20_000,
+        inner_chains=1,
+        grid=exp.GridSpec(n_values=(100,), d_fixed=d),
+        seed=3,
+    )
+    (row,) = exp.run_oracle_check(cfg)
+    assert row.failed and not row.extra["oracle_pass"]
+    assert row.extra["oracle_z"] == (row.bias - row.extra["oracle_bias_signed"]) / row.se_bias
+    assert row.extra["oracle_z"] < -4.0
+
+
+def test_oracle_verdict_fails_a_zero_standard_error():
+    cfg = small_cfg(
+        kind="oracle-check",
+        functional=functionals.exp_linear(np.eye(3)[0]),
+        model=models.GaussianShift(dim=3, noise_map=models.IdentityMap(scale=0.0)),
+        theta=np.zeros(3),
+        k=0,
+        replicates=20,
+    )
+    (row,) = exp.run_oracle_check(cfg)
+    assert row.se_bias == 0.0 and row.extra["oracle_bias"] == 0.0
+    assert row.failed and not row.extra["oracle_pass"]
+    assert math.isnan(row.extra["oracle_z"])
 
 
 def test_oracle_check_rejects_wrong_setting():
@@ -300,6 +354,9 @@ def test_theta_dimension_mismatch_rejected():
     cfg = small_cfg(theta=np.zeros(4))
     with pytest.raises(exp.ConfigError):
         exp.run_risk_experiment(cfg)
+    clt = small_cfg(kind="clt", functional=functionals.linear(np.ones(3)), theta=np.zeros(4))
+    with pytest.raises(exp.ConfigError):
+        exp.run_clt_diagnostic(clt)
 
 
 def test_monotone_bias_improvement_when_resolvable():

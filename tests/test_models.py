@@ -171,6 +171,22 @@ def test_estimate_block_marks_aborted_rows():
     assert np.isnan(out[1, 0])
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        models.LogConcaveLocation(dim=3, noise_dist="logistic"),
+        models.IndependentComponents(dim=3, noise_dist="uniform"),
+    ],
+    ids=["logistic", "ic_uniform"],
+)
+def test_estimate_block_does_not_depend_on_the_chunk_budget(model, monkeypatch):
+    thetas = np.zeros((40, 3))
+    default = models.estimate_block(model, thetas, 50, derive_stream(120, 0, 0))
+    monkeypatch.setattr(models, "_CHUNK_SCALARS", 7)  # one raw-draw row per chunk
+    tiny = models.estimate_block(model, thetas, 50, derive_stream(120, 0, 0))
+    assert np.array_equal(tiny, default)
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         models.DiagTanhMap(a=np.array([1.0]), b=np.array([1.0]))  # needs a > |b|
