@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functionals, models
+from . import bootstrap, functionals, models
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,9 @@ def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
     """M independent draws of the flag superposition, shape (M, d): the
     surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n) for binary time flags
     (t_1, ..., t_k), applied in turn. Binary flags make this equal in law to
-    skipping the steps with t_j = 0, which is how it is computed."""
+    skipping the steps with t_j = 0: the last state of one surrogate chain
+    of sum(t_j) steps."""
     bits = tuple(int(t) for t in flags)
     if any(t not in (0, 1) for t in bits):
         raise ValueError("flags must be binary")
-    theta = np.asarray(theta, dtype=float)
-    states = np.broadcast_to(theta, (m, theta.shape[0])).copy()
-    for t in bits:
-        if t:
-            states = surrogate_step(model, states, n, rng)
-    return states
-
+    return bootstrap.simulate_chain_block(model, theta, sum(bits), n, m, rng, surrogate_step)[-1]

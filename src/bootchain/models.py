@@ -8,10 +8,12 @@ Four model variants are provided:
                            closed-form inverse of the mean map
   * LogConcaveLocation     X = theta + eta, n i.i.d., sample-mean estimator
 
-Every variant carries a Gaussian surrogate (a sampler for xi(theta) and the
-exact covariance Sigma(theta)). For the exponential families the surrogate
-lives on the mean-map scale: Sigma(theta) = Psi'(theta), which is the
-covariance of sqrt(n)(Xbar - Psi(theta)).
+Every variant carries one Gaussian factor L(theta) (_factor): the surrogate
+is xi(theta) = L(theta) z with z standard normal, and its covariance
+Sigma(theta) = L(theta) L(theta)^T is the (limiting) covariance of
+sqrt(n)(theta_hat - theta). For the exponential families that is the
+inverse Fisher information Psi'(theta)^{-1} (Psi the mean map), not
+Psi'(theta) itself, the covariance of sqrt(n)(Xbar - Psi(theta)).
 
 Besides the per-replicate operations (sample_data / estimate / sigma) this
 module exposes vectorized kernels, estimate_block and sample_xi_block, that
@@ -59,9 +61,6 @@ class ScalingMap:
     def apply(self, thetas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def matrix_at(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IdentityMap(ScalingMap):
@@ -75,9 +74,6 @@ class IdentityMap(ScalingMap):
 
     def apply(self, thetas, vecs):
         return self.scale * vecs
-
-    def matrix_at(self, theta):
-        return self.scale * np.eye(len(theta))
 
 
 @dataclass(frozen=True)
@@ -94,9 +90,6 @@ class ConstantMatrixMap(ScalingMap):
 
     def apply(self, thetas, vecs):
         return vecs @ self.matrix.T
-
-    def matrix_at(self, theta):
-        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -121,14 +114,8 @@ class DiagTanhMap(ScalingMap):
         object.__setattr__(self, "a", a.copy())
         object.__setattr__(self, "b", b.copy())
 
-    def _diag(self, thetas):
-        return self.a + self.b * np.tanh(thetas)
-
     def apply(self, thetas, vecs):
-        return self._diag(thetas) * vecs
-
-    def matrix_at(self, theta):
-        return np.diag(self._diag(np.asarray(theta, dtype=float)))
+        return (self.a + self.b * np.tanh(thetas)) * vecs
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +334,30 @@ def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the Gaussian factor L(theta)
+
+
+def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """L(theta) v row by row (thetas broadcast against v): the model's one
+    Gaussian factor, with xi(theta) = L(theta) z and Sigma(theta) =
+    L(theta) L(theta)^T the covariance of sqrt(n)(theta_hat - theta)."""
+    if isinstance(model, GaussianShift):
+        return model.noise_map.apply(thetas, v)
+    if isinstance(model, IndependentComponents):
+        mix = v if model.directions is None else v @ model.directions.T
+        return model.noise_map.apply(thetas, mix)
+    if isinstance(model, ExponentialFamily):
+        # inverse Fisher information Psi'(theta)^{-1}
+        if model.family == "poisson_product":
+            return np.exp(-0.5 * thetas) * v
+        return v / np.sqrt(model.base)
+    if isinstance(model, LogConcaveLocation):
+        var = [LOCATION_VARIANCE[t](s) for t, s in zip(model.noise_dist, model.scale)]
+        return np.sqrt(var) * v
+    raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # per-replicate operations
 
 
@@ -364,16 +375,13 @@ def sample_data(model: Model, theta, n: int, rng) -> Data:
 
     if isinstance(model, GaussianShift):
         z = rng.standard_normal(model.dim)
-        x = theta + model.noise_map.apply(theta, z) / math.sqrt(n)
-        return Data(n=n, mean=x)
+        return Data(n=n, mean=theta + _factor(model, theta, z) / math.sqrt(n))
 
     if isinstance(model, IndependentComponents):
         eta = np.empty((n, model.dim))
         for j, tag in enumerate(model.noise_dist):
             eta[:, j] = _draw_ic_noise(tag, rng, n)
-        mix = eta if model.directions is None else eta @ model.directions.T
-        draws = theta + model.noise_map.apply(theta, mix)
-        return Data(n=n, mean=draws.mean(axis=0))
+        return Data(n=n, mean=(theta + _factor(model, theta, eta)).mean(axis=0))
 
     if isinstance(model, ExponentialFamily):
         if model.family == "poisson_product":
@@ -406,25 +414,11 @@ def estimate(model: Model, data: Data) -> np.ndarray:
 
 
 def sigma(model: Model, theta) -> np.ndarray:
-    """Exact covariance Sigma(theta) of the surrogate xi(theta)."""
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(model, GaussianShift):
-        a = model.noise_map.matrix_at(theta)
-        return a @ a.T
-    if isinstance(model, IndependentComponents):
-        a = model.noise_map.matrix_at(theta)
-        b = a if model.directions is None else a @ model.directions
-        return b @ b.T
-    if isinstance(model, ExponentialFamily):
-        if model.family == "poisson_product":
-            return np.diag(np.exp(theta))
-        return np.diag(model.base)
-    if isinstance(model, LogConcaveLocation):
-        var = np.array(
-            [LOCATION_VARIANCE[t](s) for t, s in zip(model.noise_dist, model.scale)]
-        )
-        return np.diag(var)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    """Sigma(theta) = L(theta) L(theta)^T: the covariance of the surrogate
+    xi(theta) and of the normal limit of sqrt(n)(theta_hat - theta)."""
+    d = model.dim
+    lt = _factor(model, np.broadcast_to(np.asarray(theta, dtype=float), (d, d)), np.eye(d))
+    return lt.T @ lt
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +439,13 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
 
     if isinstance(model, GaussianShift):
         z = rng.standard_normal((m, d))
-        return thetas + model.noise_map.apply(thetas, z) / math.sqrt(n)
+        return thetas + _factor(model, thetas, z) / math.sqrt(n)
 
     if isinstance(model, IndependentComponents):
         etabar = np.empty((m, d))
         for j, tag in enumerate(model.noise_dist):
             etabar[:, j] = _draw_ic_mean(tag, rng, n, (m,))
-        mix = etabar if model.directions is None else etabar @ model.directions.T
-        return thetas + model.noise_map.apply(thetas, mix)
+        return thetas + _factor(model, thetas, etabar)
 
     if isinstance(model, ExponentialFamily):
         if model.family == "gaussian_mean":
@@ -477,24 +470,10 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
 
 
 def sample_xi_block(model: Model, thetas: np.ndarray, rng) -> np.ndarray:
-    """Surrogate draws xi(thetas[m]) ~ N(0, Sigma(thetas[m])), one per row."""
+    """Surrogate draws xi(thetas[m]) = L(thetas[m]) z_m ~ N(0, Sigma(thetas[m])),
+    one per row, from one (M, d) standard normal draw."""
     thetas = np.asarray(thetas, dtype=float)
     m, d = thetas.shape
     if d != model.dim:
         raise ValueError("theta dimension mismatch")
-    z = rng.standard_normal((m, d))
-    if isinstance(model, GaussianShift):
-        return model.noise_map.apply(thetas, z)
-    if isinstance(model, IndependentComponents):
-        mix = z if model.directions is None else z @ model.directions.T
-        return model.noise_map.apply(thetas, mix)
-    if isinstance(model, ExponentialFamily):
-        if model.family == "poisson_product":
-            return np.exp(0.5 * thetas) * z
-        return np.sqrt(model.base) * z
-    if isinstance(model, LogConcaveLocation):
-        var = np.array(
-            [LOCATION_VARIANCE[t](s) for t, s in zip(model.noise_dist, model.scale)]
-        )
-        return np.sqrt(var) * z
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return _factor(model, thetas, rng.standard_normal((m, d)))

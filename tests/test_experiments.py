@@ -204,6 +204,34 @@ def test_clt_centered_exponential_w1_strictly_improves():
     assert rows[-1].extra["w1"] < rows[0].extra["w1"]
 
 
+@pytest.mark.parametrize("u", [[1.0, 0.0], [0.0, 1.0]], ids=["e1", "e2"])
+@pytest.mark.parametrize(
+    "kind, model, theta",
+    [
+        ("normality", models.ExponentialFamily(dim=2, family="poisson_product"), [1.0, -1.0]),
+        ("clt", models.ExponentialFamily(dim=2, family="gaussian_mean", base=[4.0, 0.25]), [0.5, -1.0]),
+    ],
+    ids=["normality_poisson", "clt_gaussian_mean"],
+)
+def test_exponential_family_sigma_f_is_the_mle_scale(kind, model, theta, u):
+    # sigma_f standardizes sqrt(n)(theta_hat - theta), not the mean-map scale
+    cfg = small_cfg(
+        kind=kind,
+        model=model,
+        functional=functionals.linear(u),
+        theta=theta,
+        k=0,
+        inner_chains=1,
+        replicates=20_000,
+        grid=exp.GridSpec(n_values=(2000,), d_fixed=2),
+        seed=3,
+    )
+    run = exp.run_clt_diagnostic if kind == "clt" else exp.run_normality_experiment
+    (s,) = run(cfg)
+    assert 0.9 <= s.sqrt_n_rmse / s.sigma_f <= 1.1
+    assert s.d_k < 0.05
+
+
 def test_clt_requires_linear_functional():
     cfg = small_cfg(kind="clt", functional=functionals.quadratic_form())
     with pytest.raises(exp.ConfigError):

@@ -87,16 +87,17 @@ def test_zero_noise_map_gives_zero_xi():
     assert np.array_equal(models.sample_xi_block(model, np.ones((1, 3)), rng), np.zeros((1, 3)))
 
 
-def test_poisson_surrogate_covariance_is_exp_theta():
+def test_poisson_surrogate_covariance_is_inverse_fisher():
+    # the MLE log(Xbar) has Fisher information Psi'(theta) = diag(e^theta)
     model = models.ExponentialFamily(dim=3, family="poisson_product")
     theta = np.array([-0.5, 0.0, 1.0])
-    assert np.allclose(models.sigma(model, theta), np.diag(np.exp(theta)))
+    assert np.allclose(models.sigma(model, theta), np.diag(np.exp(-theta)))
     # MC sanity on the sampler variance
     rng = derive_stream(107, 0, 0)
     xi = models.sample_xi_block(model, np.broadcast_to(theta, (50_000, 3)), rng)
     emp_var = xi.var(axis=0)
-    se = np.exp(theta) * math.sqrt(2.0 / 50_000)
-    assert np.all(np.abs(emp_var - np.exp(theta)) <= 5.0 * se)
+    se = np.exp(-theta) * math.sqrt(2.0 / 50_000)
+    assert np.all(np.abs(emp_var - np.exp(-theta)) <= 5.0 * se)
 
 
 def test_sigma_examples():
@@ -134,16 +135,62 @@ def test_estimator_consistency_median_decreasing(model):
     assert inversions <= 1
 
 
-def test_independent_components_second_moment_matches_sigma():
-    dirs = np.array([[1.0, 0.0, 0.3], [0.2, 1.0, 0.0], [0.0, -0.4, 1.0]]).T
-    model = models.IndependentComponents(
-        dim=3,
-        noise_dist=("rademacher", "centered_exponential", "gaussian"),
-        directions=dirs,
-        noise_map=models.DiagTanhMap(a=np.array([1.5, 2.0, 1.0]), b=np.array([0.5, -0.5, 0.0])),
-    )
-    theta = np.array([0.2, -0.1, 0.4])
-    n, reps = 50, 10_000
+@pytest.mark.parametrize(
+    "model, theta, n",
+    [
+        pytest.param(
+            models.GaussianShift(
+                dim=3,
+                noise_map=models.DiagTanhMap(a=np.array([2.0, 3.0, 1.5]), b=np.array([0.5, -1.0, 0.2])),
+            ),
+            [0.3, -0.7, 0.1],
+            50,
+            id="shift_diag_tanh",
+        ),
+        pytest.param(
+            models.GaussianShift(
+                dim=3,
+                noise_map=models.ConstantMatrixMap(
+                    np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.3], [0.2, 0.0, 2.0]])
+                ),
+            ),
+            [0.3, -0.7, 0.1],
+            50,
+            id="shift_constant",
+        ),
+        pytest.param(
+            models.IndependentComponents(
+                dim=3,
+                noise_dist=("rademacher", "centered_exponential", "gaussian"),
+                directions=np.array([[1.0, 0.0, 0.3], [0.2, 1.0, 0.0], [0.0, -0.4, 1.0]]).T,
+                noise_map=models.DiagTanhMap(a=np.array([1.5, 2.0, 1.0]), b=np.array([0.5, -0.5, 0.0])),
+            ),
+            [0.2, -0.1, 0.4],
+            50,
+            id="ic",
+        ),
+        # n e^theta >= 1213: the delta-method error is well inside the band
+        pytest.param(
+            models.ExponentialFamily(dim=3, family="poisson_product"), [-0.5, 0.0, 1.0], 2000, id="poisson"
+        ),
+        pytest.param(
+            models.ExponentialFamily(dim=3, family="gaussian_mean", base=[0.5, 2.0, 4.0]),
+            [1.0, -0.5, 0.2],
+            50,
+            id="gaussian_mean",
+        ),
+        pytest.param(
+            models.LogConcaveLocation(dim=3, noise_dist=("laplace", "logistic", "gaussian"), scale=[0.5, 1.0, 2.0]),
+            [0.2, -0.1, 0.4],
+            50,
+            id="location",
+        ),
+    ],
+)
+def test_estimator_covariance_matches_sigma(model, theta, n):
+    # Sigma(theta) is the covariance of sqrt(n)(theta_hat - theta)
+    theta = np.asarray(theta)
+    reps = 10_000
     rng = derive_stream(109, 0, 0)
     hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 3)), n, rng)
     dev = math.sqrt(n) * (hats - theta)
@@ -210,7 +257,7 @@ def test_gaussian_mean_family():
     base = np.array([0.5, 2.0])
     model = models.ExponentialFamily(dim=2, family="gaussian_mean", base=base)
     theta = np.array([1.0, -0.5])
-    assert np.allclose(models.sigma(model, theta), np.diag(base))
+    assert np.allclose(models.sigma(model, theta), np.diag(1.0 / base))  # theta_hat = Xbar / v
     rng = derive_stream(113, 0, 0)
     data = models.sample_data(model, theta, 4000, rng)
     hat = models.estimate(model, data)
