@@ -43,10 +43,9 @@ def main():
     print(f"hat^(2) vs tilde^(2):  W1={w1:.5f}  band={limit:.5f}  {'ok' if w1 <= limit else 'VIOLATION'}")
 
     delta = gaussian.default_delta(model, theta, n)
-    trunc = gaussian.TruncationRule(delta=delta, n=n)
     states = bootstrap.simulate_chain_block(
         model, theta, 3, n, 10_000, exp.derive_stream(args.seed, 2, 0),
-        partial(gaussian.surrogate_step, trunc=trunc),
+        partial(gaussian.surrogate_step, delta=delta),
     )
     worst = max(
         float((np.linalg.norm(states[j] - theta, axis=1) - j * delta).max()) for j in range(4)

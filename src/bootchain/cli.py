@@ -363,7 +363,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             threads = args.threads
             if threads is None:
-                threads = int(os.environ.get(THREADS_ENV, "1"))
+                env = os.environ.get(THREADS_ENV, "1")
+                try:
+                    threads = int(env)
+                except ValueError:
+                    raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
             if threads < 1:
                 raise ConfigError("--threads must be >= 1")
             return cmd_run(args.config, args.out_dir, threads)

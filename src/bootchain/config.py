@@ -75,6 +75,8 @@ def _as_vector(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: expected a numeric array") from None
     if v.ndim != 1 or v.size < 1:
         raise ConfigError(f"{where}: expected a non-empty 1-D array")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{where}: entries must be finite")
     return v
 
 
@@ -228,10 +230,7 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
     r = _as_int(_require(mc, "R", "mc"), "mc.R", 1)
 
     delta = doc.get("delta")
-    if delta is not None and delta != "auto":
-        delta = _as_number(delta, "delta")
-        if delta <= 0:
-            raise ConfigError("delta: must be positive")
+    delta = None if delta in (None, "auto") else _as_number(delta, "delta")
 
     compare = doc.get("compare") or {}
     _reject_unknown(compare, {"plugin", "tilde"}, "compare")

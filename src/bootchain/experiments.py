@@ -122,7 +122,7 @@ class ExperimentConfig:
     grid: GridSpec
     inner_chains: int = 1000  # M
     replicates: int = 2000  # R
-    delta: float | str | None = None  # None/"auto" -> 3 sqrt(tr Sigma / n)
+    delta: float | None = None  # None -> 3 sqrt(tr Sigma / n); inf: no truncation
     seed: int = 0
     use_tilde: bool = False
     compare_plugin: bool = False
@@ -147,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError('timing must be "wall" or "none"')
         if not (0 <= self.seed < MAX_SEED):
             raise ConfigError("seed must fit in 64 bits")
+        if self.delta is not None and not self.delta > 0:
+            raise ConfigError("delta must be positive (or None for the default)")
 
 
 @dataclass
@@ -231,11 +233,8 @@ def _chain_step(cfg: ExperimentConfig, model, theta, n: int):
     3 sqrt(tr Sigma / n); an infinite delta disables truncation)."""
     if not cfg.use_tilde:
         return None
-    delta = cfg.delta
-    if delta is None or delta == "auto":
-        delta = gaussian.default_delta(model, theta, n)
-    trunc = gaussian.TruncationRule(delta=float(delta), n=n) if math.isfinite(delta) else None
-    return partial(gaussian.surrogate_step, trunc=trunc)
+    delta = gaussian.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
+    return partial(gaussian.surrogate_step, delta=delta)
 
 
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):

@@ -5,10 +5,11 @@ by the additive Gaussian step state + xi(state)/sqrt(n): surrogate_step is
 that transition kernel, and bootstrap.simulate_chain_block runs it through
 the same chain driver as the bootstrap step; the corrected estimator on
 surrogate chains is bootstrap.fk_estimate_at with
-step=partial(surrogate_step, trunc=...). Truncation zeroes a drawn xi
-when its norm reaches delta*sqrt(n), so each truncated step moves the state
-by strictly less than delta and a chain started at theta stays within
-k*delta of it after k steps.
+step=partial(surrogate_step, delta=...). The truncation radius delta is a
+number: a drawn xi is zeroed when its norm reaches delta*sqrt(n), so each
+step moves the state by strictly less than delta and a chain started at
+theta stays within k*delta of it after k steps. delta = inf turns
+truncation off; delta = 0 zeroes every draw and freezes the chain.
 
 Truncation here is per draw, on the norm of xi at the current state. An
 alternative rule would condition on the sup of the noise process over all
@@ -20,27 +21,10 @@ truncation probability is negligible by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bootstrap, functionals, models
-
-
-@dataclass(frozen=True)
-class TruncationRule:
-    """Zero a drawn xi(theta) when ||xi(theta)|| >= delta * sqrt(n)."""
-
-    delta: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.delta > 0 and self.n >= 1):
-            raise ValueError("need delta > 0 and n >= 1")
-
-    @property
-    def threshold(self) -> float:
-        return self.delta * math.sqrt(self.n)
 
 
 def default_delta(model, theta, n: int) -> float:
@@ -50,16 +34,14 @@ def default_delta(model, theta, n: int) -> float:
     return 3.0 * math.sqrt(tr / n)
 
 
-def _truncate(xi: np.ndarray, trunc: TruncationRule | None) -> np.ndarray:
-    if trunc is None:
-        return xi
-    norms = np.linalg.norm(xi, axis=-1)
-    return np.where((norms >= trunc.threshold)[..., None], 0.0, xi)
-
-
-def surrogate_step(model, states, n: int, rng, trunc: TruncationRule | None = None) -> np.ndarray:
-    """One surrogate step for a block of states: states + trunc(xi(states))/sqrt(n)."""
-    return states + _truncate(models.sample_xi_block(model, states, rng), trunc) / math.sqrt(n)
+def surrogate_step(model, states, n: int, rng, delta: float = math.inf) -> np.ndarray:
+    """One surrogate step for a block of states: states + xi(states)/sqrt(n),
+    each xi zeroed where ||xi|| >= delta sqrt(n). delta = inf turns
+    truncation off; delta = 0 zeroes every draw and so freezes the chain."""
+    xi = models.sample_xi_block(model, states, rng)
+    if delta < math.inf:
+        xi = np.where((np.linalg.norm(xi, axis=-1) >= delta * math.sqrt(n))[..., None], 0.0, xi)
+    return states + xi / math.sqrt(n)
 
 
 def sigma_f(model, f, theta) -> float:

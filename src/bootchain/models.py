@@ -15,18 +15,25 @@ sqrt(n)(theta_hat - theta). For the exponential families that is the
 inverse Fisher information Psi'(theta)^{-1} (Psi the mean map), not
 Psi'(theta) itself, the covariance of sqrt(n)(Xbar - Psi(theta)).
 
+Every noise tag, independent-components driver or location noise, lives in
+one table of unit-variance drivers (_DRIVERS). A location noise is a
+standardized driver times diag(scale * sd), sd its standard deviation at
+unit scale, which is its model's factor L; independent components apply
+their factor to the drivers the same way. So both families take one path
+through sample_data and estimate_block: theta + L(theta) (driver draws),
+averaged, or theta + L(theta) (driver means).
+
 Besides the per-replicate operations (sample_data / estimate / sigma) this
 module exposes vectorized kernels, estimate_block and sample_xi_block, that
 step many parameter rows at once; a single row is a block with one row.
 Every estimator here sees the data only through its sample mean, so
 estimate_block draws that mean from the exact law of a sum of n draws
 wherever one exists: Binomial for Rademacher sums, Gamma for exponential
-sums, a difference of two Gamma(n, 1) sums for Laplace noise
-(Laplace(b) = b (E - E') with E, E' independent Exp(1)), Poisson
+sums, a difference of two Gamma(n, 1) sums for Laplace noise, Poisson
 additivity, and exact normal means. Those kernels cost O(1) per cell and
 are equal in law to drawing n raw observations per row and averaging.
-Logistic location noise and uniform component drivers have no closed sum
-law; they are the only kernels left that make n raw draws per cell. Rows
+Logistic and uniform drivers have no closed sum law; they are the only
+kernels left that make n raw draws per cell (_chunked_raw_mean). Rows
 whose state left the sampling domain come back as NaN and are counted by
 the callers.
 """
@@ -119,65 +126,45 @@ class DiagTanhMap(ScalingMap):
 
 
 # ---------------------------------------------------------------------------
-# noise registries
-
-# independent-components drivers eta_j: closed-form mean 0, variance 1
-IC_NOISE_TAGS = ("rademacher", "uniform", "centered_exponential", "gaussian")
+# noise drivers
 
 _SQRT3 = math.sqrt(3.0)
+_SQRT_HALF = math.sqrt(0.5)
+_LOGISTIC_SCALE = _SQRT3 / math.pi  # logistic(s) has variance pi^2 s^2 / 3
 
-# location-model noises: variance per unit scale
-LOCATION_NOISE_TAGS = ("laplace", "logistic", "gaussian")
-LOCATION_VARIANCE = {
-    "laplace": lambda b: 2.0 * b**2,
-    "logistic": lambda s: (math.pi**2 / 3.0) * s**2,
-    "gaussian": lambda s: s**2,
+
+def _laplace_mean(rng, n: int, size) -> np.ndarray:
+    # Laplace(b) = b (E - E') with E, E' independent Exp(1), so a sum of n
+    # is b (Gamma(n, 1) - Gamma(n, 1)')
+    g = rng.standard_gamma(float(n), (2, *size))
+    return (g[0] - g[1]) * (_SQRT_HALF / n)
+
+
+# every noise tag -> (raw draw(rng, size), exact law of the mean of n draws
+# (rng, n, size), or None where no closed sum law exists); every driver has
+# mean 0 and variance 1
+_DRIVERS = {
+    "rademacher": (
+        lambda rng, size: 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0,
+        lambda rng, n, size: (2.0 * rng.binomial(n, 0.5, size=size) - n) / n,
+    ),
+    "uniform": (lambda rng, size: rng.uniform(-_SQRT3, _SQRT3, size=size), None),
+    "centered_exponential": (
+        lambda rng, size: rng.standard_exponential(size=size) - 1.0,
+        lambda rng, n, size: rng.gamma(float(n), 1.0, size=size) / n - 1.0,
+    ),
+    "gaussian": (
+        lambda rng, size: rng.standard_normal(size=size),
+        lambda rng, n, size: rng.standard_normal(size=size) / math.sqrt(n),
+    ),
+    "laplace": (lambda rng, size: rng.laplace(0.0, _SQRT_HALF, size=size), _laplace_mean),
+    "logistic": (lambda rng, size: rng.logistic(0.0, _LOGISTIC_SCALE, size=size), None),
 }
 
-
-def _draw_ic_noise(tag: str, rng, size) -> np.ndarray:
-    if tag == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
-    if tag == "uniform":
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
-    if tag == "centered_exponential":
-        return rng.standard_exponential(size=size) - 1.0
-    if tag == "gaussian":
-        return rng.standard_normal(size=size)
-    raise ValueError(f"unknown component noise {tag!r}")
-
-
-def _draw_ic_mean(tag: str, rng, n: int, size) -> np.ndarray:
-    """Mean of n i.i.d. driver draws, via sum-closed families where they exist."""
-    if tag == "rademacher":
-        return (2.0 * rng.binomial(n, 0.5, size=size) - n) / n
-    if tag == "centered_exponential":
-        return rng.gamma(float(n), 1.0, size=size) / n - 1.0
-    if tag == "gaussian":
-        return rng.standard_normal(size=size) / math.sqrt(n)
-    if tag == "uniform":
-        return _chunked_raw_mean(lambda r, s: _draw_ic_noise("uniform", r, s), rng, n, size)
-    raise ValueError(f"unknown component noise {tag!r}")
-
-
-def _draw_location_noise(tag: str, scale: float, rng, size) -> np.ndarray:
-    if tag == "laplace":
-        return rng.laplace(0.0, scale, size=size)
-    if tag == "logistic":
-        return rng.logistic(0.0, scale, size=size)
-    if tag == "gaussian":
-        return scale * rng.standard_normal(size=size)
-    raise ValueError(f"unknown location noise {tag!r}")
-
-
-def _draw_location_mean(tag: str, scale: float, rng, n: int, size) -> np.ndarray:
-    """Mean of n i.i.d. noise draws; logistic has no closed sum law."""
-    if tag == "gaussian":
-        return scale * rng.standard_normal(size=size) / math.sqrt(n)
-    if tag == "laplace":
-        g = rng.standard_gamma(float(n), size=(2,) + tuple(size))
-        return scale * (g[0] - g[1]) / n
-    return _chunked_raw_mean(lambda r, s: _draw_location_noise(tag, scale, r, s), rng, n, size)
+IC_NOISE_TAGS = ("rademacher", "uniform", "centered_exponential", "gaussian")
+# location noise = scale * sd * driver, sd the noise's standard deviation at unit scale
+LOCATION_NOISE_TAGS = ("laplace", "logistic", "gaussian")
+_LOCATION_SD = {"laplace": math.sqrt(2.0), "logistic": math.pi / _SQRT3, "gaussian": 1.0}
 
 
 def _chunked_raw_mean(draw, rng, n: int, size) -> np.ndarray:
@@ -275,8 +262,8 @@ class ExponentialFamily:
         if self.family == "gaussian_mean":
             base = self.base if self.base is not None else 1.0
             v = np.broadcast_to(np.atleast_1d(np.asarray(base, dtype=float)), (self.dim,)).copy()
-            if not np.all(v > 0):
-                raise ValueError("gaussian_mean base variances must be positive")
+            if not np.all(np.isfinite(v) & (v > 0)):
+                raise ValueError("gaussian_mean base variances must be finite and positive")
             object.__setattr__(self, "base", v)
         elif self.base is not None:
             raise ValueError("poisson_product takes no base parameters")
@@ -300,8 +287,8 @@ class LogConcaveLocation:
         tags = _normalize_tags(self.noise_dist, self.dim, LOCATION_NOISE_TAGS)
         object.__setattr__(self, "noise_dist", tags)
         s = np.broadcast_to(np.atleast_1d(np.asarray(self.scale, dtype=float)), (self.dim,)).copy()
-        if not np.all(s > 0):
-            raise ValueError("noise scales must be positive")
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError("noise scales must be finite and positive")
         object.__setattr__(self, "scale", s)
 
 
@@ -352,8 +339,8 @@ def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
             return np.exp(-0.5 * thetas) * v
         return v / np.sqrt(model.base)
     if isinstance(model, LogConcaveLocation):
-        var = [LOCATION_VARIANCE[t](s) for t, s in zip(model.noise_dist, model.scale)]
-        return np.sqrt(var) * v
+        sd = np.array([_LOCATION_SD[t] for t in model.noise_dist])
+        return model.scale * sd * v
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -377,10 +364,10 @@ def sample_data(model: Model, theta, n: int, rng) -> Data:
         z = rng.standard_normal(model.dim)
         return Data(n=n, mean=theta + _factor(model, theta, z) / math.sqrt(n))
 
-    if isinstance(model, IndependentComponents):
+    if isinstance(model, (IndependentComponents, LogConcaveLocation)):
         eta = np.empty((n, model.dim))
         for j, tag in enumerate(model.noise_dist):
-            eta[:, j] = _draw_ic_noise(tag, rng, n)
+            eta[:, j] = _DRIVERS[tag][0](rng, n)
         return Data(n=n, mean=(theta + _factor(model, theta, eta)).mean(axis=0))
 
     if isinstance(model, ExponentialFamily):
@@ -393,13 +380,6 @@ def sample_data(model: Model, theta, n: int, rng) -> Data:
         else:
             mu = model.base * theta
             draws = mu + np.sqrt(model.base) * rng.standard_normal((n, model.dim))
-        return Data(n=n, mean=draws.mean(axis=0))
-
-    if isinstance(model, LogConcaveLocation):
-        eta = np.empty((n, model.dim))
-        for j, (tag, s) in enumerate(zip(model.noise_dist, model.scale)):
-            eta[:, j] = _draw_location_noise(tag, s, rng, n)
-        draws = theta + eta
         return Data(n=n, mean=draws.mean(axis=0))
 
     raise TypeError(f"unknown model type {type(model).__name__}")
@@ -441,10 +421,11 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
         z = rng.standard_normal((m, d))
         return thetas + _factor(model, thetas, z) / math.sqrt(n)
 
-    if isinstance(model, IndependentComponents):
+    if isinstance(model, (IndependentComponents, LogConcaveLocation)):
         etabar = np.empty((m, d))
         for j, tag in enumerate(model.noise_dist):
-            etabar[:, j] = _draw_ic_mean(tag, rng, n, (m,))
+            raw, mean = _DRIVERS[tag]
+            etabar[:, j] = _chunked_raw_mean(raw, rng, n, (m,)) if mean is None else mean(rng, n, (m,))
         return thetas + _factor(model, thetas, etabar)
 
     if isinstance(model, ExponentialFamily):
@@ -459,12 +440,6 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
         if np.any(ok):
             out[ok] = _mle_from_mean(model, rng.poisson(lam[ok]) / n)
         return out
-
-    if isinstance(model, LogConcaveLocation):
-        noise = np.empty((m, d))
-        for j, (tag, s) in enumerate(zip(model.noise_dist, model.scale)):
-            noise[:, j] = _draw_location_mean(tag, s, rng, n, (m,))
-        return thetas + noise
 
     raise TypeError(f"unknown model type {type(model).__name__}")
 

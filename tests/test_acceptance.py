@@ -194,10 +194,9 @@ def test_c7_surrogate_equivalence():
         assert w1 <= 0.01 + 3.0 * se
 
         delta = gaussian.default_delta(model, theta, n)
-        trunc = gaussian.TruncationRule(delta=delta, n=n)
         states = bootstrap.simulate_chain_block(
             model, theta, 3, n, 10_000, exp.derive_stream(1007, 2, 0),
-            partial(gaussian.surrogate_step, trunc=trunc),
+            partial(gaussian.surrogate_step, delta=delta),
         )
         for j in range(4):
             assert np.all(np.linalg.norm(states[j] - theta, axis=1) <= j * delta)

@@ -97,6 +97,11 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
         {"compare": {"plugin": "yes"}},
         {"kind": "nope"},
         {"delta": -1.0},
+        {"delta": math.nan},
+        {"theta": [math.nan, 0.0]},
+        {"functional": {"variant": "linear", "u": [math.nan, 0.0]}},
+        {"model": {"variant": "log_concave_location", "scale": math.inf}},
+        {"model": {"variant": "exponential_family", "family": "gaussian_mean", "base": math.inf}},
         {"outputs": {"csv": ""}},
         {"sigma0": 1e-6},
     ):
@@ -217,6 +222,27 @@ def test_threads_env_var_honored(tmp_path, monkeypatch):
     doc = dict(MINIMAL_RISK, outputs={"csv": "env.csv"})
     assert cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "env.csv").exists()
+
+
+def test_malformed_threads_env_var_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.THREADS_ENV, "abc")
+    assert cli.main(["run", str(write_cfg(tmp_path, MINIMAL_RISK))]) == 2
+    err = capsys.readouterr().err
+    assert cli.THREADS_ENV in err and len(err.splitlines()) == 1
+
+
+def test_zero_noise_surrogate_run_has_zero_bias(tmp_path):
+    # default delta = 3 sqrt(tr Sigma / n) = 0: surrogate and bootstrap chains
+    # both stay at theta_hat = theta, so both rows read the same rounding-level bias
+    model = {"variant": "gaussian_shift", "noise": {"kind": "identity", "scale": 0}}
+    rows = []
+    for tilde in (False, True):
+        doc = dict(MINIMAL_RISK, model=model, compare={"tilde": tilde}, outputs={"csv": "z.csv"})
+        assert cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)]) == 0
+        rows.append((tmp_path / "z.csv").read_text())
+    assert rows[1] == rows[0]
+    (row,) = cli.read_results_csv(tmp_path / "z.csv")
+    assert abs(row["bias"]) <= 1e-15 and row["aborts"] == 0
 
 
 def test_clt_run_reports_distances_in_json(tmp_path):

@@ -415,8 +415,7 @@ def _shift_step(model, n, use_tilde):
     if not use_tilde:
         return None
     theta = exp.unit_sin_theta(model.dim)
-    trunc = gaussian.TruncationRule(gaussian.default_delta(model, theta, n), n)
-    return partial(gaussian.surrogate_step, trunc=trunc)
+    return partial(gaussian.surrogate_step, delta=gaussian.default_delta(model, theta, n))
 
 
 def _orders_passes(k):

@@ -11,9 +11,8 @@ from bootchain.experiments import derive_stream, unit_sin_theta
 def test_tiny_delta_freezes_chain():
     model = models.GaussianShift(dim=3)
     theta = unit_sin_theta(3)
-    trunc = gaussian.TruncationRule(delta=1e-12, n=100)
     rng = derive_stream(301, 0, 0)
-    step = partial(gaussian.surrogate_step, trunc=trunc)
+    step = partial(gaussian.surrogate_step, delta=1e-12)
     states = bootstrap.simulate_chain_block(model, theta, 5, 100, 1, rng, step)
     assert np.array_equal(states[:, 0], np.broadcast_to(theta, (6, 3)))
 
@@ -23,9 +22,8 @@ def test_truncated_chain_containment_hard():
     theta = unit_sin_theta(3)
     n, k, m = 100, 3, 10_000
     delta = 0.18  # threshold near the median noise norm so truncation fires
-    trunc = gaussian.TruncationRule(delta=delta, n=n)
     rng = derive_stream(302, 0, 0)
-    step = partial(gaussian.surrogate_step, trunc=trunc)
+    step = partial(gaussian.surrogate_step, delta=delta)
     states = bootstrap.simulate_chain_block(model, theta, k, n, m, rng, step)
     fired = False
     for j in range(k + 1):
@@ -115,7 +113,7 @@ def test_total_truncation_returns_plugin_value():
     theta_hat = unit_sin_theta(3) * 1.3
     f = functionals.exp_linear(np.array([0.2, 0.1, -0.4]))
     rng = derive_stream(307, 0, 0)
-    step = partial(gaussian.surrogate_step, trunc=gaussian.TruncationRule(1e-12, 100))
+    step = partial(gaussian.surrogate_step, delta=1e-12)
     got = bootstrap.fk_estimate_at(model, f, theta_hat, (3,), 100, 200, rng, step)[0]
     # frozen chain: sum_i v_i f(theta_hat) = f(theta_hat) since sum v_i = 1
     assert got == pytest.approx(functionals.value(f, theta_hat), rel=1e-12)
@@ -169,10 +167,6 @@ def test_default_delta_formula():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        gaussian.TruncationRule(delta=0.0, n=10)
-    with pytest.raises(ValueError):
-        gaussian.TruncationRule(delta=1.0, n=0)
     model = models.GaussianShift(dim=2)
     with pytest.raises(ValueError):
         gaussian.superposition_block(model, np.zeros(2), (0, 2), 50, 3, derive_stream(312, 0, 0))

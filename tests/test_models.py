@@ -169,6 +169,16 @@ def test_estimator_consistency_median_decreasing(model):
             50,
             id="ic",
         ),
+        pytest.param(
+            models.IndependentComponents(
+                dim=3,
+                noise_dist=("uniform", "rademacher", "uniform"),
+                noise_map=models.DiagTanhMap(a=np.array([1.5, 2.0, 1.0]), b=np.array([0.5, -0.5, 0.0])),
+            ),
+            [0.2, -0.1, 0.4],
+            50,
+            id="ic_uniform",
+        ),
         # n e^theta >= 1213: the delta-method error is well inside the band
         pytest.param(
             models.ExponentialFamily(dim=3, family="poisson_product"), [-0.5, 0.0, 1.0], 2000, id="poisson"
@@ -244,7 +254,13 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         models.LogConcaveLocation(dim=2, noise_dist="laplace", scale=0.0)
     with pytest.raises(ValueError):
+        models.LogConcaveLocation(dim=2, noise_dist="laplace", scale=math.inf)
+    with pytest.raises(ValueError):
+        models.LogConcaveLocation(dim=2, noise_dist="rademacher")  # an IC driver only
+    with pytest.raises(ValueError):
         models.ExponentialFamily(dim=2, family="gaussian_mean", base=[-1.0, 1.0])
+    with pytest.raises(ValueError):
+        models.ExponentialFamily(dim=2, family="gaussian_mean", base=[math.inf, 1.0])
     with pytest.raises(ValueError):
         models.ExponentialFamily(dim=2, family="poisson_product", theta0=np.zeros(3))
     with pytest.raises(ValueError):
