@@ -47,7 +47,7 @@ def main():
             replicates=args.replicates,
             seed=args.seed,
         )
-        rows = exp.run_clt_diagnostic(cfg)
+        rows = exp.run_experiment(cfg)
         txt = "  ".join(
             f"n={s.n}: W1={s.extra['w1']:.4f} W2={s.extra['w2']:.4f}" for s in rows
         )

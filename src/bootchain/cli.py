@@ -361,15 +361,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            threads = args.threads
+            threads, source = args.threads, "--threads"
             if threads is None:
                 env = os.environ.get(THREADS_ENV, "1")
+                source = f"{THREADS_ENV} ({env!r})"
                 try:
                     threads = int(env)
                 except ValueError:
-                    raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+                    raise ConfigError(f"{source} must be an integer") from None
             if threads < 1:
-                raise ConfigError("--threads must be >= 1")
+                raise ConfigError(f"{source} must be >= 1")
             return cmd_run(args.config, args.out_dir, threads)
         if args.command == "report":
             return cmd_report(args.csv, args.svg)

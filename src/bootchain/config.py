@@ -18,8 +18,6 @@ import numpy as np
 from . import functionals, models
 from .experiments import ConfigError, ExperimentConfig, GridSpec, _grid_point, unit_sin_theta
 
-KINDS = ("risk", "normality", "clt", "sweep", "oracle-check")
-
 _TOP_KEYS = {
     "kind",
     "model",
@@ -68,7 +66,8 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
-def _as_vector(value, where: str) -> np.ndarray:
+def _as_vector(value, where: str, d: int | None = None) -> np.ndarray:
+    """A finite numeric 1-D array, of length d if d is given."""
     try:
         v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -77,7 +76,21 @@ def _as_vector(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: expected a non-empty 1-D array")
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{where}: entries must be finite")
+    if d is not None and v.size != d:
+        raise ConfigError(f"{where}: length {v.size} does not match d = {d}")
     return v
+
+
+def _as_matrix(value, where: str, d: int) -> np.ndarray:
+    """A finite d x d matrix, given as a list of d rows."""
+    if not isinstance(value, list) or len(value) != d:
+        raise ConfigError(f"{where}: expected a list of d = {d} rows")
+    return np.array([_as_vector(row, f"{where}[{i}]", d) for i, row in enumerate(value)])
+
+
+def _per_coordinate(value, where: str, d: int):
+    """A list needs one entry per coordinate; a number applies to every one."""
+    return _as_vector(value, where, d) if isinstance(value, list) else value
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +105,7 @@ def _u_rule(rule: str, d: int) -> np.ndarray:
     return unit_sin_theta(d)
 
 
-def _build_scaling_map(cfg, where: str) -> models.ScalingMap:
+def _build_scaling_map(cfg, where: str, d: int) -> models.ScalingMap:
     if cfg is None:
         return models.IdentityMap()
     _reject_unknown(cfg, {"kind", "scale", "matrix", "a", "b"}, where)
@@ -103,10 +116,12 @@ def _build_scaling_map(cfg, where: str) -> models.ScalingMap:
         return models.IdentityMap(scale=scale)
     if kind == "constant":
         _reject_unknown(cfg, {"kind", "matrix"}, where)
-        return models.ConstantMatrixMap(matrix=_require(cfg, "matrix", where))
+        matrix = _as_matrix(_require(cfg, "matrix", where), f"{where}.matrix", d)
+        return models.ConstantMatrixMap(matrix=matrix)
     if kind == "diag_tanh":
         _reject_unknown(cfg, {"kind", "a", "b"}, where)
-        return models.DiagTanhMap(a=_require(cfg, "a", where), b=_require(cfg, "b", where))
+        a, b = (_per_coordinate(_require(cfg, key, where), f"{where}.{key}", d) for key in "ab")
+        return models.DiagTanhMap(a=a, b=b)
     raise ConfigError(f"{where}.kind: unknown scaling map {kind!r}")
 
 
@@ -116,7 +131,7 @@ def build_model(cfg: dict, d: int) -> models.Model:
     try:
         if variant == "gaussian_shift":
             _reject_unknown(cfg, {"variant", "noise"}, where)
-            return models.GaussianShift(dim=d, noise_map=_build_scaling_map(cfg.get("noise"), "model.noise"))
+            return models.GaussianShift(dim=d, noise_map=_build_scaling_map(cfg.get("noise"), "model.noise", d))
         if variant == "independent_components":
             _reject_unknown(cfg, {"variant", "noise_dist", "directions", "noise"}, where)
             directions = cfg.get("directions")
@@ -124,7 +139,7 @@ def build_model(cfg: dict, d: int) -> models.Model:
                 dim=d,
                 noise_dist=cfg.get("noise_dist", "rademacher"),
                 directions=None if directions is None else np.asarray(directions, dtype=float),
-                noise_map=_build_scaling_map(cfg.get("noise"), "model.noise"),
+                noise_map=_build_scaling_map(cfg.get("noise"), "model.noise", d),
             )
         if variant == "exponential_family":
             _reject_unknown(cfg, {"variant", "family", "base", "theta0"}, where)
@@ -141,6 +156,8 @@ def build_model(cfg: dict, d: int) -> models.Model:
                 noise_dist=cfg.get("noise_dist", "laplace"),
                 scale=cfg.get("scale", 1.0),
             )
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.variant: unknown model {variant!r}")
@@ -158,10 +175,7 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
             if rule not in U_RULES:
                 raise ConfigError(f"{where}.u.rule: unknown rule {rule!r}")
             return _u_rule(rule, d)
-        v = _as_vector(u, f"{where}.u")
-        if v.size != d:
-            raise ConfigError(f"{where}.u: length {v.size} does not match d = {d}")
-        return v
+        return _as_vector(u, f"{where}.u", d)
 
     try:
         if variant == "linear":
@@ -175,13 +189,15 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
             q = cfg.get("Q")
             if q is None or q == "identity":
                 return functionals.quadratic_form(None)
-            return functionals.quadratic_form(np.asarray(q, dtype=float))
+            return functionals.quadratic_form(_as_matrix(q, f"{where}.Q", d))
         if variant == "exp_linear":
             _reject_unknown(cfg, {"variant", "u"}, where)
             return functionals.exp_linear(resolve_u())
         if variant == "radial":
             _reject_unknown(cfg, {"variant", "profile"}, where)
             return functionals.radial(_require(cfg, "profile", where))
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.variant: unknown functional {variant!r}")
@@ -207,8 +223,6 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
         _require(doc, key, "config")
 
     kind = doc["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
 
     grid_cfg = doc["grid"]
     _reject_unknown(grid_cfg, {"n", "d", "alpha"}, "grid")

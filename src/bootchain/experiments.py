@@ -1,11 +1,13 @@
 """Declarative experiment harness: risk, normality, CLT diagnostics, sweeps.
 
-Every kind takes one path through a grid point: _grid_point resolves the
-model, functional, theta (the one check of its dimension) and sigma_f, and
-_summary turns the point's error vector into its row (bias, se, sd, rmse,
-d_k, aborts, the failed flag). risk, sweep, normality and oracle-check rows
-come from one replicate pass per point; clt rows from a plug-in draw and a
-surrogate draw per point, with W1/W2 in the row's extra.
+One runner, run_experiment, serves every kind. It resolves each grid point
+once (_grid_point: the model, functional, theta, the one check of its
+dimension, and sigma_f) and checks the kind's preconditions at every point
+before any replicate runs. _summary turns a point's error vector into its
+row (bias, se, sd, rmse, d_k, aborts, the failed flag). risk, sweep,
+normality and oracle-check rows come from one replicate pass per point; clt
+rows from a plug-in draw and a surrogate draw per point, with W1/W2 in the
+row's extra.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
 B = max(1, 2^14 // (M d)) (models._BLOCK_SCALARS), and block b draws all of
@@ -36,6 +38,7 @@ import numpy as np
 
 from . import bootstrap, distances, functionals, gaussian, models
 
+KINDS = ("risk", "normality", "clt", "sweep", "oracle-check")
 MAX_SEED = 2**64
 MAX_INDEX = 2**32
 # glibc malloc caps its dynamic mmap threshold at 32 MiB; a freed mapped
@@ -137,6 +140,8 @@ class ExperimentConfig:
         elif not callable(theta):
             theta = partial(_constant, np.asarray(theta, dtype=float))
         object.__setattr__(self, "theta", theta)
+        if self.kind not in KINDS:
+            raise ConfigError(f"kind: expected one of {KINDS}, got {self.kind!r}")
         if not (0 <= self.k <= bootstrap.MAX_ORDER):
             raise ConfigError(f"k must be in [0, {bootstrap.MAX_ORDER}]")
         if self.replicates < 1 or self.inner_chains < 1:
@@ -227,16 +232,6 @@ def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.n
     return np.concatenate(parts, axis=1)
 
 
-def _chain_step(cfg: ExperimentConfig, model, theta, n: int):
-    """The chains' transition kernel at a grid point: None (the bootstrap
-    step), or the surrogate step truncated at delta (default
-    3 sqrt(tr Sigma / n); an infinite delta disables truncation)."""
-    if not cfg.use_tilde:
-        return None
-    delta = gaussian.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
-    return partial(gaussian.surrogate_step, delta=delta)
-
-
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     """(model, functional, theta, sigma_f) at grid point (n, d); the one
     check that theta has the grid's dimension."""
@@ -283,144 +278,98 @@ def _summary(
     )
 
 
-def _summarize_point(
-    cfg: ExperimentConfig, orders: tuple[int, ...], point: tuple, threads: int, pool
-) -> list[TrialSummary]:
-    """One pass of R replicates at a resolved grid point on the run's pool,
-    summarized once per order; every row shares the pass's wall time."""
-    n, d, (model, func, theta, sig_f) = point
-    f_true = float(functionals.value(func, theta))
-    step = _chain_step(cfg, model, theta, n) if max(orders) > 0 else None
-
-    t0 = time.perf_counter()
-    payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)
-    errs_by_order = _batched_errors(payload, cfg.replicates, threads, pool)
-    seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
-    return [_summary(n, d, k, errs, sig_f, seconds) for k, errs in zip(orders, errs_by_order)]
+def _check_point(cfg: ExperimentConfig, n: int, d: int, model, func, theta, sig_f) -> None:
+    """The kind's preconditions at one resolved grid point."""
+    if cfg.kind == "normality" and not sig_f >= SIGMA_F_FLOOR:
+        raise ConfigError(f"sigma_f = {sig_f:g} below the {SIGMA_F_FLOOR:g} floor at (n={n}, d={d})")
+    if cfg.kind == "clt" and func.variant != "linear":
+        raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
+    if cfg.kind == "oracle-check":
+        shift = isinstance(model, models.GaussianShift)
+        if not (shift and isinstance(model.noise_map, models.IdentityMap)):
+            raise ConfigError("oracle check needs the shift model with Sigma = sigma^2 I")
+        if func.variant != "exp_linear":
+            raise ConfigError("oracle check needs the exp_linear functional")
 
 
-def _summarize_points(
-    cfg: ExperimentConfig, orders: tuple[int, ...], threads: int
-) -> list[TrialSummary]:
-    """Every grid point's pass in grid order, on one worker pool for the
-    whole run; its workers start on the first pass that splits. Every point
-    is resolved, and a normality run's sigma_f floor checked, before any
-    replicate runs."""
-    points = [(n, d, _grid_point(cfg, n, d)) for n, d in cfg.grid.points()]
-    for n, d, (*_, sig_f) in points:
-        if cfg.kind == "normality" and not sig_f >= SIGMA_F_FLOOR:
-            raise ConfigError(
-                f"sigma_f = {sig_f:g} below the {SIGMA_F_FLOOR:g} floor at (n={n}, d={d})"
-            )
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        return [
-            row for point in points for row in _summarize_point(cfg, orders, point, threads, pool)
-        ]
-
-
-def run_risk_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
-    """R replicates per grid point: draw data, compute the order-k corrected
-    estimate, record the error against f(theta). With compare_plugin set, a
-    k=0 row accompanies each grid point, folded from the same replicates.
-    A normality config is rejected where sigma_f falls below SIGMA_F_FLOOR."""
-    orders = (0, cfg.k) if cfg.compare_plugin and cfg.k > 0 else (cfg.k,)
-    return _summarize_points(cfg, orders, threads)
-
-
-# a normality run's headline d_k standardizes the errors by sigma_f(theta)
-run_normality_experiment = run_risk_experiment
-
-
-def run_clt_diagnostic(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
+def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta, sig_u):
     """W1/W2 between the u-projections of sqrt(n)(theta_hat - theta) and of
-    the surrogate xi(theta), per grid point.
+    the surrogate xi(theta) at grid point gi, drawn vectorized over the
+    replicates from the point's own streams (on no pool). The CSV-shaped
+    fields describe the plug-in error of the linear functional <u, .>; the
+    distances live in extra["w1"], extra["w2"]."""
+    t0 = time.perf_counter()
+    block = np.broadcast_to(theta, (cfg.replicates, d))
+    theta_hat = models.estimate_block(model, block, n, derive_stream(cfg.seed, gi, 0))
+    dev = math.sqrt(n) * ((theta_hat - theta) @ func.u)
+    xi_proj = models.sample_xi_block(model, block, derive_stream(cfg.seed, gi, 1)) @ func.u
 
-    The run is vectorized over replicates with per-grid-point streams, so it
-    is deterministic independently of the thread count (threads unused). The
-    CSV-shaped fields describe the plug-in error of the linear functional
-    <u, .>; the distances live in extra["w1"], extra["w2"].
-    """
-    out = []
-    for gi, (n, d) in enumerate(cfg.grid.points()):
-        model, func, theta, sig_u = _grid_point(cfg, n, d)
-        if func.variant != "linear":
-            raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
-        t0 = time.perf_counter()
-        block = np.broadcast_to(theta, (cfg.replicates, d))
-        theta_hat = models.estimate_block(model, block, n, derive_stream(cfg.seed, gi, 0))
-        dev = math.sqrt(n) * ((theta_hat - theta) @ func.u)
-        xi_proj = models.sample_xi_block(model, block, derive_stream(cfg.seed, gi, 1)) @ func.u
-
-        good = np.isfinite(dev)
-        extra = {}
-        if good.sum() >= 2:  # else _summary marks the row failed
-            w1 = distances.wasserstein1(dev[good], xi_proj[good])
-            w2 = distances.wasserstein2(dev[good], xi_proj[good])
-            if not w1 <= w2 + 1e-12:
-                raise bootstrap.EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
-            extra = {"w1": w1, "w2": w2}
-        seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
-        summ = _summary(n, d, 0, dev / math.sqrt(n), sig_u, seconds, dev=dev)
-        summ.extra = extra
-        out.append(summ)
-    return out
+    good = np.isfinite(dev)
+    extra = {}
+    if good.sum() >= 2:  # else _summary marks the row failed
+        w1 = distances.wasserstein1(dev[good], xi_proj[good])
+        w2 = distances.wasserstein2(dev[good], xi_proj[good])
+        if not w1 <= w2 + 1e-12:
+            raise bootstrap.EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
+        extra = {"w1": w1, "w2": w2}
+    seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
+    summ = _summary(n, d, 0, dev / math.sqrt(n), sig_u, seconds, dev=dev)
+    summ.extra = extra
+    return summ
 
 
-def run_oracle_check(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
-    """Measured bias of the corrected estimator vs the closed-form oracle for
-    f = exp(<., u>) under the constant-isotropic shift model, one row per
-    order 0..k, all folded from one pass of replicates per grid point. A row
-    passes iff |bias - signed target| <= 4 se_bias; extra carries the target,
-    the z-score (bias - signed target) / se_bias and the verdict."""
-    model, func, _, _ = _grid_point(cfg, *cfg.grid.points()[0])
-    if not (
-        isinstance(model, models.GaussianShift)
-        and isinstance(model.noise_map, models.IdentityMap)
-    ):
-        raise ConfigError("oracle check needs the shift model with Sigma = sigma^2 I")
-    if func.variant != "exp_linear":
-        raise ConfigError("oracle check needs the exp_linear functional")
-    sigma2 = model.noise_map.scale**2
-
-    out = _summarize_points(cfg, tuple(range(cfg.k + 1)), threads)
-    for summ in out:
-        _, func, theta, _ = _grid_point(cfg, summ.n, summ.d)
-        target = bootstrap.bias_oracle_exp(theta, func.u, sigma2, summ.n, summ.k)
-        signed = (-1) ** summ.k * target
-        ok = summ.se_bias > 0 and abs(summ.bias - signed) <= 4.0 * summ.se_bias
-        z = (summ.bias - signed) / summ.se_bias if summ.se_bias > 0 else math.nan
-        summ.extra.update(
-            {
-                "oracle_bias": target,
-                "oracle_bias_signed": signed,
-                "oracle_z": z,
-                "oracle_pass": bool(ok),
-            }
-        )
-        summ.failed = summ.failed or not ok
-    return out
+def _oracle_verdict(summ: TrialSummary, model, func, theta) -> None:
+    """Checks a row's bias against the closed-form oracle for f = exp(<., u>)
+    under the isotropic shift: the row passes iff |bias - signed target| <=
+    4 se_bias. extra gets the target, the z-score and the verdict."""
+    target = bootstrap.bias_oracle_exp(theta, func.u, model.noise_map.scale**2, summ.n, summ.k)
+    signed = (-1) ** summ.k * target
+    ok = summ.se_bias > 0 and abs(summ.bias - signed) <= 4.0 * summ.se_bias
+    z = (summ.bias - signed) / summ.se_bias if summ.se_bias > 0 else math.nan
+    summ.extra.update(
+        oracle_bias=target, oracle_bias_signed=signed, oracle_z=z, oracle_pass=bool(ok)
+    )
+    summ.failed = summ.failed or not ok
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
-    """Dispatch on cfg.kind; "sweep" is a risk run plus a rate fit stored in
-    the final row's extra."""
-    if cfg.kind in ("risk", "sweep"):
-        out = run_risk_experiment(cfg, threads=threads)
-        if cfg.kind == "sweep":
-            rows = [s for s in out if s.k == cfg.k and not s.failed and s.rmse > 0]
-            if len(rows) >= 3:
-                slope, intercept, r2 = rate_fit(
-                    [s.n for s in rows], [s.rmse for s in rows]
-                )
-                out[-1].extra.update({"slope": slope, "intercept": intercept, "r2": r2})
-        return out
-    if cfg.kind == "normality":
-        return run_normality_experiment(cfg, threads=threads)
+    """Every grid point's rows, in grid order. A clt point gives one _clt_row;
+    any other kind runs one pass of R replicates per point on one worker
+    pool for the whole run (its workers start on the first pass that
+    splits), summarized once per order, each row with the pass's wall time:
+    (k,), (0, k) with compare_plugin, or 0..k with oracle verdicts for
+    oracle-check. A sweep's final row gets the rate fit of its order-k rows."""
+    points = [(n, d, *_grid_point(cfg, n, d)) for n, d in cfg.grid.points()]
+    for point in points:
+        _check_point(cfg, *point)
     if cfg.kind == "clt":
-        return run_clt_diagnostic(cfg, threads=threads)
+        return [_clt_row(cfg, gi, *point) for gi, point in enumerate(points)]
+    orders = (0, cfg.k) if cfg.compare_plugin and cfg.k > 0 else (cfg.k,)
     if cfg.kind == "oracle-check":
-        return run_oracle_check(cfg, threads=threads)
-    raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+        orders = tuple(range(cfg.k + 1))
+
+    out = []
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for n, d, model, func, theta, sig_f in points:
+            f_true = float(functionals.value(func, theta))
+            step = None  # the bootstrap step, or the surrogate step truncated at delta
+            if cfg.use_tilde and max(orders) > 0:
+                delta = gaussian.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
+                step = partial(gaussian.surrogate_step, delta=delta)
+            t0 = time.perf_counter()
+            payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)
+            errs_by_order = _batched_errors(payload, cfg.replicates, threads, pool)
+            seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
+            for k, errs in zip(orders, errs_by_order):
+                out.append(_summary(n, d, k, errs, sig_f, seconds))
+                if cfg.kind == "oracle-check":
+                    _oracle_verdict(out[-1], model, func, theta)
+    if cfg.kind == "sweep":
+        rows = [s for s in out if s.k == cfg.k and not s.failed and s.rmse > 0]
+        if len(rows) >= 3:
+            slope, intercept, r2 = rate_fit([s.n for s in rows], [s.rmse for s in rows])
+            out[-1].extra.update({"slope": slope, "intercept": intercept, "r2": r2})
+    return out
 
 
 def rate_fit(ns, rmses) -> tuple[float, float, float]:

@@ -83,18 +83,18 @@ def test_c3_exact_debiasing_battery():
     with criterion("C3 exact-debiasing battery"):
         u = exp.unit_sin_theta(5)
 
-        plugin, quad = exp.run_risk_experiment(
+        plugin, quad = exp.run_experiment(
             _battery_cfg(functionals.quadratic_form(), 1, seed=1003)
         )
         assert abs(quad.bias) <= 4.0 * quad.se_bias  # quadratic, k=1
         assert abs(plugin.bias - 0.05) <= 0.1 * 0.05  # plug-in bias = d/n
 
-        (cubic,) = exp.run_risk_experiment(
+        (cubic,) = exp.run_experiment(
             _battery_cfg(functionals.power(u, 3), 1, seed=1013, compare_plugin=False)
         )
         assert abs(cubic.bias) <= 4.0 * cubic.se_bias  # cubic, k=1
 
-        (quartic,) = exp.run_risk_experiment(
+        (quartic,) = exp.run_experiment(
             _battery_cfg(functionals.power(u, 4), 2, seed=1023, compare_plugin=False)
         )
         assert abs(quartic.bias) <= 4.0 * quartic.se_bias  # quartic, k=2
@@ -116,7 +116,7 @@ def test_c4_exponential_bias_oracle():
             replicates=100_000,
             seed=1004,
         )
-        row0, row1 = exp.run_oracle_check(cfg)
+        row0, row1 = exp.run_experiment(cfg)
         assert row0.extra["oracle_bias"] == pytest.approx(EXPM1_A, rel=1e-12)
         assert row1.extra["oracle_bias"] == pytest.approx(EXPM1_A_SQ, rel=1e-12)
         assert abs(row0.bias - EXPM1_A) <= 4.0 * row0.se_bias
@@ -137,7 +137,7 @@ def test_c5_normal_approximation_at_desk_scale():
             replicates=5000,
             seed=1005,
         )
-        (s,) = exp.run_normality_experiment(cfg)
+        (s,) = exp.run_experiment(cfg)
         assert s.sigma_f == pytest.approx(2.0)
         assert s.d_k <= 0.05
 
@@ -242,7 +242,7 @@ def test_c9_clt_diagnostics():
             replicates=20_000,
             seed=1009,
         )
-        rows = exp.run_clt_diagnostic(cfg)
+        rows = exp.run_experiment(cfg)
         w2 = [s.extra["w2"] for s in rows]
         inversions = sum(w2[i + 1] >= w2[i] for i in range(len(w2) - 1))
         assert inversions <= 1

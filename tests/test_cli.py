@@ -23,6 +23,8 @@ MINIMAL_RISK = {
     "seed": 7,
     "timing": "none",
 }
+D3 = {"n": [50], "d": 3}
+I2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -104,15 +106,62 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
         {"model": {"variant": "exponential_family", "family": "gaussian_mean", "base": math.inf}},
         {"outputs": {"csv": ""}},
         {"sigma0": 1e-6},
+        {"functional": {"variant": "quadratic_form", "Q": I2}, "grid": D3},
+        {"functional": {"variant": "quadratic_form", "Q": [[math.nan, 0.0], [0.0, 1.0]]}},
+        {"model": {"variant": "gaussian_shift", "noise": {"kind": "constant", "matrix": I2}}, "grid": D3},
+        {
+            "model": {"variant": "gaussian_shift", "noise": {"kind": "diag_tanh", "a": [1.0, 1.0], "b": 0.5}},
+            "grid": D3,
+        },
     ):
         doc = dict(MINIMAL_RISK, **patch)
         assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2, patch
 
 
+def test_config_errors_name_their_field_once(tmp_path, capsys):
+    for line, patch in {
+        "error: functional.u: length 2 does not match d = 3": dict(
+            functional={"variant": "linear", "u": [1.0, 0.0]}, grid=D3
+        ),
+        "error: model.noise.kind: unknown scaling map 'bogus'": dict(
+            model={"variant": "gaussian_shift", "noise": {"kind": "bogus"}}
+        ),
+    }.items():
+        assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, **patch)))]) == 2
+        assert capsys.readouterr().err == line + "\n"
+
+
+def test_sweep_matrix_of_the_wrong_size_fails_before_any_replicate(tmp_path, monkeypatch, capsys):
+    # the load-time probe sees d = 2, where the matrix fits; the grid reaches d = 10
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a replicate pass ran before every grid point was resolved")
+
+    monkeypatch.setattr(experiments, "_batched_errors", no_pass)
+    doc = dict(
+        MINIMAL_RISK,
+        kind="sweep",
+        model={"variant": "gaussian_shift", "noise": {"kind": "constant", "matrix": I2}},
+        grid={"n": [4, 100, 400], "alpha": 0.38},  # d = 2, 6, 10
+    )
+    assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err.startswith("error: model.noise.matrix: ")
+
+
+def test_diag_tanh_scalars_fit_every_dimension(tmp_path):
+    noise = {"kind": "diag_tanh", "a": 1.0, "b": 0.5}
+    doc = dict(
+        MINIMAL_RISK,
+        kind="sweep",
+        model={"variant": "gaussian_shift", "noise": noise},
+        grid={"n": [4, 100, 400], "alpha": 0.38},
+    )
+    assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 0
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_config_parses(path):
     cfg, outputs = config.load_config(path)
-    assert cfg.kind in config.KINDS and outputs
+    assert cfg.kind in experiments.KINDS and outputs
 
 
 def test_failed_grid_point_exits_3(tmp_path):
@@ -229,6 +278,12 @@ def test_malformed_threads_env_var_exits_2(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(write_cfg(tmp_path, MINIMAL_RISK))]) == 2
     err = capsys.readouterr().err
     assert cli.THREADS_ENV in err and len(err.splitlines()) == 1
+
+
+def test_threads_env_var_below_one_names_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.THREADS_ENV, "0")
+    assert cli.main(["run", str(write_cfg(tmp_path, MINIMAL_RISK))]) == 2
+    assert capsys.readouterr().err == f"error: {cli.THREADS_ENV} ('0') must be >= 1\n"
 
 
 def test_zero_noise_surrogate_run_has_zero_bias(tmp_path):

@@ -101,7 +101,7 @@ def test_risk_plugin_linear_matches_normal_theory():
         replicates=4000,
         grid=exp.GridSpec(n_values=(400,), d_fixed=3),
     )
-    (s,) = exp.run_risk_experiment(cfg)
+    (s,) = exp.run_experiment(cfg)
     assert abs(s.bias) <= 4.0 * s.se_bias
     assert abs(s.sqrt_n_rmse - 1.0) <= 0.05  # sigma_f = ||u|| = 1
     assert s.sigma_f == pytest.approx(1.0)
@@ -116,7 +116,7 @@ def test_risk_corrected_quadratic_unbiased():
         grid=exp.GridSpec(n_values=(100,), d_fixed=5),
         model=models.GaussianShift(dim=5),
     )
-    (s,) = exp.run_risk_experiment(cfg)
+    (s,) = exp.run_experiment(cfg)
     assert abs(s.bias) <= 4.0 * s.se_bias
 
 
@@ -130,23 +130,23 @@ def test_plugin_quadratic_bias_tracks_trace_over_n():
         model=models.GaussianShift(dim=d),
         grid=exp.GridSpec(n_values=(n,), alpha=0.8),
     )
-    (s,) = exp.run_risk_experiment(cfg)
+    (s,) = exp.run_experiment(cfg)
     assert s.d == d
     assert abs(s.bias - d / n) <= 0.1 * d / n
 
 
 def test_rmse_self_consistency():
     cfg = small_cfg(replicates=500)
-    (s,) = exp.run_risk_experiment(cfg)
+    (s,) = exp.run_experiment(cfg)
     r = cfg.replicates - s.aborts
     assert s.rmse**2 == pytest.approx(s.bias**2 + s.sd**2 * (r - 1) / r, abs=1e-10)
 
 
 def test_determinism_same_seed_and_thread_invariance():
     cfg = small_cfg(replicates=300, timing="none")
-    first = exp.run_risk_experiment(cfg)
-    second = exp.run_risk_experiment(cfg)
-    pooled = exp.run_risk_experiment(cfg, threads=2)
+    first = exp.run_experiment(cfg)
+    second = exp.run_experiment(cfg)
+    pooled = exp.run_experiment(cfg, threads=2)
     for a, b in zip(first, second):
         assert (a.bias, a.sd, a.rmse, a.d_k) == (b.bias, b.sd, b.rmse, b.d_k)
     for a, b in zip(first, pooled):
@@ -155,7 +155,7 @@ def test_determinism_same_seed_and_thread_invariance():
 
 def test_compare_plugin_emits_k0_rows():
     cfg = small_cfg(compare_plugin=True, replicates=200)
-    rows = exp.run_risk_experiment(cfg)
+    rows = exp.run_experiment(cfg)
     assert [s.k for s in rows] == [0, 1]
 
 
@@ -168,7 +168,7 @@ def test_clt_gaussian_shift_distances_near_zero():
         replicates=5000,
         grid=exp.GridSpec(n_values=(100,), d_fixed=3),
     )
-    (s,) = exp.run_clt_diagnostic(cfg)
+    (s,) = exp.run_experiment(cfg)
     assert s.extra["w1"] <= 0.05  # same law: MC floor only
     assert s.extra["w2"] <= 0.08
     assert s.extra["w1"] <= s.extra["w2"] + 1e-12
@@ -184,7 +184,7 @@ def test_clt_rademacher_w2_decreasing():
         replicates=5000,
         grid=exp.GridSpec(n_values=(100, 400, 1600), d_fixed=4),
     )
-    rows = exp.run_clt_diagnostic(cfg)
+    rows = exp.run_experiment(cfg)
     w2 = [s.extra["w2"] for s in rows]
     inversions = sum(w2[i + 1] >= w2[i] for i in range(len(w2) - 1))
     assert inversions <= 1
@@ -200,7 +200,7 @@ def test_clt_centered_exponential_w1_strictly_improves():
         replicates=8000,
         grid=exp.GridSpec(n_values=(100, 1600), d_fixed=3),
     )
-    rows = exp.run_clt_diagnostic(cfg)
+    rows = exp.run_experiment(cfg)
     assert rows[-1].extra["w1"] < rows[0].extra["w1"]
 
 
@@ -226,8 +226,7 @@ def test_exponential_family_sigma_f_is_the_mle_scale(kind, model, theta, u):
         grid=exp.GridSpec(n_values=(2000,), d_fixed=2),
         seed=3,
     )
-    run = exp.run_clt_diagnostic if kind == "clt" else exp.run_normality_experiment
-    (s,) = run(cfg)
+    (s,) = exp.run_experiment(cfg)
     assert 0.9 <= s.sqrt_n_rmse / s.sigma_f <= 1.1
     assert s.d_k < 0.05
 
@@ -235,7 +234,7 @@ def test_exponential_family_sigma_f_is_the_mle_scale(kind, model, theta, u):
 def test_clt_requires_linear_functional():
     cfg = small_cfg(kind="clt", functional=functionals.quadratic_form())
     with pytest.raises(exp.ConfigError):
-        exp.run_clt_diagnostic(cfg)
+        exp.run_experiment(cfg)
 
 
 def test_normality_rejects_degenerate_sigma_f():
@@ -245,7 +244,7 @@ def test_normality_rejects_degenerate_sigma_f():
         replicates=400,
     )
     with pytest.raises(exp.ConfigError):
-        exp.run_normality_experiment(cfg)
+        exp.run_experiment(cfg)
 
 
 def _shift_silent_above_d2(d):
@@ -263,7 +262,7 @@ def test_normality_checks_every_sigma_f_before_any_replicate(monkeypatch):
         grid=exp.GridSpec(n_values=(4, 100), alpha=0.3),  # d = 2, then d = 4
     )
     with pytest.raises(exp.ConfigError, match="n=100, d=4"):
-        exp.run_normality_experiment(cfg)
+        exp.run_experiment(cfg)
 
 
 def test_normality_replicate_floor():
@@ -279,7 +278,7 @@ def test_normality_linear_is_exactly_normal():
         k=0,
         replicates=2000,
     )
-    (s,) = exp.run_normality_experiment(cfg)
+    (s,) = exp.run_experiment(cfg)
     assert s.d_k <= 1.95 / math.sqrt(2000)
 
 
@@ -297,7 +296,7 @@ def test_oracle_check_runner():
         inner_chains=100,
         grid=exp.GridSpec(n_values=(100,), d_fixed=d),
     )
-    rows = exp.run_oracle_check(cfg)
+    rows = exp.run_experiment(cfg)
     assert [s.k for s in rows] == [0, 1]
     for s in rows:
         assert s.extra["oracle_pass"]
@@ -320,7 +319,7 @@ def test_oracle_verdict_fails_a_wrong_target(monkeypatch):
         grid=exp.GridSpec(n_values=(100,), d_fixed=d),
         seed=3,
     )
-    (row,) = exp.run_oracle_check(cfg)
+    (row,) = exp.run_experiment(cfg)
     assert row.failed and not row.extra["oracle_pass"]
     assert row.extra["oracle_z"] == (row.bias - row.extra["oracle_bias_signed"]) / row.se_bias
     assert row.extra["oracle_z"] < -4.0
@@ -335,7 +334,7 @@ def test_oracle_verdict_fails_a_zero_standard_error():
         k=0,
         replicates=20,
     )
-    (row,) = exp.run_oracle_check(cfg)
+    (row,) = exp.run_experiment(cfg)
     assert row.se_bias == 0.0 and row.extra["oracle_bias"] == 0.0
     assert row.failed and not row.extra["oracle_pass"]
     assert math.isnan(row.extra["oracle_z"])
@@ -344,14 +343,14 @@ def test_oracle_verdict_fails_a_zero_standard_error():
 def test_oracle_check_rejects_wrong_setting():
     cfg = small_cfg(kind="oracle-check")
     with pytest.raises(exp.ConfigError):
-        exp.run_oracle_check(cfg)
+        exp.run_experiment(cfg)
     cfg2 = small_cfg(
         kind="oracle-check",
         functional=functionals.exp_linear(exp.unit_sin_theta(3)),
         model=models.GaussianShift(dim=3, noise_map=models.ConstantMatrixMap(np.eye(3))),
     )
     with pytest.raises(exp.ConfigError):
-        exp.run_oracle_check(cfg2)
+        exp.run_experiment(cfg2)
 
 
 def test_experiment_config_validation():
@@ -381,10 +380,10 @@ def test_run_experiment_sweep_attaches_slope():
 def test_theta_dimension_mismatch_rejected():
     cfg = small_cfg(theta=np.zeros(4))
     with pytest.raises(exp.ConfigError):
-        exp.run_risk_experiment(cfg)
+        exp.run_experiment(cfg)
     clt = small_cfg(kind="clt", functional=functionals.linear(np.ones(3)), theta=np.zeros(4))
     with pytest.raises(exp.ConfigError):
-        exp.run_clt_diagnostic(clt)
+        exp.run_experiment(clt)
 
 
 def test_monotone_bias_improvement_when_resolvable():
@@ -405,7 +404,7 @@ def test_monotone_bias_improvement_when_resolvable():
         grid=exp.GridSpec(n_values=(2,), d_fixed=d),
         seed=314,
     )
-    row0, row1 = exp.run_oracle_check(cfg)
+    row0, row1 = exp.run_experiment(cfg)
     assert abs(row0.bias) > 5.0 * row0.se_bias
     assert abs(row1.bias) > 5.0 * row1.se_bias
     assert abs(row1.bias) < abs(row0.bias)
@@ -515,6 +514,105 @@ def test_stream_contract_pin():
     )
 
 
+E1 = np.array([1.0, 0.0, 0.0])
+ROW_FLOATS = ("bias", "se_bias", "sd", "rmse", "sqrt_n_rmse", "sigma_f", "d_k", "seconds")
+# one small run of each kind; KIND_ROW_DIGESTS pins its rows
+KIND_ROW_CASES = {
+    # the Poisson overflow edge of ONE_PASS_CASES: the n = 100, k = 2 row fails
+    "risk": dict(
+        model=models.ExponentialFamily(dim=2, family="poisson_product"),
+        theta=np.array([math.log(1e10 * (1 - 5e-7)), 0.0]),
+        grid=exp.GridSpec(n_values=(50, 100), d_fixed=2),
+        compare_plugin=True,
+        k=2,
+        replicates=300,
+        inner_chains=30,
+    ),
+    "normality": dict(kind="normality", replicates=200, inner_chains=30),
+    "sweep": dict(
+        kind="sweep",
+        model=models.GaussianShift,
+        grid=exp.GridSpec(n_values=(50, 100, 200), alpha=0.3),  # d = 4, 4, 5
+        compare_plugin=True,
+        use_tilde=True,
+        replicates=200,
+        inner_chains=20,
+    ),
+    "clt": dict(
+        kind="clt",
+        model=models.IndependentComponents(dim=3, noise_dist="rademacher"),
+        functional=functionals.linear(E1),
+        k=0,
+        inner_chains=1,
+        grid=exp.GridSpec(n_values=(100, 400), d_fixed=3),
+    ),
+    "oracle-check": dict(
+        kind="oracle-check",
+        functional=functionals.exp_linear(E1),
+        theta=np.zeros(3),
+        k=2,
+        replicates=300,
+        inner_chains=30,
+    ),
+}
+KIND_ROW_DIGESTS = {
+    "risk": "0754dc2a94ae9f4d43bff1d946425cb2d1994871d8097697dc427a5d98fa8074",
+    "normality": "a2d8d6d7dc9d4ab6992b62b7b36051ff0e57a3a9a3a0062081a0a4d194bc10ce",
+    "sweep": "b99cf6b0f39deb222d40a089e70c000191ba2cdab68fa878b6815018c79f9a00",
+    "clt": "df4bd2308708429136546dcf66603e5e132dddeec010a6fb0a4fd44a29823441",
+    "oracle-check": "af349f2804e969dd0f5a1f6dfe8352e9bf72cf28f9ee66f3514cc087556ee7b7",
+}
+
+
+def _rows_digest(rows) -> str:
+    h = hashlib.sha256()
+    for s in rows:
+        floats = [float(np.round(getattr(s, f), 12)) for f in ROW_FLOATS]
+        extra = sorted(
+            (key, float(np.round(v, 12)) if isinstance(v, float) else v)
+            for key, v in s.extra.items()
+        )
+        h.update(repr(((s.n, s.d, s.k, s.aborts), bool(s.failed), floats, extra)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(KIND_ROW_CASES))
+def test_kind_rows_pin(case):
+    # Pins what each kind adds on top of the replicate pass: row order, the
+    # oracle verdicts, the sweep's rate fit, clt W1/W2 and the failed flags.
+    # Floats are rounded to 1e-12, as in test_stream_contract_pin.
+    over = dict(grid=exp.GridSpec(n_values=(50, 100), d_fixed=3), timing="none")
+    cfg = small_cfg(**{**over, **KIND_ROW_CASES[case]})
+    assert cfg.replicates <= 400
+    assert _rows_digest(exp.run_experiment(cfg)) == KIND_ROW_DIGESTS[case]
+
+
+def test_each_grid_point_is_resolved_once(monkeypatch):
+    calls = []
+    grid_point = exp._grid_point
+
+    def counting_grid_point(cfg, n, d):
+        calls.append((n, d))
+        return grid_point(cfg, n, d)
+
+    monkeypatch.setattr(exp, "_grid_point", counting_grid_point)
+    cfg = small_cfg(
+        kind="oracle-check",
+        functional=functionals.exp_linear(E1),
+        theta=np.zeros(3),
+        k=2,
+        replicates=20,
+        grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
+    )
+    assert len(exp.run_experiment(cfg)) == 6
+    assert calls == [(50, 3), (100, 3)]
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(exp.ConfigError, match="bogus"):
+        small_cfg(kind="bogus")
+
+
 def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
     model = models.ExponentialFamily(dim=2, family="poisson_product")
     f = functionals.quadratic_form()
@@ -571,7 +669,7 @@ def test_every_order_row_equals_a_run_of_that_order_alone(case):
     assert [s.k for s in rows] == ([0, 1, 2, 3] if cfg.kind == "oracle-check" else [0, 2])
     for s in rows:
         alone_cfg = dataclasses.replace(cfg, kind="risk", k=s.k, compare_plugin=False)
-        (alone,) = exp.run_risk_experiment(alone_cfg)
+        (alone,) = exp.run_experiment(alone_cfg)
         fields = ("bias", "se_bias", "sd", "rmse", "d_k", "aborts")
         assert np.array_equal(
             [getattr(s, f) for f in fields], [getattr(alone, f) for f in fields], equal_nan=True
@@ -619,7 +717,7 @@ def test_oracle_check_starts_one_pool_per_run(monkeypatch):
         inner_chains=2000,  # B = 2: 10 blocks, so both passes split
         grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
     )
-    rows = exp.run_oracle_check(cfg, threads=2)
+    rows = exp.run_experiment(cfg, threads=2)
     assert [s.k for s in rows] == [0, 1, 2, 0, 1, 2]
     assert len(SpyPool.starts) == 1 and len(passes) == 2 and len(SpyPool.splits) == 2
 
