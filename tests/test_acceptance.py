@@ -5,15 +5,17 @@ lines as they complete. Monte Carlo criteria use fixed master seeds, so a
 green suite is reproducible bit-for-bit.
 """
 
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bootchain import bootstrap, cli, core, distances, functionals, gaussian, models
+from bootchain import bootstrap, cli, config, core, distances, functionals, gaussian, models
 from bootchain import experiments as exp
 
 EXPM1_A = 0.0050125208594010634  # e^(1/200) - 1
@@ -256,3 +258,33 @@ def test_c10_determinism_across_worker_counts(sweep_run):
         rc = cli.main(["run", str(cfg_path), "--out-dir", str(out8), "--threads", "8"])
         assert rc == 0
         assert (out / "sweep.csv").read_bytes() == (out8 / "sweep.csv").read_bytes()
+
+
+THRESHOLD_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "threshold_radial.json"
+
+
+def test_c11_efficiency_threshold_gaussian_shift():
+    # Along d = n^0.75 an analytic f has order-k bias O((d/n)^(k+1)), so
+    # sqrt(n) bias -> 0 exactly when (k+1)(1 - alpha) > 1/2: the plug-in
+    # (k=0) falls behind the sqrt(n) rate, k=1 sits on the threshold and
+    # keeps a bias of order sigma_f / sqrt(n), and k=2 is efficient.
+    with criterion("C11 efficiency threshold, Gaussian shift"):
+        cfg, _ = config.load_config(THRESHOLD_CONFIG)
+        cfg = dataclasses.replace(cfg, timing="none")
+        rows = exp.run_experiment(cfg)
+        # the negative control: k=1 at the largest n alone
+        last = exp.GridSpec(n_values=cfg.grid.n_values[-1:], alpha=cfg.grid.alpha)
+        (k1_last,) = exp.run_experiment(
+            dataclasses.replace(cfg, k=1, compare_plugin=False, grid=last)
+        )
+        assert not any(s.failed for s in rows + [k1_last])
+        ratio = {(s.n, s.k): s.sqrt_n_rmse / s.sigma_f for s in rows}
+        scaled_bias = {(s.n, s.k): math.sqrt(s.n) * abs(s.bias) / s.sigma_f for s in rows}
+        ns = cfg.grid.n_values
+        slope = np.polyfit(np.log(ns), np.log([ratio[n, 0] for n in ns]), 1)[0]
+        assert slope >= 0.15, f"k=0 slope {slope:.3f}"
+        k1_bias = math.sqrt(k1_last.n) * abs(k1_last.bias) / k1_last.sigma_f
+        assert k1_bias >= 0.25, f"k=1 scaled bias {k1_bias:.3f}"
+        for n in ns:
+            assert scaled_bias[n, 2] <= 0.2, f"k=2 scaled bias {scaled_bias[n, 2]:.3f} at n={n}"
+            assert ratio[n, 2] <= 1.15, f"k=2 sqrt(n) rmse / sigma_f {ratio[n, 2]:.3f} at n={n}"
