@@ -18,6 +18,14 @@ row's chains would be. Chain reuse correlates orders within a replicate but
 leaves the corrected estimator unbiased for the weighted sum of state
 expectations; the standard errors reported by the Monte Carlo layer absorb
 the correlation.
+
+The M chains of one start are antithetic: the driver passes chains=M to the
+kernel, and every kernel of the form theta + c L(theta) (symmetric driver
+block) draws for the first h = ceil(M/2) chains and gives chain h+i the
+negated draw of chain i (models._paired). Each chain keeps its law, so the
+fold's expectation is unchanged, while the pair cancels the odd-order terms
+of f(state) - f(start), the bulk of the fold's variance. Pairs never cross
+starts, and the abort rule counts single chains.
 """
 
 from __future__ import annotations
@@ -60,13 +68,15 @@ def collapsed_weights(k: int) -> tuple[int, ...]:
 
 
 def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
-    """M independent chains from each start: states of shape (k+1, M, d) for
-    a (d,) start, (k+1, B, M, d) for a (B, d) block of starts.
+    """M chains from each start: states of shape (k+1, M, d) for a (d,)
+    start, (k+1, B, M, d) for a (B, d) block of starts.
 
-    step(model, states, n, rng) maps the (B*M, d) states of one step to the
-    next; None selects the bootstrap step models.estimate_block, looked up
-    at call time. Aborted chains carry NaN from the step where their state
-    left the model domain.
+    step(model, states, n, rng, chains=M) maps the (B*M, d) states of one
+    step, B groups of M consecutive chains, to the next; a symmetric kernel
+    pairs each group's chains antithetically, and chains of different
+    starts stay independent. None selects the bootstrap step
+    models.estimate_block, looked up at call time. Aborted chains carry NaN
+    from the step where their state left the model domain.
     """
     step = step or models.estimate_block
     start = np.asarray(start, dtype=float)
@@ -74,7 +84,7 @@ def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -
     states = np.empty((k + 1, rows.shape[0] * m, rows.shape[1]))
     states[0].reshape(rows.shape[0], m, -1)[...] = rows[:, None, :]
     for j in range(k):
-        states[j + 1] = step(model, states[j], n, rng)
+        states[j + 1] = step(model, states[j], n, rng, chains=m)
     return states.reshape((k + 1,) + start.shape[:-1] + (m, start.shape[-1]))
 
 

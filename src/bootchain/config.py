@@ -138,7 +138,7 @@ def build_model(cfg: dict, d: int) -> models.Model:
             return models.IndependentComponents(
                 dim=d,
                 noise_dist=cfg.get("noise_dist", "rademacher"),
-                directions=None if directions is None else np.asarray(directions, dtype=float),
+                directions=None if directions is None else _as_matrix(directions, "model.directions", d),
                 noise_map=_build_scaling_map(cfg.get("noise"), "model.noise", d),
             )
         if variant == "exponential_family":

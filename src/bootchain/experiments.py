@@ -14,13 +14,14 @@ B = max(1, 2^14 // (M d)) (models._BLOCK_SCALARS), and block b draws all of
 its randomness from the counter-based stream derive_stream(master_seed, b,
 0): first its B theta_hat rows, as one call of the block kernel
 models.estimate_block, then the chains of its finite rows, one kernel call
-per step. At B = 1 a block is one replicate. Every order row a grid point
-reports (the plug-in row of compare_plugin, each oracle-check order) is
-folded from the same theta_hat and the prefixes of the same chains. B
-depends on (M, d) alone; a run's one worker pool splits the block range at
-any size, and the aggregation is a sequential fold in replicate order, so
-summaries are bit-identical for a fixed seed at every worker count and for
-every set of orders. Wall time is the one nondeterministic field;
+per step, each row's M chains in antithetic pairs where the kernel's driver
+is symmetric (bootstrap.simulate_chain_block). At B = 1 a block is one
+replicate. Every order row a grid point reports (the plug-in row of
+compare_plugin, each oracle-check order) is folded from the same theta_hat
+and the prefixes of the same chains. B depends on (M, d) alone; a run's
+one worker pool splits the block range at any size, and the aggregation is
+a sequential fold in replicate order, so summaries are bit-identical for a
+fixed seed at every worker count and for every set of orders. Wall time is the one nondeterministic field;
 timing="none" zeroes it for byte-stable output files.
 """
 

@@ -34,11 +34,12 @@ def default_delta(model, theta, n: int) -> float:
     return 3.0 * math.sqrt(tr / n)
 
 
-def surrogate_step(model, states, n: int, rng, delta: float = math.inf) -> np.ndarray:
+def surrogate_step(model, states, n: int, rng, delta: float = math.inf, chains: int = 1) -> np.ndarray:
     """One surrogate step for a block of states: states + xi(states)/sqrt(n),
     each xi zeroed where ||xi|| >= delta sqrt(n). delta = inf turns
-    truncation off; delta = 0 zeroes every draw and so freezes the chain."""
-    xi = models.sample_xi_block(model, states, rng)
+    truncation off; delta = 0 zeroes every draw and so freezes the chain.
+    chains groups the states antithetically, as in models.sample_xi_block."""
+    xi = models.sample_xi_block(model, states, rng, chains)
     if delta < math.inf:
         xi = np.where((np.linalg.norm(xi, axis=-1) >= delta * math.sqrt(n))[..., None], 0.0, xi)
     return states + xi / math.sqrt(n)
@@ -54,8 +55,8 @@ def sigma_f(model, f, theta) -> float:
 
 
 def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
-    """M independent draws of the flag superposition, shape (M, d): the
-    surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n) for binary time flags
+    """M draws of the flag superposition in antithetic pairs, shape (M, d):
+    the surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n) for binary time flags
     (t_1, ..., t_k), applied in turn. Binary flags make this equal in law to
     skipping the steps with t_j = 0: the last state of one surrogate chain
     of sum(t_j) steps."""

@@ -36,12 +36,22 @@ Logistic and uniform drivers have no closed sum law; they are the only
 kernels left that make n raw draws per cell (_chunked_raw_mean). Rows
 whose state left the sampling domain come back as NaN and are counted by
 the callers.
+
+Both kernels take chains, the number of consecutive rows that are chains of
+one replicate (1 for independent rows, such as the outer theta_hat draw).
+Every step of the form theta + c L(theta) (driver block) whose driver law is
+symmetric, which is every one but Poisson counts and centered-exponential
+tags, draws its driver block for the first h = ceil(chains/2) rows of each
+group and negates it for the rest (_paired): antithetic twins, each with
+its chain's law. Negation covers the exact sum laws too: a Binomial count b
+mirrors to n - b, and Laplace's Gamma difference to the swapped pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -177,6 +187,21 @@ def _chunked_raw_mean(draw, rng, n: int, size) -> np.ndarray:
         hi = min(lo + step, flat)
         out[lo:hi] = draw(rng, (hi - lo, n)).mean(axis=1)
     return out.reshape(size)
+
+
+def _paired(draw, rows: int, chains: int, tail=()) -> np.ndarray:
+    """draw(size) for a block of rows chain states that come in groups of
+    chains consecutive chains of one replicate, antithetic within a group:
+    one draw for the first h = ceil(chains/2) chains of every group, shape
+    (groups, h) + tail, and chain h+i takes the negated draw of chain i.
+    With an odd count, chain h-1 has no twin; chains = 1 is a plain draw."""
+    if chains == 1:
+        return draw((rows,) + tail)
+    if rows % chains:
+        raise ValueError(f"{rows} rows do not split into groups of {chains} chains")
+    half = draw((rows // chains, (chains + 1) // 2) + tail)
+    twins = -half[:, : chains - half.shape[1]]
+    return np.concatenate([half, twins], axis=1).reshape((rows,) + tail)
 
 
 def _normalize_tags(tags, d: int, allowed) -> tuple[str, ...]:
@@ -405,12 +430,16 @@ def sigma(model: Model, theta) -> np.ndarray:
 # vectorized kernels
 
 
-def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
+def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 1) -> np.ndarray:
     """One bootstrap step for a block of parameter rows.
 
     Row m of the result is distributed as estimate(sample_data(model,
-    thetas[m], n)), independently across rows. Rows outside the sampling
-    domain (and NaN inputs) come back NaN.
+    thetas[m], n)). With chains = 1 the rows are independent; a chain
+    driver passes its M chains per replicate, and every family whose
+    driver law is symmetric (all but Poisson counts and a
+    centered-exponential tag) then draws for half of each group and pairs
+    the rest antithetically (_paired). Rows outside the sampling domain
+    (and NaN inputs) come back NaN.
     """
     thetas = np.asarray(thetas, dtype=float)
     m, d = thetas.shape
@@ -418,19 +447,22 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
         raise ValueError("theta dimension mismatch")
 
     if isinstance(model, GaussianShift):
-        z = rng.standard_normal((m, d))
+        z = _paired(rng.standard_normal, m, chains, (d,))
         return thetas + _factor(model, thetas, z) / math.sqrt(n)
 
     if isinstance(model, (IndependentComponents, LogConcaveLocation)):
+        if "centered_exponential" in model.noise_dist:
+            chains = 1
         etabar = np.empty((m, d))
         for j, tag in enumerate(model.noise_dist):
             raw, mean = _DRIVERS[tag]
-            etabar[:, j] = _chunked_raw_mean(raw, rng, n, (m,)) if mean is None else mean(rng, n, (m,))
+            draw = partial(_chunked_raw_mean, raw, rng, n) if mean is None else partial(mean, rng, n)
+            etabar[:, j] = _paired(draw, m, chains)
         return thetas + _factor(model, thetas, etabar)
 
     if isinstance(model, ExponentialFamily):
         if model.family == "gaussian_mean":
-            z = rng.standard_normal((m, d))
+            z = _paired(rng.standard_normal, m, chains, (d,))
             return thetas + z / np.sqrt(model.base * n)
         with np.errstate(over="ignore", invalid="ignore"):
             lam = n * np.exp(thetas)
@@ -444,11 +476,12 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng) -> np.ndarray:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def sample_xi_block(model: Model, thetas: np.ndarray, rng) -> np.ndarray:
+def sample_xi_block(model: Model, thetas: np.ndarray, rng, chains: int = 1) -> np.ndarray:
     """Surrogate draws xi(thetas[m]) = L(thetas[m]) z_m ~ N(0, Sigma(thetas[m])),
-    one per row, from one (M, d) standard normal draw."""
+    one per row, from one standard normal block: (M, d) draws with chains =
+    1, antithetic pairs within each group of chains rows otherwise."""
     thetas = np.asarray(thetas, dtype=float)
     m, d = thetas.shape
     if d != model.dim:
         raise ValueError("theta dimension mismatch")
-    return _factor(model, thetas, rng.standard_normal((m, d)))
+    return _factor(model, thetas, _paired(rng.standard_normal, m, chains, (d,)))

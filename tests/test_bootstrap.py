@@ -270,8 +270,8 @@ def test_fk_estimate_at_orders_are_their_single_order_runs():
         bootstrap.fk_estimate(model, f, data, 3, n, m, derive_stream(212, 0, 0))
 
 
-def _aborting_step(model, states, n, rng, dead):
-    out = models.estimate_block(model, states, n, rng)
+def _aborting_step(model, states, n, rng, dead, chains=1):
+    out = models.estimate_block(model, states, n, rng, chains)
     out[dead] = np.nan
     return out
 

@@ -113,9 +113,11 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
             "model": {"variant": "gaussian_shift", "noise": {"kind": "diag_tanh", "a": [1.0, 1.0], "b": 0.5}},
             "grid": D3,
         },
+        {"model": {"variant": "independent_components", "directions": [[math.nan, 0.0], I2[1]]}},
     ):
         doc = dict(MINIMAL_RISK, **patch)
         assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2, patch
+    assert "error: model.directions[0]: " in capsys.readouterr().err
 
 
 def test_config_errors_name_their_field_once(tmp_path, capsys):

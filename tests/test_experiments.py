@@ -10,7 +10,7 @@ from bootchain import experiments as exp
 from bootchain import bootstrap, functionals, gaussian, models
 
 # SHA-256 of the error matrix of test_stream_contract_pin
-STREAM_CONTRACT_DIGEST = "4b504dfa005f4610c173342cdebcc8cd426e5212772db4067f681b7b6a21e356"
+STREAM_CONTRACT_DIGEST = "95a74b3433b14752bea8ec9cdaa11ac09226831c55b97704a11af99fc843631c"
 
 
 def small_cfg(**over):
@@ -417,6 +417,19 @@ def _shift_step(model, n, use_tilde):
     return partial(gaussian.surrogate_step, delta=gaussian.default_delta(model, theta, n))
 
 
+class _PairedNormals:
+    """Hands a plain kernel's (M, d) standard normal draw out in the paired
+    layout: h = ceil(M/2) fresh rows, then the negations of the first M - h."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size):
+        m, d = size
+        z = self.rng.standard_normal((-(-m // 2), d))
+        return np.concatenate([z, -z[: m // 2]])
+
+
 def _orders_passes(k):
     return sorted({(k,), (0, k), tuple(range(k + 1))})
 
@@ -466,8 +479,9 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
 
     # B > 1, R not a multiple of B: an inline reference draws each block's
     # theta_hat rows one sample_data call at a time, then steps the rows'
-    # chains in row order at every step, and folds each replicate's chains
-    # on their own
+    # chains in row order at every step, each row's M chains from h = M/2
+    # fresh normal rows and their negations, and folds each replicate's
+    # chains on their own
     m, reps = 100, 90
     size = exp._block_size(m, 4)
     assert size == 40
@@ -482,7 +496,7 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
         chains = [[np.broadcast_to(h, (m, 4))] for h in hats]
         for _ in range(k):
             for chain in chains:
-                chain.append(kernel(model, chain[-1], n, rng))
+                chain.append(kernel(model, chain[-1], n, _PairedNormals(rng)))
         for i, (h, chain) in enumerate(zip(hats, chains)):
             vals = functionals.value(f, np.stack(chain))
             expected[0, lo + i] = functionals.value(f, h) - f_true
@@ -557,10 +571,10 @@ KIND_ROW_CASES = {
 }
 KIND_ROW_DIGESTS = {
     "risk": "0754dc2a94ae9f4d43bff1d946425cb2d1994871d8097697dc427a5d98fa8074",
-    "normality": "a2d8d6d7dc9d4ab6992b62b7b36051ff0e57a3a9a3a0062081a0a4d194bc10ce",
-    "sweep": "b99cf6b0f39deb222d40a089e70c000191ba2cdab68fa878b6815018c79f9a00",
+    "normality": "b87ef9bddda4832ad5fd8f989f50bffc6f967856cad07e8036a8baa98e0381f6",
+    "sweep": "9bf995117a5b731e144a5a614bb707efe3134903982e27a344d06175e468fdeb",
     "clt": "df4bd2308708429136546dcf66603e5e132dddeec010a6fb0a4fd44a29823441",
-    "oracle-check": "af349f2804e969dd0f5a1f6dfe8352e9bf72cf28f9ee66f3514cc087556ee7b7",
+    "oracle-check": "b72a61e5942cb9d609b420d60e5f2e98404a02a3d79bd45c935fa8cd920a6660",
 }
 
 
@@ -585,6 +599,43 @@ def test_kind_rows_pin(case):
     cfg = small_cfg(**{**over, **KIND_ROW_CASES[case]})
     assert cfg.replicates <= 400
     assert _rows_digest(exp.run_experiment(cfg)) == KIND_ROW_DIGESTS[case]
+
+
+# Poisson counts and centered-exponential drivers have no symmetric law, so
+# their chains stay plain: these digests were taken before chains were
+# paired, and the rows must not move (mixed tags: one asymmetric tag keeps
+# the whole model plain)
+PLAIN_CHAIN_DIGESTS = {
+    "poisson": (
+        models.ExponentialFamily(dim=3, family="poisson_product"),
+        "ab0a0e3fb9ffabb30c6a58324a062a50f53e07cbc9960c28f10fec3385368b24",
+    ),
+    "ic_centered_exponential": (
+        models.IndependentComponents(dim=3, noise_dist="centered_exponential"),
+        "8d143703f656f674300464e7864988a4add0ab45860e3504b169506030424256",
+    ),
+    "ic_mixed": (
+        models.IndependentComponents(
+            dim=3, noise_dist=("rademacher", "centered_exponential", "uniform")
+        ),
+        "c68aa4e3ce1227b95c4d95e72f5bc0014e3e39360c703c052f29af8581391893",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAIN_CHAIN_DIGESTS))
+def test_asymmetric_families_keep_plain_chains(case):
+    model, digest = PLAIN_CHAIN_DIGESTS[case]
+    cfg = small_cfg(
+        model=model,
+        k=2,
+        compare_plugin=True,
+        replicates=300,
+        inner_chains=31,
+        grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
+        timing="none",
+    )
+    assert _rows_digest(exp.run_experiment(cfg)) == digest
 
 
 def test_each_grid_point_is_resolved_once(monkeypatch):
