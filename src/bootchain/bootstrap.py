@@ -19,13 +19,18 @@ leaves the corrected estimator unbiased for the weighted sum of state
 expectations; the standard errors reported by the Monte Carlo layer absorb
 the correlation.
 
-The M chains of one start are antithetic: the driver passes chains=M to the
-kernel, and every kernel of the form theta + c L(theta) (symmetric driver
-block) draws for the first h = ceil(M/2) chains and gives chain h+i the
-negated draw of chain i (models._paired). Each chain keeps its law, so the
-fold's expectation is unchanged, while the pair cancels the odd-order terms
-of f(state) - f(start), the bulk of the fold's variance. Pairs never cross
-starts, and the abort rule counts single chains.
+The kernels have a chain axis: the driver passes chains=M and a (B, 1, d)
+block of starts at step 0, which the kernel fans out to the (B, M, d)
+states of the M chains of each start, and the (B, M, d) states after that.
+So the work that depends on the state alone runs once per start at step 0,
+and f at the start serves both the plug-in order and the fold's step-0
+column. The M chains of one start are antithetic: every kernel of the form
+theta + c L(theta) (symmetric driver block) draws for the first
+h = ceil(M/2) chains and gives chain h+i the negated draw of chain i
+(models._paired). Each chain keeps its law, so the fold's expectation is
+unchanged, while the pair cancels the odd-order terms of f(state) -
+f(start), the bulk of the fold's variance. Pairs never cross starts, and
+the abort rule counts single chains.
 """
 
 from __future__ import annotations
@@ -71,20 +76,23 @@ def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -
     """M chains from each start: states of shape (k+1, M, d) for a (d,)
     start, (k+1, B, M, d) for a (B, d) block of starts.
 
-    step(model, states, n, rng, chains=M) maps the (B*M, d) states of one
-    step, B groups of M consecutive chains, to the next; a symmetric kernel
-    pairs each group's chains antithetically, and chains of different
-    starts stay independent. None selects the bootstrap step
-    models.estimate_block, looked up at call time. Aborted chains carry NaN
-    from the step where their state left the model domain.
+    step(model, states, n, rng, chains=M) maps a (B, 1, d) or (B, M, d)
+    block of states to the (B, M, d) states of the next step. Step 0 passes
+    the B starts as (B, 1, d) and the kernel fans each out to its M chains,
+    so the work that depends on the state alone runs once per start; every
+    later step passes the (B, M, d) states. A symmetric kernel pairs each
+    start's chains antithetically, and chains of different starts stay
+    independent. None selects the bootstrap step models.estimate_block,
+    looked up at call time. Aborted chains carry NaN from the step where
+    their state left the model domain.
     """
     step = step or models.estimate_block
     start = np.asarray(start, dtype=float)
     rows = start.reshape(-1, start.shape[-1])
-    states = np.empty((k + 1, rows.shape[0] * m, rows.shape[1]))
-    states[0].reshape(rows.shape[0], m, -1)[...] = rows[:, None, :]
+    states = np.empty((k + 1, rows.shape[0], m, rows.shape[1]))
+    states[0] = rows[:, None, :]
     for j in range(k):
-        states[j + 1] = step(model, states[j], n, rng, chains=m)
+        states[j + 1] = step(model, states[j] if j else rows[:, None, :], n, rng, chains=m)
     return states.reshape((k + 1,) + start.shape[:-1] + (m, start.shape[-1]))
 
 
@@ -108,7 +116,8 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
 
     Order 0 is the plain plug-in f(theta_hat). M chains of length
     max(orders) start at each finite row (none when that maximum is 0), f
-    is evaluated once on all their states, and order k >= 1 is the
+    is evaluated once on all their states (once per row at the start, where
+    functionals.row_local allows), and order k >= 1 is the
     collapsed-weight fold of the values of their first k steps: since the
     chains draw step by step, that prefix is exactly the chain a run of
     order k alone would simulate. step is the chains' transition kernel
@@ -130,14 +139,19 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
         if finite.any():
             out[:, finite] = fk_estimate_at(model, f, rows[finite], orders, n, m, rng, step)
         return out if theta_hat.ndim > 1 else out[:, 0]
+    at_start = functionals.value(f, rows)
     if top > 0:
         states = simulate_chain_block(model, rows, top, n, m, rng, step)
-        # (rows, top+1, M), each row's values contiguous as for a lone chain
-        vals = np.ascontiguousarray(functionals.value(f, states).swapaxes(0, 1))
+        # (rows, top+1, M), each row's values contiguous as for a lone chain;
+        # step 0 is the start itself, evaluated once per row where f's value
+        # of a row does not depend on the batch it sits in
+        vals = np.empty((rows.shape[0], top + 1, m))
+        vals[:, 0] = at_start[:, None] if functionals.row_local(f) else functionals.value(f, states[0])
+        vals[:, 1:] = functionals.value(f, states[1:]).swapaxes(0, 1)
     out = np.empty((len(orders), rows.shape[0]))
     for i, k in enumerate(orders):
         if k == 0:
-            out[i] = functionals.value(f, rows)
+            out[i] = at_start
         else:
             out[i] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
     return out if theta_hat.ndim > 1 else out[:, 0]

@@ -36,12 +36,16 @@ def default_delta(model, theta, n: int) -> float:
 
 def surrogate_step(model, states, n: int, rng, delta: float = math.inf, chains: int = 1) -> np.ndarray:
     """One surrogate step for a block of states: states + xi(states)/sqrt(n),
-    each xi zeroed where ||xi|| >= delta sqrt(n). delta = inf turns
+    each xi zeroed where ||xi||^2 >= (delta sqrt(n))^2. delta = inf turns
     truncation off; delta = 0 zeroes every draw and so freezes the chain.
-    chains groups the states antithetically, as in models.sample_xi_block."""
+    The block and chains follow models.sample_xi_block: (rows, d) with
+    chains = 1, or a chain block (B, 1, d) or (B, M, d) with chains = M,
+    which returns (B, M, d) in antithetic pairs."""
     xi = models.sample_xi_block(model, states, rng, chains)
     if delta < math.inf:
-        xi = np.where((np.linalg.norm(xi, axis=-1) >= delta * math.sqrt(n))[..., None], 0.0, xi)
+        cut = np.sum(xi * xi, axis=-1) >= (delta * math.sqrt(n)) ** 2
+        if cut.any():
+            xi[cut] = 0.0
     return states + xi / math.sqrt(n)
 
 
@@ -55,7 +59,8 @@ def sigma_f(model, f, theta) -> float:
 
 
 def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
-    """M draws of the flag superposition in antithetic pairs, shape (M, d):
+    """M draws of the flag superposition in antithetic pairs, shape (M, d)
+    for a (d,) theta, (B, M, d) for a (B, d) block of starts:
     the surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n) for binary time flags
     (t_1, ..., t_k), applied in turn. Binary flags make this equal in law to
     skipping the steps with t_j = 0: the last state of one surrogate chain

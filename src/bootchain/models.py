@@ -37,12 +37,16 @@ kernels left that make n raw draws per cell (_chunked_raw_mean). Rows
 whose state left the sampling domain come back as NaN and are counted by
 the callers.
 
-Both kernels take chains, the number of consecutive rows that are chains of
-one replicate (1 for independent rows, such as the outer theta_hat draw).
-Every step of the form theta + c L(theta) (driver block) whose driver law is
+Both kernels take chains. A plain (rows, d) block with chains = 1 steps
+independent rows, such as the outer theta_hat draw. A chain block has a
+chain axis: (B, 1, d) starts or (B, M, d) states with chains = M, stepped
+to (B, M, d). A (B, 1, d) block fans out, so the work that depends on the
+state alone, L(theta) and the Poisson rate with its domain check, runs once
+per start; the draws are those of the M copies of each start. Every step
+of the form theta + c L(theta) (driver block) whose driver law is
 symmetric, which is every one but Poisson counts and centered-exponential
-tags, draws its driver block for the first h = ceil(chains/2) rows of each
-group and negates it for the rest (_paired): antithetic twins, each with
+tags, draws its driver block for the first h = ceil(M/2) chains of each
+start and negates it for the rest (_paired): antithetic twins, each with
 its chain's law. Negation covers the exact sum laws too: a Binomial count b
 mirrors to n - b, and Laplace's Gamma difference to the swapped pair.
 """
@@ -106,7 +110,7 @@ class ConstantMatrixMap(ScalingMap):
         object.__setattr__(self, "matrix", m)
 
     def apply(self, thetas, vecs):
-        return vecs @ self.matrix.T
+        return _matmul_rows(vecs, self.matrix.T)
 
 
 @dataclass(frozen=True)
@@ -189,19 +193,26 @@ def _chunked_raw_mean(draw, rng, n: int, size) -> np.ndarray:
     return out.reshape(size)
 
 
-def _paired(draw, rows: int, chains: int, tail=()) -> np.ndarray:
-    """draw(size) for a block of rows chain states that come in groups of
-    chains consecutive chains of one replicate, antithetic within a group:
-    one draw for the first h = ceil(chains/2) chains of every group, shape
-    (groups, h) + tail, and chain h+i takes the negated draw of chain i.
-    With an odd count, chain h-1 has no twin; chains = 1 is a plain draw."""
-    if chains == 1:
-        return draw((rows,) + tail)
-    if rows % chains:
-        raise ValueError(f"{rows} rows do not split into groups of {chains} chains")
-    half = draw((rows // chains, (chains + 1) // 2) + tail)
-    twins = -half[:, : chains - half.shape[1]]
-    return np.concatenate([half, twins], axis=1).reshape((rows,) + tail)
+def _matmul_rows(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """vecs @ mat, a stacked (B, M, d) block as one (B M, d) product: BLAS
+    rounds a row by the shape of the product it sits in, so this keeps a
+    chain block's bits those of its flat (B M, d) form."""
+    if vecs.ndim <= 2:
+        return vecs @ mat
+    return (vecs.reshape(-1, vecs.shape[-1]) @ mat).reshape(vecs.shape[:-1] + mat.shape[1:])
+
+
+def _paired(draw, lead: tuple, tail=()) -> np.ndarray:
+    """draw(size) for a kernel result of leading shape lead: a plain draw of
+    shape lead + tail for (rows,), and for (B, M), the M chains of B
+    starts, one draw for the first h = ceil(M/2) chains, shape (B, h) +
+    tail, mirrored along axis 1: chain h+i takes the negated draw of chain
+    i. With an odd M, chain h-1 has no twin."""
+    if len(lead) == 1:
+        return draw(lead + tail)
+    groups, chains = lead
+    half = draw((groups, (chains + 1) // 2) + tail)
+    return np.concatenate([half, -half[:, : chains // 2]], axis=1)
 
 
 def _normalize_tags(tags, d: int, allowed) -> tuple[str, ...]:
@@ -356,7 +367,7 @@ def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
     if isinstance(model, GaussianShift):
         return model.noise_map.apply(thetas, v)
     if isinstance(model, IndependentComponents):
-        mix = v if model.directions is None else v @ model.directions.T
+        mix = v if model.directions is None else _matmul_rows(v, model.directions.T)
         return model.noise_map.apply(thetas, mix)
     if isinstance(model, ExponentialFamily):
         # inverse Fisher information Psi'(theta)^{-1}
@@ -430,58 +441,75 @@ def sigma(model: Model, theta) -> np.ndarray:
 # vectorized kernels
 
 
+def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:
+    """thetas as a float array, and the leading shape of a kernel's result:
+    (rows,) for a plain (rows, d) block with chains = 1, (B, chains) for a
+    (B, 1, d) or (B, chains, d) block of chain states."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim not in (2, 3) or thetas.shape[-1] != model.dim:
+        raise ValueError("theta dimension mismatch")
+    if thetas.ndim == 2 and chains == 1:
+        return thetas, thetas.shape[:1]
+    if thetas.ndim == 3 and thetas.shape[1] in (1, chains):
+        return thetas, (thetas.shape[0], chains)
+    raise ValueError(
+        f"states of shape {thetas.shape} do not fit chains={chains}: "
+        "pass (rows, d) with chains=1, or (B, 1, d) or (B, chains, d)"
+    )
+
+
 def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 1) -> np.ndarray:
     """One bootstrap step for a block of parameter rows.
 
-    Row m of the result is distributed as estimate(sample_data(model,
-    thetas[m], n)). With chains = 1 the rows are independent; a chain
-    driver passes its M chains per replicate, and every family whose
-    driver law is symmetric (all but Poisson counts and a
-    centered-exponential tag) then draws for half of each group and pairs
-    the rest antithetically (_paired). Rows outside the sampling domain
-    (and NaN inputs) come back NaN.
+    A (rows, d) block with chains = 1 steps independent rows: row m of the
+    result is distributed as estimate(sample_data(model, thetas[m], n)). A
+    chain driver passes chains = M and a (B, 1, d) block of starts, or the
+    (B, M, d) states of a later step, and gets (B, M, d): a (B, 1, d) block
+    fans out, so the per-state work (L(theta), the Poisson rate and its
+    domain check) runs once per start. Every family whose driver law is
+    symmetric (all but Poisson counts and a centered-exponential tag) draws
+    for half of each start's M chains and pairs the rest antithetically
+    (_paired). Rows outside the sampling domain (and NaN inputs) come back
+    NaN.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    m, d = thetas.shape
-    if d != model.dim:
-        raise ValueError("theta dimension mismatch")
+    thetas, lead = _chain_block(model, thetas, chains)
+    d = model.dim
 
     if isinstance(model, GaussianShift):
-        z = _paired(rng.standard_normal, m, chains, (d,))
+        z = _paired(rng.standard_normal, lead, (d,))
         return thetas + _factor(model, thetas, z) / math.sqrt(n)
 
     if isinstance(model, (IndependentComponents, LogConcaveLocation)):
-        if "centered_exponential" in model.noise_dist:
-            chains = 1
-        etabar = np.empty((m, d))
+        antithetic = "centered_exponential" not in model.noise_dist
+        etabar = np.empty(lead + (d,))
         for j, tag in enumerate(model.noise_dist):
             raw, mean = _DRIVERS[tag]
             draw = partial(_chunked_raw_mean, raw, rng, n) if mean is None else partial(mean, rng, n)
-            etabar[:, j] = _paired(draw, m, chains)
+            # a plain (B, M) draw keeps the stream order of B M rows
+            etabar[..., j] = _paired(draw, lead) if antithetic else draw(lead)
         return thetas + _factor(model, thetas, etabar)
 
     if isinstance(model, ExponentialFamily):
         if model.family == "gaussian_mean":
-            z = _paired(rng.standard_normal, m, chains, (d,))
+            z = _paired(rng.standard_normal, lead, (d,))
             return thetas + z / np.sqrt(model.base * n)
         with np.errstate(over="ignore", invalid="ignore"):
             lam = n * np.exp(thetas)
-        bad = ~np.all(np.isfinite(lam) & (lam <= POISSON_LAM_MAX), axis=1)
-        out = np.full((m, d), np.nan)
-        ok = ~bad
+        ok = np.broadcast_to(np.all(np.isfinite(lam) & (lam <= POISSON_LAM_MAX), axis=-1), lead)
+        out = np.full(lead + (d,), np.nan)
         if np.any(ok):
-            out[ok] = _mle_from_mean(model, rng.poisson(lam[ok]) / n)
+            counts = rng.poisson(np.broadcast_to(lam, lead + (d,))[ok])
+            out[ok] = _mle_from_mean(model, counts / n)
         return out
 
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def sample_xi_block(model: Model, thetas: np.ndarray, rng, chains: int = 1) -> np.ndarray:
-    """Surrogate draws xi(thetas[m]) = L(thetas[m]) z_m ~ N(0, Sigma(thetas[m])),
-    one per row, from one standard normal block: (M, d) draws with chains =
-    1, antithetic pairs within each group of chains rows otherwise."""
-    thetas = np.asarray(thetas, dtype=float)
-    m, d = thetas.shape
-    if d != model.dim:
-        raise ValueError("theta dimension mismatch")
-    return _factor(model, thetas, _paired(rng.standard_normal, m, chains, (d,)))
+    """Surrogate draws xi(theta) = L(theta) z ~ N(0, Sigma(theta)), one per
+    state, from one standard normal block: (rows, d) independent draws for
+    a (rows, d) block with chains = 1, and (B, M, d) draws in antithetic
+    pairs for a (B, 1, d) or (B, M, d) chain block with chains = M, where a
+    (B, 1, d) block computes L once per start (see estimate_block)."""
+    thetas, lead = _chain_block(model, thetas, chains)
+    return _factor(model, thetas, _paired(rng.standard_normal, lead, (model.dim,)))

@@ -185,12 +185,15 @@ def test_c7_surrogate_equivalence():
         theta = exp.unit_sin_theta(5)
         f = functionals.quadratic_form()
         n, k, m = 100, 2, 20_000
-        hat = bootstrap.simulate_chain_block(model, theta, k, n, m, exp.derive_stream(1007, 0, 0))
+        # m independent chains (m starts of one chain each): the bootstrap se
+        # of W1 assumes i.i.d. samples, which antithetic twins are not
+        starts = np.tile(theta, (m, 1))
+        hat = bootstrap.simulate_chain_block(model, starts, k, n, 1, exp.derive_stream(1007, 0, 0))
         tilde = bootstrap.simulate_chain_block(
-            model, theta, k, n, m, exp.derive_stream(1007, 1, 0), gaussian.surrogate_step
+            model, starts, k, n, 1, exp.derive_stream(1007, 1, 0), gaussian.surrogate_step
         )
-        a = np.asarray(functionals.value(f, hat[k]))
-        b = np.asarray(functionals.value(f, tilde[k]))
+        a = np.asarray(functionals.value(f, hat[k][:, 0]))
+        b = np.asarray(functionals.value(f, tilde[k][:, 0]))
         w1 = distances.wasserstein1(a, b)
         se = distances.wasserstein1_bootstrap_se(a, b, np.random.default_rng(7), n_boot=100)
         assert w1 <= 0.01 + 3.0 * se
@@ -210,17 +213,18 @@ def test_c8_homotopy_superposition():
         theta = exp.unit_sin_theta(5)
         f = functionals.quadratic_form()
         n, m = 100, 20_000
+        starts = np.tile(theta, (m, 1))  # i.i.d. samples, as in C7
         for idx in range(8):
             bits = tuple((idx >> b) & 1 for b in range(3))
             l = sum(bits)
             sup = gaussian.superposition_block(
-                model, theta, bits, n, m, exp.derive_stream(1008, idx, 0)
-            )
+                model, starts, bits, n, 1, exp.derive_stream(1008, idx, 0)
+            )[:, 0]
             chain = bootstrap.simulate_chain_block(
-                model, theta, l, n, m, exp.derive_stream(1008, idx, 1), gaussian.surrogate_step
+                model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), gaussian.surrogate_step
             )
             a = np.asarray(functionals.value(f, sup))
-            b = np.asarray(functionals.value(f, chain[l]))
+            b = np.asarray(functionals.value(f, chain[l][:, 0]))
             w1 = distances.wasserstein1(a, b)
             se = distances.wasserstein1_bootstrap_se(
                 a, b, np.random.default_rng(idx), n_boot=60

@@ -14,33 +14,24 @@ import math
 
 import numpy as np
 import pytest
+from law_gate import assert_same_law
 
-from bootchain import bootstrap, distances, functionals, gaussian, models
+from bootchain import bootstrap, functionals, gaussian, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 
 REPS = 4000
 
 
-def assert_same_law(a, ref, ref2, seed: int):
-    """a is as close to ref as an independent sample ref2 of ref's law is.
-
-    The W1 of two samples of one law has mean about 2.3 bootstrap se (the
-    mean over the sd of the integrated |Brownian bridge|), so a bare
-    W1 <= 4 se gate fails several per cent of samples of one law. The
-    difference W1(a, ref) - W1(ref2, ref) has mean 0 and sd at most about
-    sqrt(2) se; the gate is four of those.
-    """
-    w1 = distances.wasserstein1(a, ref)
-    null = distances.wasserstein1(ref2, ref)
-    se = distances.wasserstein1_bootstrap_se(a, ref, derive_stream(seed, 0, 2))
-    assert w1 - null <= 4.0 * math.sqrt(2.0) * se, (
-        f"W1 = {w1:.4g} vs plain-sample W1 = {null:.4g}, se = {se:.4g}"
-    )
-
-
 def plain(step):
-    """The same kernel with every chain drawn on its own."""
-    return lambda model, states, n, rng, chains: step(model, states, n, rng)
+    """The same kernel with every chain drawn on its own: the (B, 1|M, d)
+    block is fanned out to its B M chain states and stepped as independent
+    rows."""
+
+    def kernel(model, states, n, rng, chains):
+        fanned = np.broadcast_to(states, (states.shape[0], chains, states.shape[-1]))
+        return step(model, fanned.reshape(-1, fanned.shape[-1]), n, rng).reshape(fanned.shape)
+
+    return kernel
 
 
 PAIRED_KERNELS = {
@@ -135,12 +126,12 @@ def test_paired_step_stream_order(model):
     # coordinate; either way the stream then stands where B h d draws leave it
     b, m, d = 2, 5, 3
     rng, ref = derive_stream(431, 0, 0), derive_stream(431, 0, 0)
-    out = models.estimate_block(model, np.zeros((b * m, d)), 1, rng, chains=m)
+    out = models.estimate_block(model, np.zeros((b, 1, d)), 1, rng, chains=m)
     if isinstance(model, models.GaussianShift):
         z = ref.standard_normal((b, 3, d))
     else:
         z = np.stack([ref.standard_normal((b, 3)) for _ in range(d)], axis=-1)
-    expected = np.concatenate([z, -z[:, :2]], axis=1).reshape(b * m, d)
+    expected = np.concatenate([z, -z[:, :2]], axis=1)
     assert np.array_equal(out, expected)
     assert rng.standard_normal() == ref.standard_normal()
 

@@ -272,7 +272,7 @@ def test_fk_estimate_at_orders_are_their_single_order_runs():
 
 def _aborting_step(model, states, n, rng, dead, chains=1):
     out = models.estimate_block(model, states, n, rng, chains)
-    out[dead] = np.nan
+    out[:, dead] = np.nan
     return out
 
 
@@ -315,4 +315,6 @@ def test_chain_states_are_evaluated_once(monkeypatch):
     theta_hat = unit_sin_theta(3)
     f = functionals.quadratic_form()
     bootstrap.fk_estimate_at(model, f, theta_hat, (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
-    assert sum(points) == 1 + 4 * 50  # theta_hat once, each of the 4 x 50 chain states once
+    # theta_hat once (order 0 and every chain's step 0), each of the 3 x 50
+    # later chain states once
+    assert sum(points) == 1 + 3 * 50

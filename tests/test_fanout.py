@@ -1,0 +1,183 @@
+"""Step-0 fan-out of the chain kernels.
+
+All M chains of a start begin at that start, so the chain driver hands the
+kernel the B starts as a (B, 1, d) block and the kernel fans each out to its
+M chains; later steps pass the (B, M, d) states. The chain states must be
+bit-identical to a driver that materializes the M copies of each start and
+passes (B, M, d) at step 0 too, for every kernel, order, and parity of M.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+from bootchain import bootstrap, functionals, gaussian, models
+from bootchain.experiments import derive_stream, unit_sin_theta
+
+D = 3
+WIDE = 33  # wide enough that BLAS rounds a row by the shape of the product it sits in
+_MIX = np.eye(WIDE) + 0.1 * np.cos(np.add.outer(np.arange(WIDE), 2.0 * np.arange(WIDE)))
+TRUNCATED = partial(gaussian.surrogate_step, delta=1.5 / np.sqrt(50))  # cuts about half the draws
+
+KERNELS = {
+    "shift_identity": (
+        models.GaussianShift(dim=D, noise_map=models.IdentityMap(scale=1.3)),
+        None,
+    ),
+    "shift_constant_matrix": (
+        models.GaussianShift(
+            dim=WIDE, noise_map=models.ConstantMatrixMap(_MIX)
+        ),
+        None,
+    ),
+    "shift_diag_tanh": (
+        models.GaussianShift(
+            dim=D, noise_map=models.DiagTanhMap(a=np.full(D, 1.0), b=np.full(D, 0.5))
+        ),
+        None,
+    ),
+    "ic_rademacher": (models.IndependentComponents(dim=D, noise_dist="rademacher"), None),
+    "ic_uniform": (models.IndependentComponents(dim=D, noise_dist="uniform"), None),
+    "ic_centered_exponential": (
+        models.IndependentComponents(dim=D, noise_dist="centered_exponential"),
+        None,
+    ),
+    "ic_mixed": (
+        models.IndependentComponents(
+            dim=WIDE,
+            noise_dist=("rademacher", "uniform", "gaussian") * 11,
+            directions=_MIX,
+        ),
+        None,
+    ),
+    "ic_mixed_exponential": (
+        models.IndependentComponents(
+            dim=D, noise_dist=("rademacher", "centered_exponential", "uniform")
+        ),
+        None,
+    ),
+    "location_laplace": (models.LogConcaveLocation(dim=D, noise_dist="laplace", scale=0.7), None),
+    "location_logistic": (models.LogConcaveLocation(dim=D, noise_dist="logistic"), None),
+    "location_gaussian": (models.LogConcaveLocation(dim=D, noise_dist="gaussian", scale=1.5), None),
+    "poisson": (models.ExponentialFamily(dim=D, family="poisson_product"), None),
+    "gaussian_mean": (models.ExponentialFamily(dim=D, family="gaussian_mean", base=2.5), None),
+    "surrogate_shift": (models.GaussianShift(dim=D), TRUNCATED),
+    "surrogate_poisson": (models.ExponentialFamily(dim=D, family="poisson_product"), TRUNCATED),
+}
+
+
+def materialized_chains(model, starts, k, n, m, rng, step):
+    """The chain states of a driver that copies each start M times and
+    passes the (B, M, d) copies at step 0 as well."""
+    states = [np.repeat(starts[:, None, :], m, axis=1)]
+    for _ in range(k):
+        states.append(step(model, states[-1], n, rng, chains=m))
+    return np.stack(states)
+
+
+def _starts(b: int, d: int = D) -> np.ndarray:
+    return np.array([unit_sin_theta(d) * (0.5 + 0.3 * i) for i in range(b)])
+
+
+@pytest.mark.parametrize("m", [4, 7], ids=["even_M", "odd_M"])
+@pytest.mark.parametrize("case", sorted(KERNELS))
+def test_fan_out_matches_materialized_starts(case, m):
+    model, step = KERNELS[case]
+    step = step or models.estimate_block
+    starts = _starts(3, model.dim)
+    seed = 440 + sorted(KERNELS).index(case)
+    for k in (1, 2, 3):
+        got = bootstrap.simulate_chain_block(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
+        ref = materialized_chains(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
+        assert got.shape == (k + 1, 3, m, model.dim)
+        assert np.array_equal(got, ref)
+
+
+def test_truncation_fires_in_the_fan_out_cases():
+    # the surrogate cases above cut some draws and keep others
+    states = bootstrap.simulate_chain_block(
+        models.GaussianShift(dim=D), _starts(3), 1, 50, 400, derive_stream(460, 0, 0), TRUNCATED
+    )
+    frozen = np.all(states[1] == states[0], axis=-1)
+    assert 0.2 < frozen.mean() < 0.8
+
+
+def test_poisson_overflowing_start_aborts_its_group_only():
+    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    starts = np.array([[0.3, 0.1], [50.0, 0.0], [-0.2, 0.4]])
+    m, n = 5, 20
+    got = bootstrap.simulate_chain_block(model, starts, 2, n, m, derive_stream(461, 0, 0))
+    assert np.isnan(got[1:, 1]).all()
+    assert np.isfinite(got[:, [0, 2]]).all()
+    # the aborted group draws nothing, so the others read as if it were absent
+    alone = bootstrap.simulate_chain_block(model, starts[[0, 2]], 2, n, m, derive_stream(461, 0, 0))
+    assert np.array_equal(got[:, [0, 2]], alone)
+
+
+def test_plain_and_chain_blocks_only():
+    # a flat (B M, d) block with chains = M is the retired layout
+    model = models.GaussianShift(dim=D)
+    rng = derive_stream(462, 0, 0)
+    with pytest.raises(ValueError, match="do not fit"):
+        models.estimate_block(model, np.zeros((10, D)), 1, rng, chains=5)
+    with pytest.raises(ValueError, match="do not fit"):
+        models.sample_xi_block(model, np.zeros((2, 3, D)), rng, chains=5)
+    assert models.estimate_block(model, np.zeros((2, 1, D)), 1, rng, chains=5).shape == (2, 5, D)
+    assert models.estimate_block(model, np.zeros((10, D)), 1, rng).shape == (10, D)
+
+
+def test_chain_block_rounds_as_its_flat_rows():
+    # a matrix factor multiplies the (B, M, d) drivers as one (B M, d)
+    # product, the layout chain blocks had before they gained a chain axis
+    model = KERNELS["shift_constant_matrix"][0]
+    b, m, n = 3, 7, 50
+    states = np.repeat(_starts(b, WIDE)[:, None, :], m, axis=1)
+    got = models.estimate_block(model, states, n, derive_stream(465, 0, 0), chains=m)
+    z = derive_stream(465, 0, 0).standard_normal((b, 4, WIDE))
+    z = np.concatenate([z, -z[:, :3]], axis=1).reshape(-1, WIDE)
+    flat = states.reshape(-1, WIDE) + (z @ _MIX.T) / np.sqrt(n)
+    assert np.array_equal(got, flat.reshape(b, m, WIDE))
+
+
+FUNCTIONALS = {
+    "quadratic": functionals.quadratic_form(),
+    "radial": functionals.radial("exp_neg"),
+    "linear": functionals.linear(np.linspace(-1.1, 0.7, WIDE)),
+    "exp_linear": functionals.exp_linear(np.linspace(-0.3, 0.2, WIDE)),
+    "quadratic_matrix": functionals.quadratic_form(_MIX),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+def test_fold_matches_materialized_chains(name):
+    # f at a start serves order 0 and the fold's step-0 column where f is
+    # row-local; elsewhere f is taken at the M copies, as a materializing
+    # driver does: either way every order has the bits of the full fold
+    f = FUNCTIONALS[name]
+    model = models.GaussianShift(dim=WIDE)
+    starts = _starts(3, WIDE)
+    n, m, orders = 50, 7, (0, 1, 2, 3)
+    got = bootstrap.fk_estimate_at(model, f, starts, orders, n, m, derive_stream(463, 0, 0))
+    states = materialized_chains(
+        model, starts, 3, n, m, derive_stream(463, 0, 0), models.estimate_block
+    )
+    vals = np.ascontiguousarray(functionals.value(f, states).swapaxes(0, 1))
+    assert np.array_equal(got[0], functionals.value(f, starts))
+    for i, k in enumerate(orders[1:], start=1):
+        per_chain = np.array(bootstrap.collapsed_weights(k), dtype=float) @ vals[:, : k + 1]
+        assert np.array_equal(got[i], per_chain.mean(axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 17, 63, 178, 503])
+def test_row_local_values_ignore_the_batch(d):
+    rng = derive_stream(464, d, 0)
+    rows = rng.standard_normal((3, d))
+    copies = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, 6, d)))
+    for f in (
+        functionals.quadratic_form(), functionals.radial("exp_neg"), functionals.radial("log1p")
+    ):
+        assert functionals.row_local(f)
+        once = np.broadcast_to(functionals.value(f, rows)[:, None], (3, 6))
+        assert np.array_equal(once, functionals.value(f, copies))
+    assert not functionals.row_local(functionals.linear(np.ones(d)))

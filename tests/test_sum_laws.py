@@ -3,14 +3,16 @@
 estimate_block draws each sample mean from the exact law of a sum of n
 draws instead of drawing the n values. For every family and noise tag that
 takes such a shortcut, its rows must match estimate(sample_data(...)), the
-raw-draw path, in law: the empirical W1 between the two samples stays
-inside four bootstrap standard errors.
+raw-draw path, in law: its W1 to a raw sample is no larger than that of a
+second raw sample, up to four standard errors of the difference
+(law_gate.assert_same_law).
 """
 
 import numpy as np
 import pytest
+from law_gate import assert_same_law
 
-from bootchain import distances, models
+from bootchain import models
 from bootchain.experiments import derive_stream
 
 REPS = 4000
@@ -47,12 +49,6 @@ def raw_means(model, theta, n: int, rng) -> np.ndarray:
     )
 
 
-def assert_same_law(a, b, seed: int):
-    w1 = distances.wasserstein1(a, b)
-    se = distances.wasserstein1_bootstrap_se(a, b, derive_stream(seed, 0, 2))
-    assert w1 <= 4.0 * se, f"W1 = {w1:.4g} outside 4 * se = {4.0 * se:.4g}"
-
-
 @pytest.mark.parametrize("n", [1, 3, 25])
 @pytest.mark.parametrize("case", sorted(SUM_CLOSED))
 def test_block_kernel_matches_raw_draw_means(case, n):
@@ -60,7 +56,22 @@ def test_block_kernel_matches_raw_draw_means(case, n):
     theta = np.array([t])
     seed = 400 + n
     block = models.estimate_block(model, np.full((REPS, 1), t), n, derive_stream(seed, 0, 0))
-    assert_same_law(block[:, 0], raw_means(model, theta, n, derive_stream(seed, 0, 1)), seed)
+    raw, raw2 = (raw_means(model, theta, n, derive_stream(seed, i, 1)) for i in (0, 1))
+    assert_same_law(block[:, 0], raw, raw2, seed)
+
+
+@pytest.mark.parametrize("n", [1, 3, 25])
+def test_gate_rejects_a_misscaled_kernel(n):
+    # the law gate has power: Laplace noise at 1.2 times the scale fails it
+    # at every seed of the Laplace cases above (by 5.7 to 5.9 of the gate's
+    # 4 units; 1.1 times reads 2.4 to 2.9 and passes at REPS = 4000)
+    seed = 400 + n
+    model = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.7)
+    wide = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.84)
+    block = models.estimate_block(wide, np.zeros((REPS, 1)), n, derive_stream(seed, 0, 0))
+    raw, raw2 = (raw_means(model, np.zeros(1), n, derive_stream(seed, i, 1)) for i in (0, 1))
+    with pytest.raises(AssertionError, match="same-law W1"):
+        assert_same_law(block[:, 0], raw, raw2, seed)
 
 
 @pytest.mark.parametrize("theta0", [None, [0.5]])
@@ -74,7 +85,7 @@ def test_poisson_outer_draw_with_frequent_mle_fallback(theta0):
             for r in range(REPS)
         ]
     )
-    raw = raw_means(model, theta, n, derive_stream(seed + 1, 0, 0))
+    raw, raw2 = (raw_means(model, theta, n, derive_stream(seed + 1, i, 0)) for i in (0, 1))
     fallback = np.log(models.DEFAULT_MLE_CLAMP) if theta0 is None else theta0[0]
     assert np.mean(outer == fallback) > 0.7
-    assert_same_law(outer, raw, seed)
+    assert_same_law(outer, raw, raw2, seed)
