@@ -1,23 +1,25 @@
 """Bootstrap Markov chains and higher-order bias correction.
 
 The chain refits the estimator to data simulated from its own previous
-state: state[j+1] = estimate(sample_data(state[j], n)). simulate_chain_block
-is the one chain driver; its step argument swaps this bootstrap transition
-(models.estimate_block) for another kernel with the same signature, such as
-the Gaussian surrogate step gaussian.surrogate_step. Signed binomial
-weights turn chain evaluations of f into Monte Carlo estimates of the
-iterated bias operator applied to f, and the collapsed weights fold the
-whole alternating partial sum of corrections into a single pass over one
-chain. One length-k chain feeds every order j <= k through its prefixes:
-fk_estimate_at evaluates f once on every state of one simulation and folds
-each requested order from the leading rows of that value array, each equal
-to what a run of that order alone computes from the same stream. It takes a
-single fitted value or a block of them: all chains of a block step together
-through one kernel call per step, and each row is folded exactly as a lone
-row's chains would be. Chain reuse correlates orders within a replicate but
-leaves the corrected estimator unbiased for the weighted sum of state
-expectations; the standard errors reported by the Monte Carlo layer absorb
-the correlation.
+state: state[j+1] is theta_hat fitted to n observations drawn under
+P_state[j]. simulate_chain_block is the one chain driver; its step
+argument swaps this bootstrap transition (models.estimate_block) for
+another kernel with the same signature, such as the Gaussian surrogate
+step gaussian.surrogate_step. Signed binomial weights turn chain
+evaluations of f into Monte Carlo estimates of the iterated bias operator
+applied to f, and the collapsed weights fold the whole alternating partial
+sum of corrections into a single pass over one chain. One length-k chain
+feeds every order j <= k through its prefixes: fk_estimate_at evaluates f
+once on every state of one simulation and folds each requested order from
+the leading rows of that value array, each equal to what a run of that
+order alone computes from the same stream. It takes a single fitted value
+or a block of them: all chains of a block step together through one kernel
+call per step, and each row is folded exactly as a lone row's chains would
+be. Chain reuse correlates orders within a replicate but leaves the
+corrected estimator unbiased for the weighted sum of state expectations;
+the standard errors reported by the Monte Carlo layer absorb the
+correlation. Chains that leave the model domain abort: an order that lost
+more than 1% of a row's chains is NaN, never an exception.
 
 The kernels have a chain axis: the driver passes chains=M and a (B, 1, d)
 block of starts at step 0, which the kernel fans out to the (B, M, d)
@@ -46,7 +48,8 @@ MAX_ORDER = 12  # exact integer binomials; the interesting regime is small k
 
 
 class EstimationError(RuntimeError):
-    """Monte Carlo estimation failed (too many aborted chains)."""
+    """A Monte Carlo summary broke an identity it must satisfy (a clt row's
+    W1 above its W2). Aborted chains raise nothing: they make NaN estimates."""
 
 
 ABORT_RATE_LIMIT = 0.01
@@ -155,16 +158,6 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
         else:
             out[i] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
     return out if theta_hat.ndim > 1 else out[:, 0]
-
-
-def fk_estimate(model, f, data, k: int, n: int, m: int, rng) -> float:
-    """Bias-corrected estimate of f(theta) from one observation set:
-    fk_estimate_at started at theta_hat = estimate(model, data). Raises
-    EstimationError when more than 1% of the chains abort."""
-    est = float(fk_estimate_at(model, f, models.estimate(model, data), (k,), n, m, rng)[0])
-    if k > 0 and math.isnan(est):
-        raise EstimationError(f"more than {ABORT_RATE_LIMIT:.0%} of {m} chains aborted")
-    return est
 
 
 def bias_oracle_exp(theta, u, sigma2: float, n: int, k: int) -> float:

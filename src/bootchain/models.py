@@ -1,4 +1,4 @@
-"""Statistical families P_theta with estimators and Gaussian surrogates.
+"""Model families P_theta, their refitted estimator and Gaussian surrogate.
 
 Four model variants are provided:
 
@@ -20,13 +20,12 @@ one table of unit-variance drivers (_DRIVERS). A location noise is a
 standardized driver times diag(scale * sd), sd its standard deviation at
 unit scale, which is its model's factor L; independent components apply
 their factor to the drivers the same way. So both families take one path
-through sample_data and estimate_block: theta + L(theta) (driver draws),
-averaged, or theta + L(theta) (driver means).
+through estimate_block: theta + L(theta) (driver means).
 
-Besides the per-replicate operations (sample_data / estimate / sigma) this
-module exposes vectorized kernels, estimate_block and sample_xi_block, that
-step many parameter rows at once; a single row is a block with one row.
-Every estimator here sees the data only through its sample mean, so
+The model API is two vectorized kernels, estimate_block (theta_hat fitted to
+data drawn at each row) and sample_xi_block (surrogate draws), that step
+many parameter rows at once, plus sigma; a single row is a block with one
+row. Every estimator here sees the data only through its sample mean, so
 estimate_block draws that mean from the exact law of a sum of n draws
 wherever one exists: Binomial for Rademacher sums, Gamma for exponential
 sums, a difference of two Gamma(n, 1) sums for Laplace noise, Poisson
@@ -66,10 +65,6 @@ _CHUNK_SCALARS = 2**16  # raw-draw budget per chunk in block stepping: 0.5 MB, c
 _BLOCK_SCALARS = 2**14  # chain-state budget B*M*d of one block of replicates
 
 DEFAULT_MLE_CLAMP = 1e-6
-
-
-class DomainError(ValueError):
-    """Parameter left the model's valid domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def _laplace_mean(rng, n: int, size) -> np.ndarray:
 
 # every noise tag -> (raw draw(rng, size), exact law of the mean of n draws
 # (rng, n, size), or None where no closed sum law exists); every driver has
-# mean 0 and variance 1
+# mean 0 and variance 1, and each sum law is tested against n raw draws
 _DRIVERS = {
     "rademacher": (
         lambda rng, size: 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0,
@@ -331,14 +326,6 @@ class LogConcaveLocation:
 Model = GaussianShift | IndependentComponents | ExponentialFamily | LogConcaveLocation
 
 
-@dataclass(frozen=True)
-class Data:
-    """Observation container: every estimator here reads only the mean."""
-
-    n: int
-    mean: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # maximum likelihood (exponential families)
 
@@ -381,52 +368,7 @@ def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-replicate operations
-
-
-def sample_data(model: Model, theta, n: int, rng) -> Data:
-    """Draw one observation set under P_theta^(n).
-
-    GaussianShift yields the single vector X; the i.i.d. models draw n
-    copies and keep their mean.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dim,):
-        raise ValueError("theta dimension mismatch")
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
-
-    if isinstance(model, GaussianShift):
-        z = rng.standard_normal(model.dim)
-        return Data(n=n, mean=theta + _factor(model, theta, z) / math.sqrt(n))
-
-    if isinstance(model, (IndependentComponents, LogConcaveLocation)):
-        eta = np.empty((n, model.dim))
-        for j, tag in enumerate(model.noise_dist):
-            eta[:, j] = _DRIVERS[tag][0](rng, n)
-        return Data(n=n, mean=(theta + _factor(model, theta, eta)).mean(axis=0))
-
-    if isinstance(model, ExponentialFamily):
-        if model.family == "poisson_product":
-            with np.errstate(over="ignore"):
-                lam = np.exp(theta)
-            if not np.all(np.isfinite(lam)) or np.any(lam * n > POISSON_LAM_MAX):
-                raise DomainError("Poisson rate overflow: theta outside domain")
-            draws = rng.poisson(lam, size=(n, model.dim)).astype(float)
-        else:
-            mu = model.base * theta
-            draws = mu + np.sqrt(model.base) * rng.standard_normal((n, model.dim))
-        return Data(n=n, mean=draws.mean(axis=0))
-
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def estimate(model: Model, data: Data) -> np.ndarray:
-    """theta_hat: identity for the shift model, Xbar for the mean models,
-    Psi^{-1}(Xbar) with fallback for the exponential families."""
-    if isinstance(model, ExponentialFamily):
-        return _mle_from_mean(model, data.mean)
-    return np.asarray(data.mean, dtype=float)
+# covariance and vectorized kernels
 
 
 def sigma(model: Model, theta) -> np.ndarray:
@@ -435,10 +377,6 @@ def sigma(model: Model, theta) -> np.ndarray:
     d = model.dim
     lt = _factor(model, np.broadcast_to(np.asarray(theta, dtype=float), (d, d)), np.eye(d))
     return lt.T @ lt
-
-
-# ---------------------------------------------------------------------------
-# vectorized kernels
 
 
 def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:
@@ -462,7 +400,8 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     """One bootstrap step for a block of parameter rows.
 
     A (rows, d) block with chains = 1 steps independent rows: row m of the
-    result is distributed as estimate(sample_data(model, thetas[m], n)). A
+    result is the estimator refitted to n observations drawn under
+    P_thetas[m], in law; the outer theta_hat draw is such a call. A
     chain driver passes chains = M and a (B, 1, d) block of starts, or the
     (B, M, d) states of a later step, and gets (B, M, d): a (B, 1, d) block
     fans out, so the per-state work (L(theta), the Poisson rate and its

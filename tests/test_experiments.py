@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from raw_reference import raw_estimate
 
 from bootchain import experiments as exp
 from bootchain import bootstrap, functionals, gaussian, models
@@ -455,20 +456,16 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
     step = _shift_step(model, n, use_tilde)
 
     # B = 1 (M d > 2^14): a block is one replicate, and for the shift model its
-    # one-row outer draw consumes the stream exactly as sample_data does, so
-    # the errors are bit-identical to the data-based path computed inline
+    # one-row outer draw consumes the stream exactly as the raw reference
+    # does, so the errors are bit-identical to that path computed inline
     m, reps = 4100, 3
     assert exp._block_size(m, 4) == 1
     expected = np.empty((k + 1, reps))
     for j in range(k + 1):
         for r in range(reps):
             rng = exp.derive_stream(seed, r, 0)
-            data = models.sample_data(model, theta, n, rng)
-            if use_tilde:
-                theta_hat = models.estimate(model, data)
-                est = bootstrap.fk_estimate_at(model, f, theta_hat, (j,), n, m, rng, step)[0]
-            else:
-                est = bootstrap.fk_estimate(model, f, data, j, n, m, rng)
+            theta_hat = raw_estimate(model, theta, n, rng)
+            est = bootstrap.fk_estimate_at(model, f, theta_hat, (j,), n, m, rng, step)[0]
             expected[j, r] = est - f_true
     for orders in _orders_passes(k):
         payload = (model, f, theta, f_true, orders, n, m, step, seed)
@@ -478,7 +475,7 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
             assert np.array_equal(row, expected[j])
 
     # B > 1, R not a multiple of B: an inline reference draws each block's
-    # theta_hat rows one sample_data call at a time, then steps the rows'
+    # theta_hat rows one raw_estimate call at a time, then steps the rows'
     # chains in row order at every step, each row's M chains from h = M/2
     # fresh normal rows and their negations, and folds each replicate's
     # chains on their own
@@ -489,10 +486,7 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
     expected = np.empty((k + 1, reps))
     for b, lo in enumerate(range(0, reps, size)):
         rng = exp.derive_stream(seed, b, 0)
-        hats = [
-            models.estimate(model, models.sample_data(model, theta, n, rng))
-            for _ in range(min(size, reps - lo))
-        ]
+        hats = [raw_estimate(model, theta, n, rng) for _ in range(min(size, reps - lo))]
         chains = [[np.broadcast_to(h, (m, 4))] for h in hats]
         for _ in range(k):
             for chain in chains:

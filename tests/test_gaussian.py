@@ -97,9 +97,8 @@ def test_tilde_fk_agrees_with_fk_in_mean_for_shift_model():
     n, m, reps = 100, 50, 3000
     diffs = np.empty(reps)
     for r in range(reps):
-        data = models.sample_data(model, theta, n, derive_stream(306, r, 0))
-        theta_hat = models.estimate(model, data)
-        hat = bootstrap.fk_estimate(model, f, data, 2, n, m, derive_stream(306, r, 1))
+        theta_hat = models.estimate_block(model, theta[None, :], n, derive_stream(306, r, 0))[0]
+        hat = bootstrap.fk_estimate_at(model, f, theta_hat, (2,), n, m, derive_stream(306, r, 1))[0]
         tilde = bootstrap.fk_estimate_at(
             model, f, theta_hat, (2,), n, m, derive_stream(306, r, 2), gaussian.surrogate_step
         )[0]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from raw_reference import raw_estimate
 
 from bootchain import models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -16,7 +17,7 @@ def test_gaussian_shift_clt_mean_bound():
     rng = derive_stream(101, 0, 0)
     acc = np.zeros(d)
     for _ in range(reps):
-        acc += models.sample_data(model, theta, n, rng).mean - theta
+        acc += models.estimate_block(model, theta[None, :], n, rng)[0] - theta
     assert np.linalg.norm(acc / reps) <= 4.0 * math.sqrt(d / (n * reps))
 
 
@@ -24,41 +25,35 @@ def test_rademacher_draws_have_pm1_support():
     model = models.IndependentComponents(dim=4, noise_dist="rademacher")
     rng = derive_stream(102, 0, 0)
     # a mean of n = 1 draws is the draw itself, on both sampling paths
-    raw = [models.sample_data(model, np.zeros(4), 1, rng).mean for _ in range(16)]
+    raw = [raw_estimate(model, np.zeros(4), 1, rng) for _ in range(16)]
     assert set(np.unique(raw)) == {-1.0, 1.0}
     block = models.estimate_block(model, np.zeros((64, 4)), 1, rng)
     assert set(np.unique(block)) == {-1.0, 1.0}
 
 
 def test_poisson_coordinate_means_near_one():
+    # the raw counts the sum-law tests compare the Poisson kernel against
     model = models.ExponentialFamily(dim=2, family="poisson_product")
     rng = derive_stream(103, 0, 0)
     n = 100_000
-    data = models.sample_data(model, np.zeros(2), n, rng)
+    xbar = np.exp(raw_estimate(model, np.zeros(2), n, rng))  # the MLE is log(Xbar)
     se = math.sqrt(1.0 / n)  # Poisson variance e^0 = 1
-    assert np.all(np.abs(data.mean - 1.0) <= 3.0 * se)
-
-
-def test_estimate_identity_for_shift_model():
-    model = models.GaussianShift(dim=3)
-    rng = derive_stream(104, 0, 0)
-    data = models.sample_data(model, np.ones(3), 50, rng)
-    assert np.array_equal(models.estimate(model, data), data.mean)
+    assert np.all(np.abs(xbar - 1.0) <= 3.0 * se)
 
 
 def test_poisson_mle_and_fallback():
     explicit = models.ExponentialFamily(
         dim=2, family="poisson_product", theta0=np.array([0.3, -0.2])
     )
-    zero_counts = models.Data(n=5, mean=np.zeros(2))
-    assert np.array_equal(models.estimate(explicit, zero_counts), [0.3, -0.2])
+    zero_counts = np.zeros(2)
+    assert np.array_equal(models._mle_from_mean(explicit, zero_counts), [0.3, -0.2])
 
     default = models.ExponentialFamily(dim=2, family="poisson_product")
-    got = models.estimate(default, zero_counts)
+    got = models._mle_from_mean(default, zero_counts)
     assert np.allclose(got, np.log(1e-6))  # clamp rule
 
-    data = models.Data(n=5, mean=np.array([1.0, math.e]))
-    assert np.allclose(models.estimate(default, data), [0.0, 1.0], atol=1e-15)
+    xbar = np.array([1.0, math.e])
+    assert np.allclose(models._mle_from_mean(default, xbar), [0.0, 1.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("theta0", [None, [0.3, -0.2]])
@@ -70,7 +65,7 @@ def test_block_poisson_mle_is_the_row_mle(theta0):
     xbars = derive_stream(114, 0, 0).poisson(n * np.exp(thetas)) / n
     assert 0.5 < np.mean(np.any(xbars == 0, axis=1)) < 1.0
     for got, xbar in zip(block, xbars):
-        assert np.array_equal(got, models.estimate(model, models.Data(n, xbar)))
+        assert np.array_equal(got, models._mle_from_mean(model, xbar))
 
 
 def test_sample_xi_identity_covariance():
@@ -211,12 +206,20 @@ def test_estimator_covariance_matches_sigma(model, theta, n):
 
 
 def test_poisson_domain_errors():
+    # a rate outside the sampling domain is a NaN row, and it draws nothing
     model = models.ExponentialFamily(dim=2, family="poisson_product")
-    rng = derive_stream(110, 0, 0)
-    with pytest.raises(models.DomainError):
-        models.sample_data(model, np.array([800.0, 0.0]), 10, rng)
-    with pytest.raises(models.DomainError):
-        models.sample_data(model, np.array([25.0, 0.0]), 100, rng)  # n * e^theta > guard
+    n = 100
+    thetas = np.array(
+        [
+            [800.0, 0.0],  # e^theta overflows
+            [25.0, 0.0],  # n e^theta > POISSON_LAM_MAX
+            [0.5, -0.3],
+        ]
+    )
+    out = models.estimate_block(model, thetas, n, derive_stream(110, 0, 0))
+    assert np.isnan(out[:2]).all()
+    alone = models.estimate_block(model, thetas[2:], n, derive_stream(110, 0, 0))
+    assert np.isfinite(alone).all() and np.array_equal(out[2:], alone)
 
 
 def test_estimate_block_marks_aborted_rows():
@@ -275,6 +278,5 @@ def test_gaussian_mean_family():
     theta = np.array([1.0, -0.5])
     assert np.allclose(models.sigma(model, theta), np.diag(1.0 / base))  # theta_hat = Xbar / v
     rng = derive_stream(113, 0, 0)
-    data = models.sample_data(model, theta, 4000, rng)
-    hat = models.estimate(model, data)
+    hat = raw_estimate(model, theta, 4000, rng)
     assert np.linalg.norm(hat - theta) <= 0.2  # sd ~ sqrt(1/(v n)) per coord

@@ -2,15 +2,16 @@
 
 estimate_block draws each sample mean from the exact law of a sum of n
 draws instead of drawing the n values. For every family and noise tag that
-takes such a shortcut, its rows must match estimate(sample_data(...)), the
-raw-draw path, in law: its W1 to a raw sample is no larger than that of a
-second raw sample, up to four standard errors of the difference
+takes such a shortcut, its rows must match raw_reference.raw_estimate, the
+fit to n raw draws, in law: its W1 to a raw sample is no larger than that
+of a second raw sample, up to four standard errors of the difference
 (law_gate.assert_same_law).
 """
 
 import numpy as np
 import pytest
 from law_gate import assert_same_law
+from raw_reference import raw_estimate
 
 from bootchain import models
 from bootchain.experiments import derive_stream
@@ -43,10 +44,8 @@ SUM_CLOSED = {
 
 
 def raw_means(model, theta, n: int, rng) -> np.ndarray:
-    """REPS draws of estimate(sample_data(...)): n raw values per draw."""
-    return np.array(
-        [models.estimate(model, models.sample_data(model, theta, n, rng))[0] for _ in range(REPS)]
-    )
+    """REPS draws of raw_estimate: n raw values per draw."""
+    return np.array([raw_estimate(model, theta, n, rng)[0] for _ in range(REPS)])
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
