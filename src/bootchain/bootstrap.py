@@ -2,26 +2,27 @@
 
 The chain refits the estimator to data simulated from its own previous
 state: state[j+1] is theta_hat fitted to n observations drawn under
-P_state[j]. simulate_chain_block is the one chain driver; its step
-argument swaps this bootstrap transition (models.estimate_block) for
-another kernel with the same signature, such as the Gaussian surrogate
-step gaussian.surrogate_step. Signed binomial weights turn chain
-evaluations of f into Monte Carlo estimates of the iterated bias operator
-applied to f, and the collapsed weights fold the whole alternating partial
-sum of corrections into a single pass over one chain. One length-k chain
-feeds every order j <= k through its prefixes: fk_estimate_at evaluates f
-once on every state of one simulation and folds each requested order from
-the leading rows of that value array, each equal to what a run of that
-order alone computes from the same stream. It takes a single fitted value
-or a block of them: all chains of a block step together through one kernel
-call per step, and each row is folded exactly as a lone row's chains would
-be. Chain reuse correlates orders within a replicate but leaves the
-corrected estimator unbiased for the weighted sum of state expectations;
-the standard errors reported by the Monte Carlo layer absorb the
-correlation. Chains that leave the model domain abort: an order that lost
-more than 1% of a row's chains is NaN, never an exception.
+P_state[j]. chain_steps is the one stepping loop; its step argument swaps
+this bootstrap transition (models.estimate_block) for another kernel with
+the same signature, such as the Gaussian surrogate step
+gaussian.surrogate_step, and simulate_chain_block stacks its states into
+one array. Signed binomial weights turn chain evaluations of f into Monte
+Carlo estimates of the iterated bias operator applied to f, and the
+collapsed weights fold the whole alternating partial sum of corrections
+into a single pass over one chain. One length-k chain feeds every order
+j <= k through its prefixes: fk_estimate_at evaluates f once on each
+step's states as chain_steps draws them, keeping only their values, and
+folds each requested order from the leading rows of that value array, each
+equal to what a run of that order alone computes from the same stream. It
+takes a single fitted value or a block of them: all chains of a block step
+together through one kernel call per step, and each row is folded exactly
+as a lone row's chains would be. Chain reuse correlates orders within a
+replicate but leaves the corrected estimator unbiased for the weighted sum
+of state expectations; the standard errors reported by the Monte Carlo
+layer absorb the correlation. Chains that leave the model domain abort: an
+order that lost more than 1% of a row's chains is NaN, never an exception.
 
-The kernels have a chain axis: the driver passes chains=M and a (B, 1, d)
+The kernels have a chain axis: chain_steps passes chains=M and a (B, 1, d)
 block of starts at step 0, which the kernel fans out to the (B, M, d)
 states of the M chains of each start, and the (B, M, d) states after that.
 So the work that depends on the state alone runs once per start at step 0,
@@ -75,9 +76,11 @@ def collapsed_weights(k: int) -> tuple[int, ...]:
     return tuple((-1) ** i * math.comb(k + 1, i + 1) for i in range(k + 1))
 
 
-def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
-    """M chains from each start: states of shape (k+1, M, d) for a (d,)
-    start, (k+1, B, M, d) for a (B, d) block of starts.
+def chain_steps(model, starts, k: int, n: int, m: int, rng, step=None):
+    """Step M chains from each row of a (B, d) block of starts k times,
+    yielding the (B, M, d) states of steps 1, ..., k as they are drawn: the
+    one stepping loop of the package. The next step reads the yielded
+    array, so a consumer reads it and does not write to it.
 
     step(model, states, n, rng, chains=M) maps a (B, 1, d) or (B, M, d)
     block of states to the (B, M, d) states of the next step. Step 0 passes
@@ -90,12 +93,24 @@ def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -
     their state left the model domain.
     """
     step = step or models.estimate_block
+    states = starts[:, None, :]
+    for _ in range(k):
+        states = step(model, states, n, rng, chains=m)
+        yield states
+
+
+def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
+    """The states of chain_steps stacked after the start: shape (k+1, M, d)
+    for a (d,) start, (k+1, B, M, d) for a (B, d) block of starts. For
+    callers that want every state at once, such as
+    gaussian.superposition_block; fk_estimate_at folds from chain_steps
+    without this array."""
     start = np.asarray(start, dtype=float)
     rows = start.reshape(-1, start.shape[-1])
     states = np.empty((k + 1, rows.shape[0], m, rows.shape[1]))
     states[0] = rows[:, None, :]
-    for j in range(k):
-        states[j + 1] = step(model, states[j] if j else rows[:, None, :], n, rng, chains=m)
+    for j, after in enumerate(chain_steps(model, rows, k, n, m, rng, step), 1):
+        states[j] = after
     return states.reshape((k + 1,) + start.shape[:-1] + (m, start.shape[-1]))
 
 
@@ -119,14 +134,14 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
 
     Order 0 is the plain plug-in f(theta_hat). M chains of length
     max(orders) start at each finite row (none when that maximum is 0), f
-    is evaluated once on all their states (once per row at the start, where
-    functionals.row_local allows), and order k >= 1 is the
-    collapsed-weight fold of the values of their first k steps: since the
-    chains draw step by step, that prefix is exactly the chain a run of
-    order k alone would simulate. step is the chains' transition kernel
-    (see simulate_chain_block). Every order of a row with a non-finite
-    theta_hat is NaN, and so is an order whose prefix lost more than 1% of
-    that row's chains, or all of them.
+    is evaluated once on each step's states as they are drawn (once per row
+    at the start, where functionals.row_local allows), and order k >= 1 is
+    the collapsed-weight fold of the values of their first k steps: since
+    the chains draw step by step, that prefix is exactly the chain a run of
+    order k alone would simulate. No array of all the states is kept.
+    step is the chains' transition kernel (see chain_steps). Every order of
+    a row with a non-finite theta_hat is NaN, and so is an order whose
+    prefix lost more than 1% of that row's chains, or all of them.
     """
     orders = tuple(orders)
     for k in orders:
@@ -144,13 +159,17 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
         return out if theta_hat.ndim > 1 else out[:, 0]
     at_start = functionals.value(f, rows)
     if top > 0:
-        states = simulate_chain_block(model, rows, top, n, m, rng, step)
         # (rows, top+1, M), each row's values contiguous as for a lone chain;
         # step 0 is the start itself, evaluated once per row where f's value
-        # of a row does not depend on the batch it sits in
+        # of a row does not depend on the batch it sits in, else on its M
+        # copies; each later step is folded in as it is drawn
         vals = np.empty((rows.shape[0], top + 1, m))
-        vals[:, 0] = at_start[:, None] if functionals.row_local(f) else functionals.value(f, states[0])
-        vals[:, 1:] = functionals.value(f, states[1:]).swapaxes(0, 1)
+        if functionals.row_local(f):
+            vals[:, 0] = at_start[:, None]
+        else:
+            vals[:, 0] = functionals.value(f, np.repeat(rows[:, None, :], m, axis=1))
+        for j, states in enumerate(chain_steps(model, rows, top, n, m, rng, step), 1):
+            vals[:, j] = functionals.value(f, states)
     out = np.empty((len(orders), rows.shape[0]))
     for i, k in enumerate(orders):
         if k == 0:

@@ -15,7 +15,7 @@ its randomness from the counter-based stream derive_stream(master_seed, b,
 0): first its B theta_hat rows, as one call of the block kernel
 models.estimate_block, then the chains of its finite rows, one kernel call
 per step, each row's M chains in antithetic pairs where the kernel's driver
-is symmetric (bootstrap.simulate_chain_block). At B = 1 a block is one
+is symmetric (bootstrap.chain_steps). At B = 1 a block is one
 replicate. Every order row a grid point reports (the plug-in row of
 compare_plugin, each oracle-check order) is folded from the same theta_hat
 and the prefixes of the same chains. B depends on (M, d) alone; a run's

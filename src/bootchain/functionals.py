@@ -57,6 +57,21 @@ def radial(profile: str) -> Functional:
     return Functional("radial", profile=profile)
 
 
+def _row_dot(a, b) -> np.ndarray:
+    """np.sum(a * b, axis=-1), bit for bit. Below 8 coordinates numpy's
+    pairwise sum is a left fold from its +0.0 identity, which column adds
+    repeat without a reduction call per row; from 8 up its unrolled
+    accumulators change the order, so np.sum itself runs there."""
+    d = a.shape[-1]
+    if not 0 < d < 8:
+        return np.sum(a * b, axis=-1)
+    out = a[..., 0] * b[..., 0]
+    out += 0.0  # the identity turns an all -0.0 row into +0.0
+    for i in range(1, d):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def value(f: Functional, theta) -> float | np.ndarray:
     """Evaluate f at theta; theta may be (d,) or (..., d)."""
     t = np.asarray(theta, dtype=float)
@@ -65,14 +80,11 @@ def value(f: Functional, theta) -> float | np.ndarray:
     elif f.variant == "power":
         out = (t @ f.u) ** f.p
     elif f.variant == "quadratic_form":
-        if f.Q is None:
-            out = np.sum(t * t, axis=-1)
-        else:
-            out = np.sum((t @ f.Q) * t, axis=-1)
+        out = _row_dot(t, t) if f.Q is None else _row_dot(t @ f.Q, t)
     elif f.variant == "exp_linear":
         out = np.exp(t @ f.u)
     elif f.variant == "radial":
-        r2 = np.sum(t * t, axis=-1)
+        r2 = _row_dot(t, t)
         out = np.exp(-r2) if f.profile == "exp_neg" else np.log1p(r2)
     else:
         raise ValueError(f"unknown functional variant {f.variant!r}")
@@ -81,7 +93,7 @@ def value(f: Functional, theta) -> float | np.ndarray:
 
 def row_local(f: Functional) -> bool:
     """Whether value(f, .) gives a row the same bits in any batch: true for
-    the variants computed elementwise and by np.sum over the coordinate
+    the variants computed elementwise and by _row_dot over the coordinate
     axis. The others reduce through BLAS (@), which rounds a row by the
     shape of the product it sits in, so f at a (B, d) block of starts can
     differ in the last bits from f at their (B, M, d) copies."""
@@ -103,7 +115,7 @@ def grad(f: Functional, theta) -> np.ndarray:
     if f.variant == "exp_linear":
         return np.exp(t @ f.u)[..., None] * f.u
     if f.variant == "radial":
-        r2 = np.sum(t * t, axis=-1)
+        r2 = _row_dot(t, t)
         g1 = -np.exp(-r2) if f.profile == "exp_neg" else 1.0 / (1.0 + r2)
         return 2.0 * g1[..., None] * t
     raise ValueError(f"unknown functional variant {f.variant!r}")

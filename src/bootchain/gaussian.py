@@ -2,8 +2,8 @@
 
 The surrogate chain replaces the bootstrap transition (resample data, refit)
 by the additive Gaussian step state + xi(state)/sqrt(n): surrogate_step is
-that transition kernel, and bootstrap.simulate_chain_block runs it through
-the same chain driver as the bootstrap step; the corrected estimator on
+that transition kernel, and bootstrap.chain_steps runs it through the same
+stepping loop as the bootstrap step; the corrected estimator on
 surrogate chains is bootstrap.fk_estimate_at with
 step=partial(surrogate_step, delta=...). The truncation radius delta is a
 number: a drawn xi is zeroed when its norm reaches delta*sqrt(n), so each
@@ -43,10 +43,12 @@ def surrogate_step(model, states, n: int, rng, delta: float = math.inf, chains: 
     which returns (B, M, d) in antithetic pairs."""
     xi = models.sample_xi_block(model, states, rng, chains)
     if delta < math.inf:
-        cut = np.sum(xi * xi, axis=-1) >= (delta * math.sqrt(n)) ** 2
+        cut = functionals._row_dot(xi, xi) >= (delta * math.sqrt(n)) ** 2
         if cut.any():
             xi[cut] = 0.0
-    return states + xi / math.sqrt(n)
+    xi /= math.sqrt(n)
+    xi += states  # xi is the kernel's own new array, so it takes the sum
+    return xi
 
 
 def sigma_f(model, f, theta) -> float:

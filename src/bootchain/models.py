@@ -336,11 +336,15 @@ def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
     rule log(max(Xbar, 1e-6))."""
     if model.family == "gaussian_mean":
         return xbar / model.base
-    fallback = model.theta0
-    if fallback is None:
-        fallback = np.log(np.maximum(xbar, DEFAULT_MLE_CLAMP))
     with np.errstate(divide="ignore"):
-        return np.where(np.all(xbar > 0, axis=-1, keepdims=True), np.log(xbar), fallback)
+        fit = np.log(xbar)
+    bad = ~np.all(xbar > 0, axis=-1)
+    if bad.any():  # build the fallback only for the rows that take it
+        fallback = model.theta0
+        if fallback is None:
+            fallback = np.log(np.maximum(xbar[bad], DEFAULT_MLE_CLAMP))
+        fit[bad] = fallback
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +354,9 @@ def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
 def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
     """L(theta) v row by row (thetas broadcast against v): the model's one
     Gaussian factor, with xi(theta) = L(theta) z and Sigma(theta) =
-    L(theta) L(theta)^T the covariance of sqrt(n)(theta_hat - theta)."""
+    L(theta) L(theta)^T the covariance of sqrt(n)(theta_hat - theta).
+    Always a new array of v's shape, so the step kernels finish their
+    states in it in place."""
     if isinstance(model, GaussianShift):
         return model.noise_map.apply(thetas, v)
     if isinstance(model, IndependentComponents):
@@ -415,8 +421,10 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     d = model.dim
 
     if isinstance(model, GaussianShift):
-        z = _paired(rng.standard_normal, lead, (d,))
-        return thetas + _factor(model, thetas, z) / math.sqrt(n)
+        x = _factor(model, thetas, _paired(rng.standard_normal, lead, (d,)))
+        x /= math.sqrt(n)
+        x += thetas
+        return x
 
     if isinstance(model, (IndependentComponents, LogConcaveLocation)):
         antithetic = "centered_exponential" not in model.noise_dist
@@ -426,12 +434,16 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
             draw = partial(_chunked_raw_mean, raw, rng, n) if mean is None else partial(mean, rng, n)
             # a plain (B, M) draw keeps the stream order of B M rows
             etabar[..., j] = _paired(draw, lead) if antithetic else draw(lead)
-        return thetas + _factor(model, thetas, etabar)
+        x = _factor(model, thetas, etabar)
+        x += thetas
+        return x
 
     if isinstance(model, ExponentialFamily):
         if model.family == "gaussian_mean":
             z = _paired(rng.standard_normal, lead, (d,))
-            return thetas + z / np.sqrt(model.base * n)
+            z /= np.sqrt(model.base * n)
+            z += thetas
+            return z
         with np.errstate(over="ignore", invalid="ignore"):
             lam = n * np.exp(thetas)
         ok = np.broadcast_to(np.all(np.isfinite(lam) & (lam <= POISSON_LAM_MAX), axis=-1), lead)

@@ -2,18 +2,43 @@
 
 import math
 
+import numpy as np
+
 from bootchain import distances
 from bootchain.experiments import derive_stream
 
 
+def _log_sd_var(x: np.ndarray) -> float:
+    """Variance of the log sample sd of x: Var(s^2) / (4 sigma^4), with the
+    exact Var(s^2) = sigma^4 (kappa - (N-3)/(N-1)) / N of the unbiased
+    sample variance (kappa the kurtosis), which stays positive for a
+    two-point law, where kappa = 1."""
+    c = x - x.mean()
+    m2 = np.mean(c * c)
+    kappa = np.mean(c**4) / m2**2
+    return (kappa - (x.size - 3) / (x.size - 1)) / (4.0 * x.size)
+
+
+def spread_z(a, ref, ref2) -> float:
+    """log(sd(a) / sd(ref with ref2)) in standard errors: the log-ratio has
+    mean 0 under one law, so ref2 joins ref as reference sample."""
+    a, pool = np.asarray(a, dtype=float), np.concatenate([ref, ref2]).astype(float)
+    gap = math.log(np.std(a, ddof=1) / np.std(pool, ddof=1))
+    return gap / math.sqrt(_log_sd_var(a) + _log_sd_var(pool))
+
+
 def assert_same_law(a, ref, ref2, seed: int):
-    """a is as close to ref as an independent sample ref2 of ref's law is.
+    """a is as close to ref as an independent sample ref2 of ref's law is,
+    and has its spread.
 
     The W1 of two samples of one law has mean about 2.3 bootstrap se (the
     mean over the sd of the integrated |Brownian bridge|), so a bare
     W1 <= 4 se gate fails several per cent of samples of one law. The
     difference W1(a, ref) - W1(ref2, ref) has mean 0 and sd at most about
-    sqrt(2) se; the gate is four of those.
+    sqrt(2) se; the gate is four of those. W1 weighs a scale error by the
+    spread of the whole law, so it misses a 10% error at 4000 draws; the
+    log-ratio of the sample sds (spread_z) is within four of its standard
+    errors.
     """
     w1 = distances.wasserstein1(a, ref)
     null = distances.wasserstein1(ref2, ref)
@@ -21,3 +46,5 @@ def assert_same_law(a, ref, ref2, seed: int):
     assert w1 - null <= 4.0 * math.sqrt(2.0) * se, (
         f"W1 = {w1:.4g} vs same-law W1 = {null:.4g}, se = {se:.4g}"
     )
+    z = spread_z(a, ref, ref2)
+    assert abs(z) <= 4.0, f"same-law spread: log sd ratio at {z:.3g} se"

@@ -5,7 +5,8 @@ draws its drivers for h = ceil(M/2) chains of each replicate and gives chain
 h+i the negated draw of chain i. Each twin must keep its chain's law: the
 marginal of the "+" chains and of the "-" chains each match plain chains of
 the same kernel (assert_same_law: W1 to a plain sample no larger than a
-second plain sample's, up to four standard errors of the difference). The
+second plain sample's, up to four standard errors of the difference, and
+the same sd to four standard errors of the log-ratio). The
 pair cancels the odd part of the fold, so its variance across replicates
 falls.
 """

@@ -665,7 +665,7 @@ def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
     def no_chains(*args, **kwargs):
         raise AssertionError("chains started from a non-finite theta_hat")
 
-    monkeypatch.setattr(bootstrap, "simulate_chain_block", no_chains)
+    monkeypatch.setattr(bootstrap, "chain_steps", no_chains)
     payload = (model, f, np.array([25.0, 0.0]), 0.0, (0, 1), 100, 20, None, 5)
     assert np.all(np.isnan(exp._run_replicates(payload, 0, 10)))
 
@@ -793,13 +793,13 @@ def test_poisson_block_folds_only_its_finite_rows(monkeypatch):
     # rows 1 and 3 have no fitted value: they start no chain and draw nothing,
     # so the finite rows are exactly the fold of a block made of them alone
     starts = []
-    simulate = bootstrap.simulate_chain_block
+    steps = bootstrap.chain_steps
 
     def spy(model, start, *args):
         starts.append(np.array(start))
-        return simulate(model, start, *args)
+        return steps(model, start, *args)
 
-    monkeypatch.setattr(bootstrap, "simulate_chain_block", spy)
+    monkeypatch.setattr(bootstrap, "chain_steps", spy)
     model = models.ExponentialFamily(dim=2, family="poisson_product")
     f = functionals.quadratic_form()
     ok = np.array([[-0.5, 0.3], [0.2, -1.0], [1.0, 0.0]])

@@ -109,3 +109,29 @@ def test_constructor_validation():
 def test_grad_check_rejects_bad_step():
     with pytest.raises(ValueError):
         grad_check(fn.quadratic_form(), np.ones(2), h=0.0)
+
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_dot_is_numpy_row_sum_bit_for_bit(d):
+    # column adds below 8 coordinates, np.sum from 8 up: either way the bits
+    # of np.sum(a * b, axis=-1), so a numpy whose summation order moved
+    # fails here rather than in the digests of the outputs
+    rng = np.random.default_rng(500 + d)
+    for shape in ((d,), (5, d), (4, 7, d)):
+        for trial in range(24):
+            a, b = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape) for _ in range(2))
+            flat = a.reshape(-1)
+            flat[rng.integers(0, flat.size)] = -0.0
+            if trial % 3 == 1:
+                flat[rng.integers(0, flat.size)] = np.inf
+            if trial % 3 == 2:
+                flat[rng.integers(0, flat.size)] = np.nan
+            if trial % 4 == 0:  # a row of -0.0 products sums to +0.0
+                a.reshape(-1, d)[-1] = -0.0
+                b.reshape(-1, d)[-1] = np.abs(b.reshape(-1, d)[-1])
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.asarray(np.sum(a * b, axis=-1))
+                got = np.asarray(fn._row_dot(a, b))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -4,7 +4,8 @@ estimate_block draws each sample mean from the exact law of a sum of n
 draws instead of drawing the n values. For every family and noise tag that
 takes such a shortcut, its rows must match raw_reference.raw_estimate, the
 fit to n raw draws, in law: its W1 to a raw sample is no larger than that
-of a second raw sample, up to four standard errors of the difference
+of a second raw sample, up to four standard errors of the difference,
+and its sd matches theirs to four standard errors of the log-ratio
 (law_gate.assert_same_law).
 """
 
@@ -59,18 +60,31 @@ def test_block_kernel_matches_raw_draw_means(case, n):
     assert_same_law(block[:, 0], raw, raw2, seed)
 
 
-@pytest.mark.parametrize("n", [1, 3, 25])
-def test_gate_rejects_a_misscaled_kernel(n):
-    # the law gate has power: Laplace noise at 1.2 times the scale fails it
-    # at every seed of the Laplace cases above (by 5.7 to 5.9 of the gate's
-    # 4 units; 1.1 times reads 2.4 to 2.9 and passes at REPS = 4000)
+def gate_laplace_block(n: int, scale: float):
+    """The gate on Laplace block means at the given scale against raw means
+    at scale 0.7, at the seed of the Laplace cases above."""
     seed = 400 + n
     model = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.7)
-    wide = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.84)
+    wide = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=scale)
     block = models.estimate_block(wide, np.zeros((REPS, 1)), n, derive_stream(seed, 0, 0))
     raw, raw2 = (raw_means(model, np.zeros(1), n, derive_stream(seed, i, 1)) for i in (0, 1))
+    assert_same_law(block[:, 0], raw, raw2, seed)
+
+
+@pytest.mark.parametrize("n", [1, 3, 25])
+def test_gate_rejects_a_misscaled_kernel(n):
+    # the law gate has power: Laplace noise at 1.2 times the scale fails its
+    # W1 clause at every seed (by 5.7 to 5.9 of its 4 units)
     with pytest.raises(AssertionError, match="same-law W1"):
-        assert_same_law(block[:, 0], raw, raw2, seed)
+        gate_laplace_block(n, 0.84)
+
+
+@pytest.mark.parametrize("n", [1, 3, 25])
+def test_gate_rejects_a_tenth_too_wide_kernel(n):
+    # at 1.1 times the scale W1 reads 2.4 to 2.9 of its 4 units and passes;
+    # the spread clause fails it (the sd log-ratio at 4.6 to 6.3 se)
+    with pytest.raises(AssertionError, match="same-law spread"):
+        gate_laplace_block(n, 0.77)
 
 
 @pytest.mark.parametrize("theta0", [None, [0.5]])
