@@ -26,14 +26,14 @@ The kernels have a chain axis: chain_steps passes chains=M and a (B, 1, d)
 block of starts at step 0, which the kernel fans out to the (B, M, d)
 states of the M chains of each start, and the (B, M, d) states after that.
 So the work that depends on the state alone runs once per start at step 0,
-and f at the start serves both the plug-in order and the fold's step-0
-column. The M chains of one start are antithetic: every kernel of the form
-theta + c L(theta) (symmetric driver block) draws for the first
-h = ceil(M/2) chains and gives chain h+i the negated draw of chain i
-(models._paired). Each chain keeps its law, so the fold's expectation is
-unchanged, while the pair cancels the odd-order terms of f(state) -
-f(start), the bulk of the fold's variance. Pairs never cross starts, and
-the abort rule counts single chains.
+and f at the start, one value for any functional, serves both the plug-in
+order and the fold's step-0 column. The M chains of one start are
+antithetic: every kernel of the form theta + c L(theta) (symmetric driver
+block) draws for the first h = ceil(M/2) chains and gives chain h+i the
+negated draw of chain i (models._paired). Each chain keeps its law, so the
+fold's expectation is unchanged, while the pair cancels the odd-order terms
+of f(state) - f(start), the bulk of the fold's variance. Pairs never cross
+starts, and the abort rule counts single chains.
 """
 
 from __future__ import annotations
@@ -102,9 +102,8 @@ def chain_steps(model, starts, k: int, n: int, m: int, rng, step=None):
 def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
     """The states of chain_steps stacked after the start: shape (k+1, M, d)
     for a (d,) start, (k+1, B, M, d) for a (B, d) block of starts. For
-    callers that want every state at once, such as
-    gaussian.superposition_block; fk_estimate_at folds from chain_steps
-    without this array."""
+    callers that want every state at once, such as the surrogate checks;
+    fk_estimate_at folds from chain_steps without this array."""
     start = np.asarray(start, dtype=float)
     rows = start.reshape(-1, start.shape[-1])
     states = np.empty((k + 1, rows.shape[0], m, rows.shape[1]))
@@ -135,8 +134,8 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
     Order 0 is the plain plug-in f(theta_hat). M chains of length
     max(orders) start at each finite row (none when that maximum is 0), f
     is evaluated once on each step's states as they are drawn (once per row
-    at the start, where functionals.row_local allows), and order k >= 1 is
-    the collapsed-weight fold of the values of their first k steps: since
+    at the start, which is also order 0), and order k >= 1 is the
+    collapsed-weight fold of the values of their first k steps: since
     the chains draw step by step, that prefix is exactly the chain a run of
     order k alone would simulate. No array of all the states is kept.
     step is the chains' transition kernel (see chain_steps). Every order of
@@ -152,30 +151,22 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
     theta_hat = np.asarray(theta_hat, dtype=float)
     rows = theta_hat.reshape(-1, theta_hat.shape[-1])
     finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        out = np.full((len(orders), rows.shape[0]), math.nan)
-        if finite.any():
-            out[:, finite] = fk_estimate_at(model, f, rows[finite], orders, n, m, rng, step)
-        return out if theta_hat.ndim > 1 else out[:, 0]
-    at_start = functionals.value(f, rows)
-    if top > 0:
-        # (rows, top+1, M), each row's values contiguous as for a lone chain;
-        # step 0 is the start itself, evaluated once per row where f's value
-        # of a row does not depend on the batch it sits in, else on its M
-        # copies; each later step is folded in as it is drawn
-        vals = np.empty((rows.shape[0], top + 1, m))
-        if functionals.row_local(f):
-            vals[:, 0] = at_start[:, None]
-        else:
-            vals[:, 0] = functionals.value(f, np.repeat(rows[:, None, :], m, axis=1))
-        for j, states in enumerate(chain_steps(model, rows, top, n, m, rng, step), 1):
+    starts = rows[finite]
+    at_start = functionals.value(f, starts)
+    # (starts, top+1, M), each start's values contiguous as for a lone chain;
+    # step 0 is the start itself, and each later step is folded in as it is
+    # drawn
+    vals = np.empty((starts.shape[0], top + 1, m))
+    if top > 0 and starts.shape[0]:
+        vals[:, 0] = at_start[:, None]
+        for j, states in enumerate(chain_steps(model, starts, top, n, m, rng, step), 1):
             vals[:, j] = functionals.value(f, states)
-    out = np.empty((len(orders), rows.shape[0]))
+    out = np.full((len(orders), rows.shape[0]), math.nan)
     for i, k in enumerate(orders):
         if k == 0:
-            out[i] = at_start
+            out[i, finite] = at_start
         else:
-            out[i] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
+            out[i, finite] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
     return out if theta_hat.ndim > 1 else out[:, 0]
 
 

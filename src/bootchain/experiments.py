@@ -10,7 +10,7 @@ rows from a plug-in draw and a surrogate draw per point, with W1/W2 in the
 row's extra.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
-B = max(1, 2^14 // (M d)) (models._BLOCK_SCALARS), and block b draws all of
+B = max(1, 2^14 // (M d)) (_BLOCK_SCALARS), and block b draws all of
 its randomness from the counter-based stream derive_stream(master_seed, b,
 0): first its B theta_hat rows, as one call of the block kernel
 models.estimate_block, then the chains of its finite rows, one kernel call
@@ -195,10 +195,13 @@ def _prime_allocator() -> None:
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
 
 
+_BLOCK_SCALARS = 2**14  # chain-state budget B*M*d of one block of replicates
+
+
 def _block_size(m: int, d: int) -> int:
     """Replicates per block: a function of (M, d) alone, never of the
     worker count or the orders."""
-    return max(1, models._BLOCK_SCALARS // (m * d))
+    return max(1, _BLOCK_SCALARS // (m * d))
 
 
 def _run_replicates(payload: tuple, start: int, stop: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIANTS = ("linear", "power", "quadratic_form", "exp_linear", "radial")
 RADIAL_PROFILES = ("exp_neg", "log1p")
 
 
@@ -89,15 +88,6 @@ def value(f: Functional, theta) -> float | np.ndarray:
     else:
         raise ValueError(f"unknown functional variant {f.variant!r}")
     return float(out) if out.ndim == 0 else out
-
-
-def row_local(f: Functional) -> bool:
-    """Whether value(f, .) gives a row the same bits in any batch: true for
-    the variants computed elementwise and by _row_dot over the coordinate
-    axis. The others reduce through BLAS (@), which rounds a row by the
-    shape of the product it sits in, so f at a (B, d) block of starts can
-    differ in the last bits from f at their (B, M, d) copies."""
-    return f.variant == "radial" or (f.variant == "quadratic_form" and f.Q is None)
 
 
 def grad(f: Functional, theta) -> np.ndarray:

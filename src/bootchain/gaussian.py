@@ -16,6 +16,10 @@ alternative rule would condition on the sup of the noise process over all
 states, but that sup is not observable for state-dependent noise; for
 constant-noise models the two events coincide, and at the default delta the
 truncation probability is negligible by design.
+
+The homotopy's flag superposition (steps state + t_j xi_j(state)/sqrt(n),
+binary t_j) has no kernel here: C8 and the diagnostics script build it from
+models.sample_xi_block by that definition, against surrogate chains.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 
 import numpy as np
 
-from . import bootstrap, functionals, models
+from . import functionals, models
 
 
 def default_delta(model, theta, n: int) -> float:
@@ -58,16 +62,3 @@ def sigma_f(model, f, theta) -> float:
     g = functionals.grad(f, theta)
     quad = float(g @ models.sigma(model, theta) @ g)
     return math.sqrt(max(quad, 0.0))
-
-
-def superposition_block(model, theta, flags, n: int, m: int, rng) -> np.ndarray:
-    """M draws of the flag superposition in antithetic pairs, shape (M, d)
-    for a (d,) theta, (B, M, d) for a (B, d) block of starts:
-    the surrogate steps G_j(.) = . + t_j xi_j(.)/sqrt(n) for binary time flags
-    (t_1, ..., t_k), applied in turn. Binary flags make this equal in law to
-    skipping the steps with t_j = 0: the last state of one surrogate chain
-    of sum(t_j) steps."""
-    bits = tuple(int(t) for t in flags)
-    if any(t not in (0, 1) for t in bits):
-        raise ValueError("flags must be binary")
-    return bootstrap.simulate_chain_block(model, theta, sum(bits), n, m, rng, surrogate_step)[-1]

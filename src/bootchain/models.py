@@ -62,7 +62,6 @@ from .core import as_param_vector
 
 POISSON_LAM_MAX = 1e12  # per-coordinate total-count guard for the sampler
 _CHUNK_SCALARS = 2**16  # raw-draw budget per chunk in block stepping: 0.5 MB, cache-sized
-_BLOCK_SCALARS = 2**14  # chain-state budget B*M*d of one block of replicates
 
 DEFAULT_MLE_CLAMP = 1e-6
 

@@ -217,9 +217,10 @@ def test_c8_homotopy_superposition():
         for idx in range(8):
             bits = tuple((idx >> b) & 1 for b in range(3))
             l = sum(bits)
-            sup = gaussian.superposition_block(
-                model, starts, bits, n, 1, exp.derive_stream(1008, idx, 0)
-            )[:, 0]
+            # the superposition from its definition: step j adds t_j xi_j / sqrt(n)
+            rng, sup = exp.derive_stream(1008, idx, 0), starts
+            for t in bits:
+                sup = sup + t * models.sample_xi_block(model, sup, rng) / math.sqrt(n)
             chain = bootstrap.simulate_chain_block(
                 model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), gaussian.surrogate_step
             )

@@ -310,8 +310,9 @@ def test_chain_states_are_evaluated_once(monkeypatch):
     monkeypatch.setattr(functionals, "value", counting_value)
     model = models.GaussianShift(dim=3)
     theta_hat = unit_sin_theta(3)
-    f = functionals.quadratic_form()
-    bootstrap.fk_estimate_at(model, f, theta_hat, (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
-    # theta_hat once (order 0 and every chain's step 0), each of the 3 x 50
-    # later chain states once
-    assert sum(points) == 1 + 3 * 50
+    # a row-wise sum and a BLAS product alike: theta_hat once (order 0 and
+    # every chain's step 0), each of the 3 x 50 later chain states once
+    for f in (functionals.quadratic_form(), functionals.linear(np.arange(1.0, 4.0))):
+        points.clear()
+        bootstrap.fk_estimate_at(model, f, theta_hat, (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
+        assert sum(points) == 1 + 3 * 50

@@ -151,9 +151,9 @@ FUNCTIONALS = {
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
 def test_fold_matches_materialized_chains(name):
-    # f at a start serves order 0 and the fold's step-0 column where f is
-    # row-local; elsewhere f is taken at the M copies, as a materializing
-    # driver does: either way every order has the bits of the full fold
+    # f at a start serves order 0 and the fold's step-0 column for every
+    # functional, and each later step is f on the materialized chain states:
+    # every order has the bits of that fold
     f = FUNCTIONALS[name]
     model = models.GaussianShift(dim=WIDE)
     starts = _starts(3, WIDE)
@@ -163,6 +163,7 @@ def test_fold_matches_materialized_chains(name):
         model, starts, 3, n, m, derive_stream(463, 0, 0), models.estimate_block
     )
     vals = np.ascontiguousarray(functionals.value(f, states).swapaxes(0, 1))
+    vals[:, 0] = functionals.value(f, starts)[:, None]
     assert np.array_equal(got[0], functionals.value(f, starts))
     for i, k in enumerate(orders[1:], start=1):
         per_chain = np.array(bootstrap.collapsed_weights(k), dtype=float) @ vals[:, : k + 1]
@@ -174,10 +175,9 @@ def test_row_local_values_ignore_the_batch(d):
     rng = derive_stream(464, d, 0)
     rows = rng.standard_normal((3, d))
     copies = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, 6, d)))
+    # the variants summed by functionals._row_dot round a row alike in any batch
     for f in (
         functionals.quadratic_form(), functionals.radial("exp_neg"), functionals.radial("log1p")
     ):
-        assert functionals.row_local(f)
         once = np.broadcast_to(functionals.value(f, rows)[:, None], (3, 6))
         assert np.array_equal(once, functionals.value(f, copies))
-    assert not functionals.row_local(functionals.linear(np.ones(d)))

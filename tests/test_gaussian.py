@@ -66,24 +66,19 @@ def test_sigma_f_examples():
     )
 
 
-def test_superposition_zero_flags_identity():
-    model = models.GaussianShift(dim=3)
-    theta = unit_sin_theta(3)
-    rng = derive_stream(304, 0, 0)
-    out = gaussian.superposition_block(model, theta, (0, 0, 0), 100, 1, rng)
-    assert np.array_equal(out, theta[None, :])
-
-
 def test_superposition_matches_shorter_chain():
     model = models.GaussianShift(dim=3)
     theta = unit_sin_theta(3)
     n, m = 100, 10_000
     f = functionals.quadratic_form()
-    sup = gaussian.superposition_block(model, theta, (1, 0, 1), n, m, derive_stream(305, 0, 0))
+    # the flag superposition from its definition: each step adds t_j xi_j / sqrt(n)
+    rng, sup = derive_stream(305, 0, 0), theta[None, None, :]
+    for t in (1, 0, 1):
+        sup = sup + t * models.sample_xi_block(model, sup, rng, m) / math.sqrt(n)
     chain = bootstrap.simulate_chain_block(
         model, theta, 2, n, m, derive_stream(305, 1, 0), gaussian.surrogate_step
     )
-    a = np.asarray(functionals.value(f, sup))
+    a = np.asarray(functionals.value(f, sup[0]))
     b = np.asarray(functionals.value(f, chain[2]))
     w1 = distances.wasserstein1(a, b)
     se = distances.wasserstein1_bootstrap_se(a, b, np.random.default_rng(2), n_boot=60)
@@ -163,17 +158,6 @@ def test_default_delta_formula():
     theta = np.zeros(4)
     got = gaussian.default_delta(model, theta, 100)
     assert got == pytest.approx(3.0 * math.sqrt(16.0 / 100.0))
-
-
-def test_validation():
-    model = models.GaussianShift(dim=2)
-    with pytest.raises(ValueError):
-        gaussian.superposition_block(model, np.zeros(2), (0, 2), 50, 3, derive_stream(312, 0, 0))
-    as_bools = gaussian.superposition_block(
-        model, np.zeros(2), (True, False), 50, 3, derive_stream(312, 0, 0)
-    )
-    as_bits = gaussian.superposition_block(model, np.zeros(2), (1, 0), 50, 3, derive_stream(312, 0, 0))
-    assert np.array_equal(as_bools, as_bits)
 
 
 def test_sigma_f_nonnegative_everywhere():

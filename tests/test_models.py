@@ -109,6 +109,18 @@ def test_sigma_examples():
     assert np.allclose(models.sigma(gs, theta), np.diag(diag**2))
 
 
+def test_sigma_of_mixed_independent_components():
+    # X = theta + A sum_j eta_j x_j with unit-variance eta_j and x_j the
+    # columns of D: Cov = A D D^T A^T, for a D that is neither symmetric
+    # nor orthogonal
+    D = np.array([[1.0, 0.4, 0.0], [-0.3, 1.0, 0.7], [0.2, 0.0, 1.5]])
+    A = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, -0.4], [0.3, 0.0, 0.8]])
+    model = models.IndependentComponents(
+        dim=3, noise_dist="rademacher", directions=D, noise_map=models.ConstantMatrixMap(A)
+    )
+    assert np.allclose(models.sigma(model, np.zeros(3)), A @ D @ D.T @ A.T)
+
+
 @pytest.mark.parametrize(
     "model",
     [

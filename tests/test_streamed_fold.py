@@ -2,9 +2,10 @@
 
 fk_estimate_at evaluates f on each step's states as bootstrap.chain_steps
 draws them and keeps only the values. Its every order must carry the bits
-of the stacked computation: all states from simulate_chain_block, f on the
-stacked array, then the collapsed-weight fold. The digests of the stream
-contract round to 1e-12, so only np.array_equal sees a last-bit drift.
+of the stacked computation: all states from simulate_chain_block, f at the
+starts for step 0 and on the stacked later states, then the collapsed-weight
+fold. The digests of the stream contract round to 1e-12, so only
+np.array_equal sees a last-bit drift.
 """
 
 import math
@@ -27,10 +28,12 @@ def stacked_fold(model, f, theta_hat, orders, n, m, rng, step=None):
     out = np.full((len(orders), rows.shape[0]), math.nan)
     top = max(orders)
     states = bootstrap.simulate_chain_block(model, rows[finite], top, n, m, rng, step)
+    at_start = functionals.value(f, rows[finite])
     vals = np.ascontiguousarray(functionals.value(f, states).swapaxes(0, 1))
+    vals[:, 0] = at_start[:, None]
     for i, k in enumerate(orders):
         if k == 0:
-            out[i, finite] = functionals.value(f, rows[finite])
+            out[i, finite] = at_start
         else:
             weights = np.array(bootstrap.collapsed_weights(k), dtype=float)
             out[i, finite] = bootstrap._survivor_mean(weights @ vals[:, : k + 1], m)
