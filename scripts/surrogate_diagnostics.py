@@ -37,7 +37,7 @@ def main():
 
     hat = bootstrap.simulate_chain_block(model, theta, 2, n, m, exp.derive_stream(args.seed, 0, 0))
     tilde = bootstrap.simulate_chain_block(
-        model, theta, 2, n, m, exp.derive_stream(args.seed, 1, 0), gaussian.surrogate_step
+        model, theta, 2, n, m, exp.derive_stream(args.seed, 1, 0), models.surrogate_step
     )
     w1, limit = band(functionals.value(f, hat[2]), functionals.value(f, tilde[2]), 0)
     ok &= w1 <= limit
@@ -46,7 +46,7 @@ def main():
     delta = gaussian.default_delta(model, theta, n)
     states = bootstrap.simulate_chain_block(
         model, theta, 3, n, 10_000, exp.derive_stream(args.seed, 2, 0),
-        partial(gaussian.surrogate_step, delta=delta),
+        partial(models.surrogate_step, delta=delta),
     )
     worst = max(
         float((np.linalg.norm(states[j] - theta, axis=1) - j * delta).max()) for j in range(4)
@@ -63,7 +63,7 @@ def main():
             sup = sup + t * models.sample_xi_block(model, sup, rng, m) / math.sqrt(n)
         ref = bootstrap.simulate_chain_block(
             model, theta, l, n, m, exp.derive_stream(args.seed, 20 + idx, 0),
-            gaussian.surrogate_step,
+            models.surrogate_step,
         )[l]
         w1, limit = band(functionals.value(f, sup[0]), functionals.value(f, ref), idx)
         ok &= w1 <= limit

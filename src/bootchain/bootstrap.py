@@ -5,7 +5,7 @@ state: state[j+1] is theta_hat fitted to n observations drawn under
 P_state[j]. chain_steps is the one stepping loop; its step argument swaps
 this bootstrap transition (models.estimate_block) for another kernel with
 the same signature, such as the Gaussian surrogate step
-gaussian.surrogate_step, and simulate_chain_block stacks its states into
+models.surrogate_step, and simulate_chain_block stacks its states into
 one array. Signed binomial weights turn chain evaluations of f into Monte
 Carlo estimates of the iterated bias operator applied to f, and the
 collapsed weights fold the whole alternating partial sum of corrections

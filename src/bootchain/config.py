@@ -142,12 +142,9 @@ def build_model(cfg: dict, d: int) -> models.Model:
                 noise_map=_build_scaling_map(cfg.get("noise"), "model.noise", d),
             )
         if variant == "exponential_family":
-            _reject_unknown(cfg, {"variant", "family", "base", "theta0"}, where)
+            _reject_unknown(cfg, {"variant", "family", "base"}, where)
             return models.ExponentialFamily(
-                dim=d,
-                family=cfg.get("family", "poisson_product"),
-                base=cfg.get("base"),
-                theta0=cfg.get("theta0"),
+                dim=d, family=cfg.get("family", "poisson_product"), base=cfg.get("base")
             )
         if variant == "log_concave_location":
             _reject_unknown(cfg, {"variant", "noise_dist", "scale"}, where)

@@ -1,4 +1,4 @@
-"""Parameter vectors, the Hilbert-Schmidt inner product, and the Pauli basis.
+"""The Hilbert-Schmidt inner product and the Pauli basis of Hermitian matrices.
 
 Parameters are plain 1-D float64 arrays throughout the package; Hermitian
 matrices appear only here and are handed to the statistical machinery as
@@ -20,17 +20,6 @@ SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_MATRICES = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
-
-
-def as_param_vector(x) -> np.ndarray:
-    """Validate and return a parameter vector: 1-D, float64, finite, read-only."""
-    v = np.array(x, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("parameter vector must be 1-D with length >= 1")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("parameter vector has non-finite entries")
-    v.flags.writeable = False
-    return v
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:

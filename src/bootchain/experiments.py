@@ -359,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary
             step = None  # the bootstrap step, or the surrogate step truncated at delta
             if cfg.use_tilde and max(orders) > 0:
                 delta = gaussian.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
-                step = partial(gaussian.surrogate_step, delta=delta)
+                step = partial(models.surrogate_step, delta=delta)
             t0 = time.perf_counter()
             payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)
             errs_by_order = _batched_errors(payload, cfg.replicates, threads, pool)

@@ -22,21 +22,24 @@ unit scale, which is its model's factor L; independent components apply
 their factor to the drivers the same way. So both families take one path
 through estimate_block: theta + L(theta) (driver means).
 
-The model API is two vectorized kernels, estimate_block (theta_hat fitted to
-data drawn at each row) and sample_xi_block (surrogate draws), that step
-many parameter rows at once, plus sigma; a single row is a block with one
-row. Every estimator here sees the data only through its sample mean, so
-estimate_block draws that mean from the exact law of a sum of n draws
-wherever one exists: Binomial for Rademacher sums, Gamma for exponential
-sums, a difference of two Gamma(n, 1) sums for Laplace noise, Poisson
-additivity, and exact normal means. Those kernels cost O(1) per cell and
-are equal in law to drawing n raw observations per row and averaging.
+The model API is three vectorized kernels that step many parameter rows at
+once, estimate_block (theta_hat fitted to data drawn at each row),
+sample_xi_block (surrogate draws xi) and surrogate_step (theta + xi/sqrt(n),
+xi truncated at a radius delta), plus sigma; a single row is a block with
+one row. For the Gaussian shift and the Gaussian-mean family theta_hat ~
+N(theta, Sigma(theta)/n), so their estimate_block is the untruncated
+surrogate_step. Every other estimator here sees the data only through its
+sample mean, so estimate_block draws that mean from the exact law of a sum
+of n draws wherever one exists: Binomial for Rademacher sums, Gamma for
+exponential sums, a difference of two Gamma(n, 1) sums for Laplace noise,
+Poisson additivity, and exact normal means. Those kernels cost O(1) per cell
+and are equal in law to drawing n raw observations per row and averaging.
 Logistic and uniform drivers have no closed sum law; they are the only
-kernels left that make n raw draws per cell (_chunked_raw_mean). Rows
-whose state left the sampling domain come back as NaN and are counted by
-the callers.
+kernels left that make n raw draws per cell (_chunked_raw_mean). Rows whose
+state left the sampling domain come back as NaN and are counted by the
+callers.
 
-Both kernels take chains. A plain (rows, d) block with chains = 1 steps
+All three kernels take chains. A plain (rows, d) block with chains = 1 steps
 independent rows, such as the outer theta_hat draw. A chain block has a
 chain axis: (B, 1, d) starts or (B, M, d) states with chains = M, stepped
 to (B, M, d). A (B, 1, d) block fans out, so the work that depends on the
@@ -58,7 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import as_param_vector
+from . import functionals
 
 POISSON_LAM_MAX = 1e12  # per-coordinate total-count guard for the sampler
 _CHUNK_SCALARS = 2**16  # raw-draw budget per chunk in block stepping: 0.5 MB, cache-sized
@@ -272,17 +275,16 @@ class ExponentialFamily:
 
     poisson_product: coordinates Poisson(e^{theta_i}); Psi(theta) = e^theta.
     gaussian_mean:   X ~ N(v * theta, diag(v)) with base variances v;
-                     Psi(theta) = v * theta, so Psi(T) = R^d and the MLE
-                     fallback is unreachable (Poisson exercises it).
+                     Psi(theta) = v * theta, so Psi(T) = R^d and every
+                     Xbar has an MLE.
 
-    theta0 is the fallback returned when Xbar leaves Psi(T); None selects
-    the deterministic clamp rule Psi^{-1}(max(Xbar, 1e-6)).
+    Where Xbar leaves Psi(T) (a Poisson row with a zero count), theta_hat
+    is the deterministic clamp rule Psi^{-1}(max(Xbar, 1e-6)).
     """
 
     dim: int
     family: str = "poisson_product"
     base: np.ndarray | None = None
-    theta0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -297,10 +299,6 @@ class ExponentialFamily:
             object.__setattr__(self, "base", v)
         elif self.base is not None:
             raise ValueError("poisson_product takes no base parameters")
-        if self.theta0 is not None:
-            object.__setattr__(self, "theta0", as_param_vector(self.theta0))
-            if len(self.theta0) != self.dim:
-                raise ValueError("theta0 dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -331,18 +329,14 @@ Model = GaussianShift | IndependentComponents | ExponentialFamily | LogConcaveLo
 
 def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
     """Psi^{-1}(Xbar) per row of xbar, (d,) or (M, d). A Poisson row with a
-    zero coordinate has no MLE; it falls back to theta0, or else to the clamp
-    rule log(max(Xbar, 1e-6))."""
+    zero coordinate has no MLE; it takes the clamp rule log(max(Xbar, 1e-6))."""
     if model.family == "gaussian_mean":
         return xbar / model.base
     with np.errstate(divide="ignore"):
         fit = np.log(xbar)
     bad = ~np.all(xbar > 0, axis=-1)
-    if bad.any():  # build the fallback only for the rows that take it
-        fallback = model.theta0
-        if fallback is None:
-            fallback = np.log(np.maximum(xbar[bad], DEFAULT_MLE_CLAMP))
-        fit[bad] = fallback
+    if bad.any():  # clamp only the rows without an MLE
+        fit[bad] = np.log(np.maximum(xbar[bad], DEFAULT_MLE_CLAMP))
     return fit
 
 
@@ -416,14 +410,13 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     (_paired). Rows outside the sampling domain (and NaN inputs) come back
     NaN.
     """
+    if isinstance(model, GaussianShift) or (
+        isinstance(model, ExponentialFamily) and model.family == "gaussian_mean"
+    ):
+        # theta_hat ~ N(theta, Sigma(theta)/n): the untruncated surrogate step
+        return surrogate_step(model, thetas, n, rng, chains=chains)
     thetas, lead = _chain_block(model, thetas, chains)
     d = model.dim
-
-    if isinstance(model, GaussianShift):
-        x = _factor(model, thetas, _paired(rng.standard_normal, lead, (d,)))
-        x /= math.sqrt(n)
-        x += thetas
-        return x
 
     if isinstance(model, (IndependentComponents, LogConcaveLocation)):
         antithetic = "centered_exponential" not in model.noise_dist
@@ -437,12 +430,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
         x += thetas
         return x
 
-    if isinstance(model, ExponentialFamily):
-        if model.family == "gaussian_mean":
-            z = _paired(rng.standard_normal, lead, (d,))
-            z /= np.sqrt(model.base * n)
-            z += thetas
-            return z
+    if isinstance(model, ExponentialFamily):  # Poisson counts
         with np.errstate(over="ignore", invalid="ignore"):
             lam = n * np.exp(thetas)
         ok = np.broadcast_to(np.all(np.isfinite(lam) & (lam <= POISSON_LAM_MAX), axis=-1), lead)
@@ -463,3 +451,21 @@ def sample_xi_block(model: Model, thetas: np.ndarray, rng, chains: int = 1) -> n
     (B, 1, d) block computes L once per start (see estimate_block)."""
     thetas, lead = _chain_block(model, thetas, chains)
     return _factor(model, thetas, _paired(rng.standard_normal, lead, (model.dim,)))
+
+
+def surrogate_step(model: Model, states, n: int, rng, delta: float = math.inf, chains: int = 1) -> np.ndarray:
+    """One Gaussian step for a block of states: states + xi(states)/sqrt(n),
+    each xi zeroed where ||xi||^2 >= (delta sqrt(n))^2. delta = inf turns
+    truncation off; delta = 0 zeroes every draw and so freezes the chain.
+    The block and chains follow sample_xi_block: (rows, d) with chains = 1,
+    or a chain block (B, 1, d) or (B, M, d) with chains = M, which returns
+    (B, M, d) in antithetic pairs. Untruncated, it is the bootstrap step of
+    the Gaussian shift and the Gaussian-mean family (estimate_block)."""
+    xi = sample_xi_block(model, states, rng, chains)
+    if delta < math.inf:
+        cut = functionals._row_dot(xi, xi) >= (delta * math.sqrt(n)) ** 2
+        if cut.any():
+            xi[cut] = 0.0
+    xi /= math.sqrt(n)
+    xi += states  # xi is the kernel's own new array, so it takes the sum
+    return xi

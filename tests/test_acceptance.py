@@ -190,7 +190,7 @@ def test_c7_surrogate_equivalence():
         starts = np.tile(theta, (m, 1))
         hat = bootstrap.simulate_chain_block(model, starts, k, n, 1, exp.derive_stream(1007, 0, 0))
         tilde = bootstrap.simulate_chain_block(
-            model, starts, k, n, 1, exp.derive_stream(1007, 1, 0), gaussian.surrogate_step
+            model, starts, k, n, 1, exp.derive_stream(1007, 1, 0), models.surrogate_step
         )
         a = np.asarray(functionals.value(f, hat[k][:, 0]))
         b = np.asarray(functionals.value(f, tilde[k][:, 0]))
@@ -201,7 +201,7 @@ def test_c7_surrogate_equivalence():
         delta = gaussian.default_delta(model, theta, n)
         states = bootstrap.simulate_chain_block(
             model, theta, 3, n, 10_000, exp.derive_stream(1007, 2, 0),
-            partial(gaussian.surrogate_step, delta=delta),
+            partial(models.surrogate_step, delta=delta),
         )
         for j in range(4):
             assert np.all(np.linalg.norm(states[j] - theta, axis=1) <= j * delta)
@@ -222,7 +222,7 @@ def test_c8_homotopy_superposition():
             for t in bits:
                 sup = sup + t * models.sample_xi_block(model, sup, rng) / math.sqrt(n)
             chain = bootstrap.simulate_chain_block(
-                model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), gaussian.surrogate_step
+                model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), models.surrogate_step
             )
             a = np.asarray(functionals.value(f, sup))
             b = np.asarray(functionals.value(f, chain[l][:, 0]))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from law_gate import assert_same_law
 
-from bootchain import bootstrap, functionals, gaussian, models
+from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 
 REPS = 4000
@@ -50,7 +50,7 @@ PAIRED_KERNELS = {
     ),
     "surrogate_poisson": (
         models.ExponentialFamily(dim=1, family="poisson_product"),
-        gaussian.surrogate_step,
+        models.surrogate_step,
         0.3,
         3,
     ),

@@ -75,6 +75,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_poisson_theta0_is_not_a_config_key(tmp_path, capsys):
+    # a Poisson row without an MLE takes the clamp rule; no fallback is configurable
+    doc = dict(MINIMAL_RISK, model={"variant": "exponential_family", "theta0": [0.0, 0.0]})
+    assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2
+    assert "model: unknown key(s) ['theta0']" in capsys.readouterr().err
+
+
 def test_invalid_json_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -81,13 +81,3 @@ def test_hs_inner_dimension_mismatch():
     with pytest.raises(ValueError):
         core.hs_inner(np.eye(2), np.eye(3))
 
-
-def test_as_param_vector():
-    v = core.as_param_vector([1.0, 2.0])
-    assert v.dtype == float and not v.flags.writeable
-    with pytest.raises(ValueError):
-        core.as_param_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        core.as_param_vector([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        core.as_param_vector([])

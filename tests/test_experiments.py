@@ -415,7 +415,7 @@ def _shift_step(model, n, use_tilde):
     if not use_tilde:
         return None
     theta = exp.unit_sin_theta(model.dim)
-    return partial(gaussian.surrogate_step, delta=gaussian.default_delta(model, theta, n))
+    return partial(models.surrogate_step, delta=gaussian.default_delta(model, theta, n))
 
 
 class _PairedNormals:

@@ -5,20 +5,23 @@ kernel the B starts as a (B, 1, d) block and the kernel fans each out to its
 M chains; later steps pass the (B, M, d) states. The chain states must be
 bit-identical to a driver that materializes the M copies of each start and
 passes (B, M, d) at step 0 too, for every kernel, order, and parity of M.
+The bootstrap step of the Gaussian shift and of the Gaussian-mean family is
+the untruncated surrogate step on every block shape.
 """
 
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
-from bootchain import bootstrap, functionals, gaussian, models
+from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 
 D = 3
 WIDE = 33  # wide enough that BLAS rounds a row by the shape of the product it sits in
 _MIX = np.eye(WIDE) + 0.1 * np.cos(np.add.outer(np.arange(WIDE), 2.0 * np.arange(WIDE)))
-TRUNCATED = partial(gaussian.surrogate_step, delta=1.5 / np.sqrt(50))  # cuts about half the draws
+TRUNCATED = partial(models.surrogate_step, delta=1.5 / np.sqrt(50))  # cuts about half the draws
 
 KERNELS = {
     "shift_identity": (
@@ -170,14 +173,38 @@ def test_fold_matches_materialized_chains(name):
         assert np.array_equal(got[i], per_chain.mean(axis=1))
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 8, 17, 63, 178, 503])
-def test_row_local_values_ignore_the_batch(d):
-    rng = derive_stream(464, d, 0)
-    rows = rng.standard_normal((3, d))
-    copies = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, 6, d)))
-    # the variants summed by functionals._row_dot round a row alike in any batch
-    for f in (
-        functionals.quadratic_form(), functionals.radial("exp_neg"), functionals.radial("log1p")
-    ):
-        once = np.broadcast_to(functionals.value(f, rows)[:, None], (3, 6))
-        assert np.array_equal(once, functionals.value(f, copies))
+def _step_blocks(d: int):
+    """A plain (rows, d) block with chains = 1, a (B, 1, d) block of starts
+    and a (B, M, d) block of states, each with its chains."""
+    starts = _starts(3, d)
+    states = np.repeat(starts[:, None, :], 5, axis=1)
+    return (np.tile(starts, (2, 1)), 1), (starts[:, None, :], 4), (states, 5)
+
+
+@pytest.mark.parametrize("case", ["shift_identity", "shift_constant_matrix", "shift_diag_tanh"])
+def test_shift_bootstrap_step_is_the_untruncated_surrogate_step(case):
+    # theta_hat ~ N(theta, Sigma(theta)/n) exactly: the same kernel, bit for bit
+    model = KERNELS[case][0]
+    for i, (block, m) in enumerate(_step_blocks(model.dim)):
+        got = models.estimate_block(model, block, 50, derive_stream(465, i, 0), chains=m)
+        want = models.surrogate_step(model, block, 50, derive_stream(465, i, 0), math.inf, chains=m)
+        assert np.array_equal(got, want)
+
+
+def test_gaussian_mean_step_is_theta_plus_z_over_sqrt_vn():
+    base, n = np.array([0.5, 2.0, 7.0]), 50
+    model = models.ExponentialFamily(dim=D, family="gaussian_mean", base=base)
+    for i, (block, m) in enumerate(_step_blocks(D)):
+        rng, ref = derive_stream(466, i, 0), derive_stream(466, i, 0)
+        got = models.estimate_block(model, block, n, rng, chains=m)
+        if m == 1:
+            z = ref.standard_normal(block.shape)
+        else:  # the first ceil(M/2) chains draw, their twins take the negation
+            half = ref.standard_normal((block.shape[0], (m + 1) // 2, D))
+            z = np.concatenate([half, -half[:, : m // 2]], axis=1)
+        assert rng.integers(2**62) == ref.integers(2**62)  # both streams drew as much
+        # L z / sqrt(n) divides by sqrt(v), then by sqrt(n): a few ulps off one sqrt(v n)
+        step = z / np.sqrt(base * n)
+        want = block + step
+        ulps = np.spacing(np.abs(step)) + np.spacing(np.abs(want))
+        assert np.all(np.abs(got - want) <= 4.0 * ulps)

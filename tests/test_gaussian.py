@@ -12,7 +12,7 @@ def test_tiny_delta_freezes_chain():
     model = models.GaussianShift(dim=3)
     theta = unit_sin_theta(3)
     rng = derive_stream(301, 0, 0)
-    step = partial(gaussian.surrogate_step, delta=1e-12)
+    step = partial(models.surrogate_step, delta=1e-12)
     states = bootstrap.simulate_chain_block(model, theta, 5, 100, 1, rng, step)
     assert np.array_equal(states[:, 0], np.broadcast_to(theta, (6, 3)))
 
@@ -23,7 +23,7 @@ def test_truncated_chain_containment_hard():
     n, k, m = 100, 3, 10_000
     delta = 0.18  # threshold near the median noise norm so truncation fires
     rng = derive_stream(302, 0, 0)
-    step = partial(gaussian.surrogate_step, delta=delta)
+    step = partial(models.surrogate_step, delta=delta)
     states = bootstrap.simulate_chain_block(model, theta, k, n, m, rng, step)
     fired = False
     for j in range(k + 1):
@@ -41,7 +41,7 @@ def test_tilde_chain_matches_hat_chain_for_shift_model():
     f = functionals.quadratic_form()
     hat = bootstrap.simulate_chain_block(model, theta, k, n, m, derive_stream(303, 0, 0))
     tilde = bootstrap.simulate_chain_block(
-        model, theta, k, n, m, derive_stream(303, 1, 0), gaussian.surrogate_step
+        model, theta, k, n, m, derive_stream(303, 1, 0), models.surrogate_step
     )
     a = np.asarray(functionals.value(f, hat[k]))
     b = np.asarray(functionals.value(f, tilde[k]))
@@ -76,7 +76,7 @@ def test_superposition_matches_shorter_chain():
     for t in (1, 0, 1):
         sup = sup + t * models.sample_xi_block(model, sup, rng, m) / math.sqrt(n)
     chain = bootstrap.simulate_chain_block(
-        model, theta, 2, n, m, derive_stream(305, 1, 0), gaussian.surrogate_step
+        model, theta, 2, n, m, derive_stream(305, 1, 0), models.surrogate_step
     )
     a = np.asarray(functionals.value(f, sup[0]))
     b = np.asarray(functionals.value(f, chain[2]))
@@ -95,7 +95,7 @@ def test_tilde_fk_agrees_with_fk_in_mean_for_shift_model():
         theta_hat = models.estimate_block(model, theta[None, :], n, derive_stream(306, r, 0))[0]
         hat = bootstrap.fk_estimate_at(model, f, theta_hat, (2,), n, m, derive_stream(306, r, 1))[0]
         tilde = bootstrap.fk_estimate_at(
-            model, f, theta_hat, (2,), n, m, derive_stream(306, r, 2), gaussian.surrogate_step
+            model, f, theta_hat, (2,), n, m, derive_stream(306, r, 2), models.surrogate_step
         )[0]
         diffs[r] = hat - tilde
     se = diffs.std(ddof=1) / math.sqrt(reps)
@@ -107,7 +107,7 @@ def test_total_truncation_returns_plugin_value():
     theta_hat = unit_sin_theta(3) * 1.3
     f = functionals.exp_linear(np.array([0.2, 0.1, -0.4]))
     rng = derive_stream(307, 0, 0)
-    step = partial(gaussian.surrogate_step, delta=1e-12)
+    step = partial(models.surrogate_step, delta=1e-12)
     got = bootstrap.fk_estimate_at(model, f, theta_hat, (3,), 100, 200, rng, step)[0]
     # frozen chain: sum_i v_i f(theta_hat) = f(theta_hat) since sum v_i = 1
     assert got == pytest.approx(functionals.value(f, theta_hat), rel=1e-12)
@@ -120,7 +120,7 @@ def test_deterministic_noise_gives_plugin_for_all_k():
     for k in (0, 1, 3):
         rng = derive_stream(308, k, 0)
         got = bootstrap.fk_estimate_at(
-            model, f, theta_hat, (k,), 50, 20, rng, gaussian.surrogate_step
+            model, f, theta_hat, (k,), 50, 20, rng, models.surrogate_step
         )[0]
         assert got == pytest.approx(functionals.value(f, theta_hat), rel=1e-12)
 
@@ -183,7 +183,7 @@ def test_surrogate_chain_shape():
     model = models.GaussianShift(dim=2)
     rng = derive_stream(311, 0, 0)
     states = bootstrap.simulate_chain_block(
-        model, np.zeros(2), 4, 50, 1, rng, gaussian.surrogate_step
+        model, np.zeros(2), 4, 50, 1, rng, models.surrogate_step
     )
     assert states.shape == (5, 1, 2)
     assert np.array_equal(states[0, 0], np.zeros(2))

@@ -42,24 +42,17 @@ def test_poisson_coordinate_means_near_one():
 
 
 def test_poisson_mle_and_fallback():
-    explicit = models.ExponentialFamily(
-        dim=2, family="poisson_product", theta0=np.array([0.3, -0.2])
-    )
-    zero_counts = np.zeros(2)
-    assert np.array_equal(models._mle_from_mean(explicit, zero_counts), [0.3, -0.2])
-
     default = models.ExponentialFamily(dim=2, family="poisson_product")
-    got = models._mle_from_mean(default, zero_counts)
+    got = models._mle_from_mean(default, np.zeros(2))
     assert np.allclose(got, np.log(1e-6))  # clamp rule
 
     xbar = np.array([1.0, math.e])
     assert np.allclose(models._mle_from_mean(default, xbar), [0.0, 1.0], atol=1e-15)
 
 
-@pytest.mark.parametrize("theta0", [None, [0.3, -0.2]])
-def test_block_poisson_mle_is_the_row_mle(theta0):
+def test_block_poisson_mle_is_the_row_mle():
     # n e^theta = (0.25, 0.68): about 9 rows in 10 have a zero count
-    model = models.ExponentialFamily(dim=2, family="poisson_product", theta0=theta0)
+    model = models.ExponentialFamily(dim=2, family="poisson_product")
     n, thetas = 5, np.broadcast_to([-3.0, -2.0], (200, 2))
     block = models.estimate_block(model, thetas, n, derive_stream(114, 0, 0))
     xbars = derive_stream(114, 0, 0).poisson(n * np.exp(thetas)) / n
@@ -276,8 +269,6 @@ def test_spec_validation_errors():
         models.ExponentialFamily(dim=2, family="gaussian_mean", base=[-1.0, 1.0])
     with pytest.raises(ValueError):
         models.ExponentialFamily(dim=2, family="gaussian_mean", base=[math.inf, 1.0])
-    with pytest.raises(ValueError):
-        models.ExponentialFamily(dim=2, family="poisson_product", theta0=np.zeros(3))
     with pytest.raises(ValueError):
         models.ExponentialFamily(dim=2, family="nope")
     with pytest.raises(ValueError):

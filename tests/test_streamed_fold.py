@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bootchain import bootstrap, functionals, gaussian, models
+from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 
 N = 50
@@ -63,7 +63,7 @@ STEPS = {
     ),
     "surrogate": (
         lambda d: models.IndependentComponents(dim=d, noise_dist="rademacher"),
-        partial(gaussian.surrogate_step, delta=1.2 / math.sqrt(N)),
+        partial(models.surrogate_step, delta=1.2 / math.sqrt(N)),
     ),
 }
 
