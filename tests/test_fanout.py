@@ -173,6 +173,19 @@ def test_fold_matches_materialized_chains(name):
         assert np.array_equal(got[i], per_chain.mean(axis=1))
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 17, 63, 178, 503])
+def test_row_local_values_ignore_the_batch(d):
+    rng = derive_stream(464, d, 0)
+    rows = rng.standard_normal((3, d))
+    copies = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, 6, d)))
+    # the variants summed by functionals._row_dot round a row alike in any batch
+    for f in (
+        functionals.quadratic_form(), functionals.radial("exp_neg"), functionals.radial("log1p")
+    ):
+        once = np.broadcast_to(functionals.value(f, rows)[:, None], (3, 6))
+        assert np.array_equal(once, functionals.value(f, copies))
+
+
 def _step_blocks(d: int):
     """A plain (rows, d) block with chains = 1, a (B, 1, d) block of starts
     and a (B, M, d) block of states, each with its chains."""

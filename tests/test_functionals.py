@@ -135,9 +135,3 @@ def test_row_dot_is_numpy_row_sum_bit_for_bit(d):
                 got = np.asarray(fn._row_dot(a, b))
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # one more input: a batch of copies of each row, as a chain block holds
-    # them, sums every copy to the row's own bits
-    rows = rng.standard_normal((3, d))
-    copies = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, 6, d)))
-    once = np.broadcast_to(fn._row_dot(rows, rows)[:, None], (3, 6))
-    assert np.array_equal(fn._row_dot(copies, copies), once)
