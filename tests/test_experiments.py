@@ -632,6 +632,57 @@ def test_asymmetric_families_keep_plain_chains(case):
     assert _rows_digest(exp.run_experiment(cfg)) == digest
 
 
+# the families no digest above covers: (model, risk rows digest, clt rows
+# digest), taken when the kernels still took plain (rows, d) blocks beside
+# chain blocks, so the rows must not move
+FAMILY_DIGESTS = {
+    "laplace": (
+        models.LogConcaveLocation(dim=3, noise_dist="laplace"),
+        "1109ff7d3dc96a97479ab11796d602bff2e3710e24c1265184dd0cd19952b117",
+        "86c65cf8cc192f300e9bbb31b30d605cb0c803746665f35e08fa32b2dc9e4a2d",
+    ),
+    "logistic": (
+        models.LogConcaveLocation(dim=3, noise_dist="logistic", scale=(0.5, 1.0, 2.0)),
+        "9d81bc151ea5e0788118ea695a82e4411a421440f81a9108f5d95eb7cb277742",
+        "a5657994c83680f3c8688f5ff0f0b3ce3875f23306fc6c537e40fae961e9b38c",
+    ),
+    "ic_uniform": (
+        models.IndependentComponents(dim=3, noise_dist="uniform"),
+        "860ca4636be09dc6997425289f7c412cb4ee323d6b06db1c86d612698f1a668a",
+        "02ff03cec527798705d76b3dbb028b42e980d34e8c436b51a6dcae1a8aa7948d",
+    ),
+    "ic_gaussian": (
+        models.IndependentComponents(dim=3, noise_dist="gaussian", directions=np.triu(np.ones((3, 3)))),
+        "34e65469d64c087f22861c33790fcaa7482d48e83ca9451ddaf812879b56bc30",
+        "190ec0d1047dde63ea055b3bc66ed79f3c80c941e02eea4a4d3d59995328857a",
+    ),
+    "gaussian_mean": (
+        models.ExponentialFamily(dim=3, family="gaussian_mean", base=(0.5, 2.0, 7.0)),
+        "b154b1ce97394202d9733e6823bc9eac0e1f105626acfa73a24f1c45e5f8bb3c",
+        "6a398e2c1ca2f2dbb7fe9b117f31c3d4088aa53ac915da765619dd52fac8c89d",
+    ),
+    "shift_diag_tanh": (
+        models.GaussianShift(dim=3, noise_map=models.DiagTanhMap(a=(1.0, 1.5, 2.0), b=(0.5, -1.0, 1.5))),
+        "bd2129dbadb2d6dbdbe3c3002bbf48e590ee8da71f4b73f2d4adb2ca8274424a",
+        "8c961c6afaff60439fd6e680771f4a48ac7079ec4beb6a29617f18f74b158574",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAMILY_DIGESTS))
+def test_family_rows_pin(case):
+    model, risk, clt = FAMILY_DIGESTS[case]
+    grid = exp.GridSpec(n_values=(50, 100), d_fixed=3)
+    risk_cfg = small_cfg(
+        model=model, k=2, compare_plugin=True, replicates=300, inner_chains=31, grid=grid, timing="none"
+    )
+    clt_cfg = small_cfg(
+        kind="clt", model=model, functional=functionals.linear(E1), k=0, inner_chains=1, grid=grid, timing="none"
+    )
+    assert _rows_digest(exp.run_experiment(risk_cfg)) == risk
+    assert _rows_digest(exp.run_experiment(clt_cfg)) == clt
+
+
 def test_each_grid_point_is_resolved_once(monkeypatch):
     calls = []
     grid_point = exp._grid_point
