@@ -35,21 +35,21 @@ def main():
     n, m = args.n, args.draws
     ok = True
 
-    hat = bootstrap.simulate_chain_block(model, theta, 2, n, m, exp.derive_stream(args.seed, 0, 0))
+    hat = bootstrap.simulate_chain_block(model, theta[None], 2, n, m, exp.derive_stream(args.seed, 0, 0))
     tilde = bootstrap.simulate_chain_block(
-        model, theta, 2, n, m, exp.derive_stream(args.seed, 1, 0), models.surrogate_step
+        model, theta[None], 2, n, m, exp.derive_stream(args.seed, 1, 0), models.surrogate_step
     )
-    w1, limit = band(functionals.value(f, hat[2]), functionals.value(f, tilde[2]), 0)
+    w1, limit = band(functionals.value(f, hat[2, 0]), functionals.value(f, tilde[2, 0]), 0)
     ok &= w1 <= limit
     print(f"hat^(2) vs tilde^(2):  W1={w1:.5f}  band={limit:.5f}  {'ok' if w1 <= limit else 'VIOLATION'}")
 
     delta = gaussian.default_delta(model, theta, n)
     states = bootstrap.simulate_chain_block(
-        model, theta, 3, n, 10_000, exp.derive_stream(args.seed, 2, 0),
+        model, theta[None], 3, n, 10_000, exp.derive_stream(args.seed, 2, 0),
         partial(models.surrogate_step, delta=delta),
     )
     worst = max(
-        float((np.linalg.norm(states[j] - theta, axis=1) - j * delta).max()) for j in range(4)
+        float((np.linalg.norm(states[j, 0] - theta, axis=1) - j * delta).max()) for j in range(4)
     )
     ok &= worst <= 0.0
     print(f"containment (delta={delta:.3f}): max ||state_j - theta|| - j*delta = {worst:.3e}")
@@ -62,9 +62,9 @@ def main():
         for t in bits:
             sup = sup + t * models.sample_xi_block(model, sup, rng, m) / math.sqrt(n)
         ref = bootstrap.simulate_chain_block(
-            model, theta, l, n, m, exp.derive_stream(args.seed, 20 + idx, 0),
+            model, theta[None], l, n, m, exp.derive_stream(args.seed, 20 + idx, 0),
             models.surrogate_step,
-        )[l]
+        )[l, 0]
         w1, limit = band(functionals.value(f, sup[0]), functionals.value(f, ref), idx)
         ok &= w1 <= limit
         print(f"flags {bits} vs tilde^({l}):  W1={w1:.5f}  band={limit:.5f}")

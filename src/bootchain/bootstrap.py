@@ -14,9 +14,9 @@ j <= k through its prefixes: fk_estimate_at evaluates f once on each
 step's states as chain_steps draws them, keeping only their values, and
 folds each requested order from the leading rows of that value array, each
 equal to what a run of that order alone computes from the same stream. It
-takes a single fitted value or a block of them: all chains of a block step
-together through one kernel call per step, and each row is folded exactly
-as a lone row's chains would be. Chain reuse correlates orders within a
+takes a (B, d) block of fitted values: all chains of a block step together
+through one kernel call per step, and each row is folded exactly as a lone
+row's chains would be. Chain reuse correlates orders within a
 replicate but leaves the corrected estimator unbiased for the weighted sum
 of state expectations; the standard errors reported by the Monte Carlo
 layer absorb the correlation. Chains that leave the model domain abort: an
@@ -99,18 +99,17 @@ def chain_steps(model, starts, k: int, n: int, m: int, rng, step=None):
         yield states
 
 
-def simulate_chain_block(model, start, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
-    """The states of chain_steps stacked after the start: shape (k+1, M, d)
-    for a (d,) start, (k+1, B, M, d) for a (B, d) block of starts. For
-    callers that want every state at once, such as the surrogate checks;
-    fk_estimate_at folds from chain_steps without this array."""
-    start = np.asarray(start, dtype=float)
-    rows = start.reshape(-1, start.shape[-1])
-    states = np.empty((k + 1, rows.shape[0], m, rows.shape[1]))
-    states[0] = rows[:, None, :]
-    for j, after in enumerate(chain_steps(model, rows, k, n, m, rng, step), 1):
+def simulate_chain_block(model, starts, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
+    """The states of chain_steps stacked after a (B, d) block of starts:
+    shape (k+1, B, M, d). For callers that want every state at once, such
+    as the surrogate checks; fk_estimate_at folds from chain_steps without
+    this array."""
+    starts = np.asarray(starts, dtype=float)
+    states = np.empty((k + 1, starts.shape[0], m, starts.shape[1]))
+    states[0] = starts[:, None, :]
+    for j, after in enumerate(chain_steps(model, starts, k, n, m, rng, step), 1):
         states[j] = after
-    return states.reshape((k + 1,) + start.shape[:-1] + (m, start.shape[-1]))
+    return states
 
 
 def _survivor_mean(per_chain: np.ndarray, m: int) -> np.ndarray:
@@ -127,9 +126,8 @@ def _survivor_mean(per_chain: np.ndarray, m: int) -> np.ndarray:
 
 
 def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) -> np.ndarray:
-    """Bias-corrected estimates of f(theta) of every requested order from the
-    fitted value theta_hat: one entry per order for a (d,) fit, shape
-    (len(orders), B) for a (B, d) block of fits.
+    """Bias-corrected estimates of f(theta) of every requested order from a
+    (B, d) block of fitted values theta_hat: shape (len(orders), B).
 
     Order 0 is the plain plug-in f(theta_hat). M chains of length
     max(orders) start at each finite row (none when that maximum is 0), f
@@ -149,9 +147,8 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
     if top > 0 and m < 1:
         raise ValueError("need at least one chain when k >= 1")
     theta_hat = np.asarray(theta_hat, dtype=float)
-    rows = theta_hat.reshape(-1, theta_hat.shape[-1])
-    finite = np.isfinite(rows).all(axis=1)
-    starts = rows[finite]
+    finite = np.isfinite(theta_hat).all(axis=1)
+    starts = theta_hat[finite]
     at_start = functionals.value(f, starts)
     # (starts, top+1, M), each start's values contiguous as for a lone chain;
     # step 0 is the start itself, and each later step is folded in as it is
@@ -161,13 +158,13 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
         vals[:, 0] = at_start[:, None]
         for j, states in enumerate(chain_steps(model, starts, top, n, m, rng, step), 1):
             vals[:, j] = functionals.value(f, states)
-    out = np.full((len(orders), rows.shape[0]), math.nan)
+    out = np.full((len(orders), theta_hat.shape[0]), math.nan)
     for i, k in enumerate(orders):
         if k == 0:
             out[i, finite] = at_start
         else:
             out[i, finite] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
-    return out if theta_hat.ndim > 1 else out[:, 0]
+    return out
 
 
 def bias_oracle_exp(theta, u, sigma2: float, n: int, k: int) -> float:

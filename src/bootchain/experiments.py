@@ -12,17 +12,19 @@ row's extra.
 Reproducibility contract: a grid point's R replicates run in blocks of
 B = max(1, 2^14 // (M d)) (_BLOCK_SCALARS), and block b draws all of
 its randomness from the counter-based stream derive_stream(master_seed, b,
-0): first its B theta_hat rows, as one call of the block kernel
-models.estimate_block, then the chains of its finite rows, one kernel call
-per step, each row's M chains in antithetic pairs where the kernel's driver
-is symmetric (bootstrap.chain_steps). At B = 1 a block is one
-replicate. Every order row a grid point reports (the plug-in row of
-compare_plugin, each oracle-check order) is folded from the same theta_hat
-and the prefixes of the same chains. B depends on (M, d) alone; a run's
-one worker pool splits the block range at any size, and the aggregation is
-a sequential fold in replicate order, so summaries are bit-identical for a
-fixed seed at every worker count and for every set of orders. Wall time is the one nondeterministic field;
-timing="none" zeroes it for byte-stable output files.
+0): first its B theta_hat rows, one call of the block kernel
+models.estimate_block on B starts at theta with chains = 1, then the
+chains of its finite rows, one kernel call per step with chains = M, each
+row's M chains in antithetic pairs where the kernel's driver is symmetric
+(bootstrap.chain_steps). At B = 1 a block is one replicate. Every order
+row a grid point reports (the plug-in row of compare_plugin, each
+oracle-check order) is folded from the same theta_hat and the prefixes of
+the same chains. B depends on (M, d) alone; a run's one worker pool splits
+the block range at any size, and the aggregation is a sequential fold in
+replicate order, so summaries are bit-identical for a fixed seed at every
+worker count and for every set of orders. Wall time is the one
+nondeterministic field; timing="none" zeroes it for byte-stable output
+files.
 """
 
 from __future__ import annotations
@@ -216,7 +218,8 @@ def _run_replicates(payload: tuple, start: int, stop: int) -> np.ndarray:
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
         rng = derive_stream(seed, lo // size, 0)
-        theta_hat = models.estimate_block(model, np.repeat(theta[None, :], hi - lo, axis=0), n, rng)
+        starts = np.broadcast_to(theta, (hi - lo, 1, theta.shape[0]))
+        theta_hat = models.estimate_block(model, starts, n, rng)[:, 0]
         est = bootstrap.fk_estimate_at(model, func, theta_hat, orders, n, m, rng, step)
         errs[:, lo - start : hi - start] = est - f_true
     return errs
@@ -303,10 +306,10 @@ def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta,
     fields describe the plug-in error of the linear functional <u, .>; the
     distances live in extra["w1"], extra["w2"]."""
     t0 = time.perf_counter()
-    block = np.broadcast_to(theta, (cfg.replicates, d))
-    theta_hat = models.estimate_block(model, block, n, derive_stream(cfg.seed, gi, 0))
+    starts = np.broadcast_to(theta, (cfg.replicates, 1, d))
+    theta_hat = models.estimate_block(model, starts, n, derive_stream(cfg.seed, gi, 0))[:, 0]
     dev = math.sqrt(n) * ((theta_hat - theta) @ func.u)
-    xi_proj = models.sample_xi_block(model, block, derive_stream(cfg.seed, gi, 1)) @ func.u
+    xi_proj = models.sample_xi_block(model, starts, derive_stream(cfg.seed, gi, 1))[:, 0] @ func.u
 
     good = np.isfinite(dev)
     extra = {}

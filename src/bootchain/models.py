@@ -25,32 +25,31 @@ through estimate_block: theta + L(theta) (driver means).
 The model API is three vectorized kernels that step many parameter rows at
 once, estimate_block (theta_hat fitted to data drawn at each row),
 sample_xi_block (surrogate draws xi) and surrogate_step (theta + xi/sqrt(n),
-xi truncated at a radius delta), plus sigma; a single row is a block with
-one row. For the Gaussian shift and the Gaussian-mean family theta_hat ~
-N(theta, Sigma(theta)/n), so their estimate_block is the untruncated
-surrogate_step. Every other estimator here sees the data only through its
-sample mean, so estimate_block draws that mean from the exact law of a sum
-of n draws wherever one exists: Binomial for Rademacher sums, Gamma for
-exponential sums, a difference of two Gamma(n, 1) sums for Laplace noise,
-Poisson additivity, and exact normal means. Those kernels cost O(1) per cell
-and are equal in law to drawing n raw observations per row and averaging.
-Logistic and uniform drivers have no closed sum law; they are the only
-kernels left that make n raw draws per cell (_chunked_raw_mean). Rows whose
-state left the sampling domain come back as NaN and are counted by the
-callers.
+xi truncated at a radius delta), plus sigma. For the Gaussian shift and the
+Gaussian-mean family theta_hat ~ N(theta, Sigma(theta)/n), so their
+estimate_block is the untruncated surrogate_step. Every other estimator here
+sees the data only through its sample mean, so estimate_block draws that
+mean from the exact law of a sum of n draws wherever one exists: Binomial
+for Rademacher sums, Gamma for exponential sums, a difference of two
+Gamma(n, 1) sums for Laplace noise, Poisson additivity, and exact normal
+means. Those kernels cost O(1) per cell and are equal in law to drawing n
+raw observations per row and averaging. Logistic and uniform drivers have no
+closed sum law; they are the only kernels left that make n raw draws per
+cell (_chunked_raw_mean). Rows whose state left the sampling domain come
+back as NaN and are counted by the callers.
 
-All three kernels take chains. A plain (rows, d) block with chains = 1 steps
-independent rows, such as the outer theta_hat draw. A chain block has a
-chain axis: (B, 1, d) starts or (B, M, d) states with chains = M, stepped
-to (B, M, d). A (B, 1, d) block fans out, so the work that depends on the
-state alone, L(theta) and the Poisson rate with its domain check, runs once
-per start; the draws are those of the M copies of each start. Every step
-of the form theta + c L(theta) (driver block) whose driver law is
-symmetric, which is every one but Poisson counts and centered-exponential
-tags, draws its driver block for the first h = ceil(M/2) chains of each
-start and negates it for the rest (_paired): antithetic twins, each with
-its chain's law. Negation covers the exact sum laws too: a Binomial count b
-mirrors to n - b, and Laplace's Gamma difference to the swapped pair.
+All three kernels take one block shape, with a chain axis: (B, 1, d) starts
+or (B, M, d) states with chains = M, stepped to (B, M, d). B independent
+rows, such as the outer theta_hat draw, are B starts with chains = 1.
+A (B, 1, d) block fans out, so the work that depends on the state alone,
+L(theta) and the Poisson rate with its domain check, runs once per start;
+the draws are those of the M copies of each start. Every step of the form
+theta + c L(theta) (driver block) whose driver law is symmetric, which is
+every one but Poisson counts and centered-exponential tags, draws its
+driver block for the first h = ceil(M/2) chains of each start and negates
+it for the rest (_paired): antithetic twins, each with its chain's law.
+Negation covers the exact sum laws too: a Binomial count b mirrors to
+n - b, and Laplace's Gamma difference to the swapped pair.
 """
 
 from __future__ import annotations
@@ -73,15 +72,8 @@ DEFAULT_MLE_CLAMP = 1e-6
 # scaling maps A(theta)
 
 
-class ScalingMap:
-    """theta-dependent linear map applied to noise vectors."""
-
-    def apply(self, thetas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class IdentityMap(ScalingMap):
+class IdentityMap:
     """A(theta) = scale * I, any dimension."""
 
     scale: float = 1.0
@@ -95,7 +87,7 @@ class IdentityMap(ScalingMap):
 
 
 @dataclass(frozen=True)
-class ConstantMatrixMap(ScalingMap):
+class ConstantMatrixMap:
     matrix: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -111,7 +103,7 @@ class ConstantMatrixMap(ScalingMap):
 
 
 @dataclass(frozen=True)
-class DiagTanhMap(ScalingMap):
+class DiagTanhMap:
     """A(theta) = diag(a_i + b_i * tanh(theta_i)).
 
     Smooth with bounded derivatives of all orders; a_i > |b_i| >= 0 keeps
@@ -134,6 +126,10 @@ class DiagTanhMap(ScalingMap):
 
     def apply(self, thetas, vecs):
         return (self.a + self.b * np.tanh(thetas)) * vecs
+
+
+# a theta-dependent linear map A(theta) applied to noise vectors
+ScalingMap = IdentityMap | ConstantMatrixMap | DiagTanhMap
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +190,14 @@ def _matmul_rows(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """vecs @ mat, a stacked (B, M, d) block as one (B M, d) product: BLAS
     rounds a row by the shape of the product it sits in, so this keeps a
     chain block's bits those of its flat (B M, d) form."""
-    if vecs.ndim <= 2:
-        return vecs @ mat
     return (vecs.reshape(-1, vecs.shape[-1]) @ mat).reshape(vecs.shape[:-1] + mat.shape[1:])
 
 
 def _paired(draw, lead: tuple, tail=()) -> np.ndarray:
-    """draw(size) for a kernel result of leading shape lead: a plain draw of
-    shape lead + tail for (rows,), and for (B, M), the M chains of B
-    starts, one draw for the first h = ceil(M/2) chains, shape (B, h) +
-    tail, mirrored along axis 1: chain h+i takes the negated draw of chain
-    i. With an odd M, chain h-1 has no twin."""
-    if len(lead) == 1:
-        return draw(lead + tail)
+    """draw(size) for a kernel result of leading shape lead = (B, M), the M
+    chains of B starts: one draw for the first h = ceil(M/2) chains, shape
+    (B, h) + tail, mirrored along axis 1: chain h+i takes the negated draw
+    of chain i. With an odd M, chain h-1 has no twin."""
     groups, chains = lead
     half = draw((groups, (chains + 1) // 2) + tail)
     return np.concatenate([half, -half[:, : chains // 2]], axis=1)
@@ -379,36 +370,25 @@ def sigma(model: Model, theta) -> np.ndarray:
 
 
 def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:
-    """thetas as a float array, and the leading shape of a kernel's result:
-    (rows,) for a plain (rows, d) block with chains = 1, (B, chains) for a
-    (B, 1, d) or (B, chains, d) block of chain states."""
+    """thetas, a (B, 1, d) or (B, chains, d) block of chain states, as a
+    float array, and the leading shape (B, chains) of a kernel's result."""
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim not in (2, 3) or thetas.shape[-1] != model.dim:
-        raise ValueError("theta dimension mismatch")
-    if thetas.ndim == 2 and chains == 1:
-        return thetas, thetas.shape[:1]
-    if thetas.ndim == 3 and thetas.shape[1] in (1, chains):
-        return thetas, (thetas.shape[0], chains)
-    raise ValueError(
-        f"states of shape {thetas.shape} do not fit chains={chains}: "
-        "pass (rows, d) with chains=1, or (B, 1, d) or (B, chains, d)"
-    )
+    if thetas.ndim != 3 or thetas.shape[1] not in (1, chains) or thetas.shape[2] != model.dim:
+        raise ValueError(f"states of shape {thetas.shape} do not fit chains={chains}, d={model.dim}")
+    return thetas, (thetas.shape[0], chains)
 
 
 def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 1) -> np.ndarray:
-    """One bootstrap step for a block of parameter rows.
-
-    A (rows, d) block with chains = 1 steps independent rows: row m of the
-    result is the estimator refitted to n observations drawn under
-    P_thetas[m], in law; the outer theta_hat draw is such a call. A
-    chain driver passes chains = M and a (B, 1, d) block of starts, or the
-    (B, M, d) states of a later step, and gets (B, M, d): a (B, 1, d) block
-    fans out, so the per-state work (L(theta), the Poisson rate and its
-    domain check) runs once per start. Every family whose driver law is
-    symmetric (all but Poisson counts and a centered-exponential tag) draws
-    for half of each start's M chains and pairs the rest antithetically
-    (_paired). Rows outside the sampling domain (and NaN inputs) come back
-    NaN.
+    """One bootstrap step for a block of chain states: a (B, 1, d) block of
+    starts, or the (B, M, d) states of a later step, with chains = M, to
+    (B, M, d). Chain m of start b is the estimator refitted to n
+    observations drawn under P_thetas[b, m], in law; the outer theta_hat
+    draw is B starts with chains = 1. A (B, 1, d) block fans out, so the
+    per-state work (L(theta), the Poisson rate and its domain check) runs
+    once per start. Every family whose driver law is symmetric (all but
+    Poisson counts and a centered-exponential tag) draws for half of each
+    start's M chains and pairs the rest antithetically (_paired). Rows
+    outside the sampling domain (and NaN inputs) come back NaN.
     """
     if isinstance(model, GaussianShift) or (
         isinstance(model, ExponentialFamily) and model.family == "gaussian_mean"
@@ -445,8 +425,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
 
 def sample_xi_block(model: Model, thetas: np.ndarray, rng, chains: int = 1) -> np.ndarray:
     """Surrogate draws xi(theta) = L(theta) z ~ N(0, Sigma(theta)), one per
-    state, from one standard normal block: (rows, d) independent draws for
-    a (rows, d) block with chains = 1, and (B, M, d) draws in antithetic
+    chain, from one standard normal block: (B, M, d) draws in antithetic
     pairs for a (B, 1, d) or (B, M, d) chain block with chains = M, where a
     (B, 1, d) block computes L once per start (see estimate_block)."""
     thetas, lead = _chain_block(model, thetas, chains)
@@ -457,9 +436,8 @@ def surrogate_step(model: Model, states, n: int, rng, delta: float = math.inf, c
     """One Gaussian step for a block of states: states + xi(states)/sqrt(n),
     each xi zeroed where ||xi||^2 >= (delta sqrt(n))^2. delta = inf turns
     truncation off; delta = 0 zeroes every draw and so freezes the chain.
-    The block and chains follow sample_xi_block: (rows, d) with chains = 1,
-    or a chain block (B, 1, d) or (B, M, d) with chains = M, which returns
-    (B, M, d) in antithetic pairs. Untruncated, it is the bootstrap step of
+    The block and chains follow sample_xi_block: (B, 1, d) or (B, M, d)
+    with chains = M, to (B, M, d) in antithetic pairs. Untruncated, it is the bootstrap step of
     the Gaussian shift and the Gaussian-mean family (estimate_block)."""
     xi = sample_xi_block(model, states, rng, chains)
     if delta < math.inf:

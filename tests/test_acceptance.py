@@ -200,9 +200,9 @@ def test_c7_surrogate_equivalence():
 
         delta = gaussian.default_delta(model, theta, n)
         states = bootstrap.simulate_chain_block(
-            model, theta, 3, n, 10_000, exp.derive_stream(1007, 2, 0),
+            model, theta[None], 3, n, 10_000, exp.derive_stream(1007, 2, 0),
             partial(models.surrogate_step, delta=delta),
-        )
+        )[:, 0]
         for j in range(4):
             assert np.all(np.linalg.norm(states[j] - theta, axis=1) <= j * delta)
 
@@ -218,13 +218,13 @@ def test_c8_homotopy_superposition():
             bits = tuple((idx >> b) & 1 for b in range(3))
             l = sum(bits)
             # the superposition from its definition: step j adds t_j xi_j / sqrt(n)
-            rng, sup = exp.derive_stream(1008, idx, 0), starts
+            rng, sup = exp.derive_stream(1008, idx, 0), starts[:, None]
             for t in bits:
                 sup = sup + t * models.sample_xi_block(model, sup, rng) / math.sqrt(n)
             chain = bootstrap.simulate_chain_block(
                 model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), models.surrogate_step
             )
-            a = np.asarray(functionals.value(f, sup))
+            a = np.asarray(functionals.value(f, sup[:, 0]))
             b = np.asarray(functionals.value(f, chain[l][:, 0]))
             w1 = distances.wasserstein1(a, b)
             se = distances.wasserstein1_bootstrap_se(

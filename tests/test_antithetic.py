@@ -25,12 +25,12 @@ REPS = 4000
 
 def plain(step):
     """The same kernel with every chain drawn on its own: the (B, 1|M, d)
-    block is fanned out to its B M chain states and stepped as independent
-    rows."""
+    block is fanned out to its B M chain states and stepped as B M
+    independent starts with chains = 1."""
 
     def kernel(model, states, n, rng, chains):
         fanned = np.broadcast_to(states, (states.shape[0], chains, states.shape[-1]))
-        return step(model, fanned.reshape(-1, fanned.shape[-1]), n, rng).reshape(fanned.shape)
+        return step(model, fanned.reshape(-1, 1, fanned.shape[-1]), n, rng).reshape(fanned.shape)
 
     return kernel
 
@@ -92,10 +92,10 @@ def test_each_twin_keeps_the_plain_chain_law(case):
     # two steps, so that the twin's second step runs at its own state
     model, step, t, n = PAIRED_KERNELS[case]
     seed = 420 + sorted(PAIRED_KERNELS).index(case)
-    theta = np.array([t])
-    paired = bootstrap.simulate_chain_block(model, theta, 2, n, 2 * REPS, derive_stream(seed, 0, 0), step)
+    starts = np.array([[t]])
+    paired = bootstrap.simulate_chain_block(model, starts, 2, n, 2 * REPS, derive_stream(seed, 0, 0), step)[:, 0]
     ref, ref2 = (
-        bootstrap.simulate_chain_block(model, theta, 2, n, REPS, derive_stream(seed, i, 0), plain(step))[-1, :, 0]
+        bootstrap.simulate_chain_block(model, starts, 2, n, REPS, derive_stream(seed, i, 0), plain(step))[-1, 0, :, 0]
         for i in (1, 2)
     )
     plus, minus = paired[-1, :REPS, 0], paired[-1, REPS:, 0]
@@ -108,7 +108,8 @@ def test_twins_take_the_negated_draw(case):
     # one step from the same state: the twins' increments are mirror images
     model, step, t, n = PAIRED_KERNELS[case]
     m = 7  # odd: chain 3 has no twin
-    states = bootstrap.simulate_chain_block(model, np.array([t]), 1, n, m, derive_stream(430, 0, 0), step)
+    start = np.array([[t]])
+    states = bootstrap.simulate_chain_block(model, start, 1, n, m, derive_stream(430, 0, 0), step)[:, 0]
     inc = states[1, :, 0] - t
     assert np.allclose(inc[4:], -inc[:3], rtol=0, atol=1e-14)
     assert not np.allclose(inc[3], -inc[:3])

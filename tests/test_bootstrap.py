@@ -60,11 +60,11 @@ def test_simulate_chain_k0_and_deterministic_kernel():
     model = models.GaussianShift(dim=3)
     rng = derive_stream(201, 0, 0)
     start = unit_sin_theta(3)
-    states = bootstrap.simulate_chain_block(model, start, 0, 100, 1, rng)
+    states = bootstrap.simulate_chain_block(model, start[None], 0, 100, 1, rng)[:, 0]
     assert np.array_equal(states, start[None, None, :])
 
     frozen = models.GaussianShift(dim=3, noise_map=models.IdentityMap(scale=0.0))
-    states = bootstrap.simulate_chain_block(frozen, start, 5, 100, 1, rng)
+    states = bootstrap.simulate_chain_block(frozen, start[None], 5, 100, 1, rng)[:, 0]
     assert np.array_equal(states[:, 0], np.broadcast_to(start, (6, 3)))
 
 
@@ -72,7 +72,7 @@ def test_chain_increments_have_variance_one_over_n():
     model = models.GaussianShift(dim=3)
     n, m = 50, 10_000
     rng = derive_stream(202, 0, 0)
-    states = bootstrap.simulate_chain_block(model, np.zeros(3), 2, n, m, rng)
+    states = bootstrap.simulate_chain_block(model, np.zeros((1, 3)), 2, n, m, rng)[:, 0]
     se = math.sqrt(2.0 / m) / n  # SE of a variance estimate of 1/n
     for j in range(2):
         inc = states[j + 1] - states[j]
@@ -96,7 +96,7 @@ def test_estimate_Bjf_quadratic_and_linear():
     n, m = 50, 20_000
 
     def bjf(f, j, rng):
-        states = bootstrap.simulate_chain_block(model, theta, j, n, m, rng)
+        states = bootstrap.simulate_chain_block(model, theta[None], j, n, m, rng)[:, 0]
         w = np.array(bootstrap.difference_weights(j), dtype=float)
         return _mean_and_se(w @ functionals.value(f, states))
 
@@ -116,9 +116,9 @@ def test_estimate_Bjf_quadratic_and_linear():
 def test_fk_estimate_k0_is_plugin():
     model = models.GaussianShift(dim=3)
     rng = derive_stream(204, 0, 0)
-    theta_hat = models.estimate_block(model, unit_sin_theta(3)[None, :], 100, rng)[0]
+    theta_hat = models.estimate_block(model, unit_sin_theta(3)[None, None, :], 100, rng)[0, 0]
     f = functionals.quadratic_form()
-    got = bootstrap.fk_estimate_at(model, f, theta_hat, (0,), 100, 1, rng)[0]
+    got = bootstrap.fk_estimate_at(model, f, theta_hat[None], (0,), 100, 1, rng)[0, 0]
     assert got == functionals.value(f, theta_hat)
 
 
@@ -127,11 +127,11 @@ def test_fk_estimate_k1_quadratic_matches_closed_form():
     model = models.GaussianShift(dim=5)
     n, m = 100, 10_000
     rng = derive_stream(205, 0, 0)
-    theta_hat = models.estimate_block(model, unit_sin_theta(5)[None, :], n, rng)[0]
+    theta_hat = models.estimate_block(model, unit_sin_theta(5)[None, None, :], n, rng)[0, 0]
     f = functionals.quadratic_form()
     twin = copy.deepcopy(rng)
-    mean = bootstrap.fk_estimate_at(model, f, theta_hat, (1,), n, m, rng)[0]
-    states = bootstrap.simulate_chain_block(model, theta_hat, 1, n, m, twin)
+    mean = bootstrap.fk_estimate_at(model, f, theta_hat[None], (1,), n, m, rng)[0, 0]
+    states = bootstrap.simulate_chain_block(model, theta_hat[None], 1, n, m, twin)[:, 0]
     per_chain = _per_chain_folds(f, states)
     assert np.isfinite(per_chain).all()
     per_chain_mean, se = _mean_and_se(per_chain)
@@ -150,8 +150,8 @@ def test_fk_estimate_k1_cubic_unbiased():
     vals = np.empty(reps)
     for r in range(reps):
         rng = derive_stream(206, r, 0)
-        theta_hat = models.estimate_block(model, theta[None, :], n, rng)[0]
-        vals[r] = bootstrap.fk_estimate_at(model, f, theta_hat, (1,), n, m, rng)[0]
+        theta_hat = models.estimate_block(model, theta[None, None, :], n, rng)[:, 0]
+        vals[r] = bootstrap.fk_estimate_at(model, f, theta_hat, (1,), n, m, rng)[0, 0]
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - target) <= 4.0 * se
 
@@ -160,12 +160,12 @@ def test_telescoping_equivalence_on_shared_chains():
     model = models.GaussianShift(dim=3)
     k, n, m = 3, 50, 500
     start = unit_sin_theta(3)
-    states = bootstrap.simulate_chain_block(model, start, k, n, m, derive_stream(207, 0, 0))
+    states = bootstrap.simulate_chain_block(model, start[None], k, n, m, derive_stream(207, 0, 0))[:, 0]
     f = functionals.exp_linear(np.array([0.5, -0.2, 0.1]))
     fv = np.asarray(functionals.value(f, states))
 
     # the estimator draws the same chains from a twin stream
-    collapsed = bootstrap.fk_estimate_at(model, f, start, (k,), n, m, derive_stream(207, 0, 0))[0]
+    collapsed = bootstrap.fk_estimate_at(model, f, start[None], (k,), n, m, derive_stream(207, 0, 0))[0, 0]
     alternating = 0.0
     for j in range(k + 1):
         w = np.array(bootstrap.difference_weights(j), dtype=float)
@@ -180,8 +180,8 @@ def test_prefix_state_matches_fresh_chain_in_distribution():
     n, m = 100, 20_000
     theta = unit_sin_theta(3)
     f = functionals.quadratic_form()
-    inner = bootstrap.simulate_chain_block(model, theta, 2, n, m, derive_stream(208, 0, 0))
-    fresh = bootstrap.simulate_chain_block(model, theta, 1, n, m, derive_stream(208, 1, 0))
+    inner = bootstrap.simulate_chain_block(model, theta[None], 2, n, m, derive_stream(208, 0, 0))[:, 0]
+    fresh = bootstrap.simulate_chain_block(model, theta[None], 1, n, m, derive_stream(208, 1, 0))[:, 0]
     a = np.asarray(functionals.value(f, inner[1]))
     b = np.asarray(functionals.value(f, fresh[1]))
     w1 = distances.wasserstein1(a, b)
@@ -227,8 +227,8 @@ def test_bias_decay_geometry_ratio():
     errs2 = np.empty(reps)
     for r in range(reps):
         rng = derive_stream(210, r, 0)
-        theta_hat = models.estimate_block(model, np.zeros((1, 1)), n, rng)[0]
-        errs1[r], errs2[r] = bootstrap.fk_estimate_at(model, f, theta_hat, (1, 2), n, m, rng) - 1.0
+        theta_hat = models.estimate_block(model, np.zeros((1, 1, 1)), n, rng)[:, 0]
+        errs1[r], errs2[r] = bootstrap.fk_estimate_at(model, f, theta_hat, (1, 2), n, m, rng)[:, 0] - 1.0
     ratio = abs(errs2.mean()) / abs(errs1.mean())
     geom = math.expm1(0.5)
     assert 0.5 * geom <= ratio <= 2.0 * geom
@@ -240,7 +240,7 @@ def test_all_aborted_chains_give_nan():
     model = models.ExponentialFamily(dim=1, family="poisson_product")
     rng = derive_stream(211, 0, 0)
     f = functionals.linear(np.array([1.0]))
-    plugin, corrected = bootstrap.fk_estimate_at(model, f, np.array([40.0]), (0, 1), 10, 50, rng)
+    (plugin,), (corrected,) = bootstrap.fk_estimate_at(model, f, np.array([[40.0]]), (0, 1), 10, 50, rng)
     assert plugin == 40.0 and np.isnan(corrected)
 
 
@@ -254,8 +254,8 @@ def test_fk_estimate_at_orders_are_their_single_order_runs():
 
     def estimates(r, orders):
         rng = derive_stream(212, r, 0)
-        theta_hat = models.estimate_block(model, theta[None, :], n, rng)[0]
-        return bootstrap.fk_estimate_at(model, f, theta_hat, orders, n, m, rng)
+        theta_hat = models.estimate_block(model, theta[None, None, :], n, rng)[:, 0]
+        return bootstrap.fk_estimate_at(model, f, theta_hat, orders, n, m, rng)[:, 0]
 
     got = np.array([estimates(r, orders) for r in range(30)])
     for r in range(30):
@@ -264,7 +264,7 @@ def test_fk_estimate_at_orders_are_their_single_order_runs():
     nan_count = np.isnan(got).sum(axis=0)
     assert nan_count[0] == 0 and 0 < nan_count[1] < nan_count[2] < 30
     # started at theta itself, order 3 loses more than 1% of its chains
-    assert np.isnan(bootstrap.fk_estimate_at(model, f, theta, (3,), n, m, derive_stream(212, 0, 0))[0])
+    assert np.isnan(bootstrap.fk_estimate_at(model, f, theta[None], (3,), n, m, derive_stream(212, 0, 0))[0, 0])
 
 
 def _aborting_step(model, states, n, rng, dead, chains=1):
@@ -285,15 +285,15 @@ def test_abort_limit_boundary():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bootstrap.fk_estimate_at(
-                model, f, theta_hat, (0, 1), n, m, derive_stream(213, 0, 0), step
-            )
+                model, f, theta_hat[None], (0, 1), n, m, derive_stream(213, 0, 0), step
+            )[:, 0]
         assert got[0] == plugin
         if len(dead) > 2:
             assert np.isnan(got[1])
             continue
         states = bootstrap.simulate_chain_block(
-            model, theta_hat, 1, n, m, derive_stream(213, 0, 0), step
-        )
+            model, theta_hat[None], 1, n, m, derive_stream(213, 0, 0), step
+        )[:, 0]
         per_chain = _per_chain_folds(f, states)
         assert np.isnan(per_chain[dead]).all()
         assert got[1] == np.delete(per_chain, dead).mean()
@@ -314,5 +314,5 @@ def test_chain_states_are_evaluated_once(monkeypatch):
     # every chain's step 0), each of the 3 x 50 later chain states once
     for f in (functionals.quadratic_form(), functionals.linear(np.arange(1.0, 4.0))):
         points.clear()
-        bootstrap.fk_estimate_at(model, f, theta_hat, (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
+        bootstrap.fk_estimate_at(model, f, theta_hat[None], (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
         assert sum(points) == 1 + 3 * 50

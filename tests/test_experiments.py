@@ -419,15 +419,16 @@ def _shift_step(model, n, use_tilde):
 
 
 class _PairedNormals:
-    """Hands a plain kernel's (M, d) standard normal draw out in the paired
-    layout: h = ceil(M/2) fresh rows, then the negations of the first M - h."""
+    """Hands the (M, 1, d) standard normal draw of a kernel stepping M
+    independent starts out in the paired layout: h = ceil(M/2) fresh rows,
+    then the negations of the first M - h."""
 
     def __init__(self, rng):
         self.rng = rng
 
     def standard_normal(self, size):
-        m, d = size
-        z = self.rng.standard_normal((-(-m // 2), d))
+        m, *rest = size
+        z = self.rng.standard_normal((-(-m // 2), *rest))
         return np.concatenate([z, -z[: m // 2]])
 
 
@@ -465,7 +466,7 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
         for r in range(reps):
             rng = exp.derive_stream(seed, r, 0)
             theta_hat = raw_estimate(model, theta, n, rng)
-            est = bootstrap.fk_estimate_at(model, f, theta_hat, (j,), n, m, rng, step)[0]
+            est = bootstrap.fk_estimate_at(model, f, theta_hat[None], (j,), n, m, rng, step)[0, 0]
             expected[j, r] = est - f_true
     for orders in _orders_passes(k):
         payload = (model, f, theta, f_true, orders, n, m, step, seed)
@@ -490,7 +491,7 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
         chains = [[np.broadcast_to(h, (m, 4))] for h in hats]
         for _ in range(k):
             for chain in chains:
-                chain.append(kernel(model, chain[-1], n, _PairedNormals(rng)))
+                chain.append(kernel(model, chain[-1][:, None], n, _PairedNormals(rng))[:, 0])
         for i, (h, chain) in enumerate(zip(hats, chains)):
             vals = functionals.value(f, np.stack(chain))
             expected[0, lo + i] = functionals.value(f, h) - f_true

@@ -6,7 +6,8 @@ M chains; later steps pass the (B, M, d) states. The chain states must be
 bit-identical to a driver that materializes the M copies of each start and
 passes (B, M, d) at step 0 too, for every kernel, order, and parity of M.
 The bootstrap step of the Gaussian shift and of the Gaussian-mean family is
-the untruncated surrogate step on every block shape.
+the untruncated surrogate step on every block: starts with chains = 1 or M,
+and states.
 """
 
 import math
@@ -118,16 +119,28 @@ def test_poisson_overflowing_start_aborts_its_group_only():
     assert np.array_equal(got[:, [0, 2]], alone)
 
 
-def test_plain_and_chain_blocks_only():
-    # a flat (B M, d) block with chains = M is the retired layout
-    model = models.GaussianShift(dim=D)
+STEP_KERNELS = {
+    "estimate_block": lambda model, block, rng, chains: models.estimate_block(model, block, 1, rng, chains),
+    "sample_xi_block": models.sample_xi_block,
+    "surrogate_step": lambda model, block, rng, chains: models.surrogate_step(
+        model, block, 1, rng, chains=chains
+    ),
+}
+
+
+def test_chain_blocks_only():
+    # every kernel takes (B, 1, d) starts or (B, M, d) states with chains = M;
+    # a (rows, d) block is refused at any chains, the shift (the surrogate
+    # step) and the families that check their block in _chain_block alike
     rng = derive_stream(462, 0, 0)
-    with pytest.raises(ValueError, match="do not fit"):
-        models.estimate_block(model, np.zeros((10, D)), 1, rng, chains=5)
-    with pytest.raises(ValueError, match="do not fit"):
-        models.sample_xi_block(model, np.zeros((2, 3, D)), rng, chains=5)
-    assert models.estimate_block(model, np.zeros((2, 1, D)), 1, rng, chains=5).shape == (2, 5, D)
-    assert models.estimate_block(model, np.zeros((10, D)), 1, rng).shape == (10, D)
+    for case in ("shift_identity", "ic_rademacher", "poisson"):
+        model = KERNELS[case][0]
+        for kernel in STEP_KERNELS.values():
+            for block, chains in ((np.zeros((10, D)), 1), (np.zeros((10, D)), 5), (np.zeros((2, 3, D)), 5)):
+                with pytest.raises(ValueError, match="do not fit"):
+                    kernel(model, block, rng, chains)
+            assert kernel(model, np.zeros((10, 1, D)), rng, 1).shape == (10, 1, D)
+            assert kernel(model, np.zeros((2, 1, D)), rng, 5).shape == (2, 5, D)
 
 
 def test_chain_block_rounds_as_its_flat_rows():
@@ -187,11 +200,11 @@ def test_row_local_values_ignore_the_batch(d):
 
 
 def _step_blocks(d: int):
-    """A plain (rows, d) block with chains = 1, a (B, 1, d) block of starts
-    and a (B, M, d) block of states, each with its chains."""
+    """A (B, 1, d) block of independent starts with chains = 1, a (B, 1, d)
+    block of starts and a (B, M, d) block of states, each with its chains."""
     starts = _starts(3, d)
     states = np.repeat(starts[:, None, :], 5, axis=1)
-    return (np.tile(starts, (2, 1)), 1), (starts[:, None, :], 4), (states, 5)
+    return (np.tile(starts, (2, 1))[:, None, :], 1), (starts[:, None, :], 4), (states, 5)
 
 
 @pytest.mark.parametrize("case", ["shift_identity", "shift_constant_matrix", "shift_diag_tanh"])
@@ -210,11 +223,9 @@ def test_gaussian_mean_step_is_theta_plus_z_over_sqrt_vn():
     for i, (block, m) in enumerate(_step_blocks(D)):
         rng, ref = derive_stream(466, i, 0), derive_stream(466, i, 0)
         got = models.estimate_block(model, block, n, rng, chains=m)
-        if m == 1:
-            z = ref.standard_normal(block.shape)
-        else:  # the first ceil(M/2) chains draw, their twins take the negation
-            half = ref.standard_normal((block.shape[0], (m + 1) // 2, D))
-            z = np.concatenate([half, -half[:, : m // 2]], axis=1)
+        # the first ceil(M/2) chains draw, their twins take the negation
+        half = ref.standard_normal((block.shape[0], (m + 1) // 2, D))
+        z = np.concatenate([half, -half[:, : m // 2]], axis=1)
         assert rng.integers(2**62) == ref.integers(2**62)  # both streams drew as much
         # L z / sqrt(n) divides by sqrt(v), then by sqrt(n): a few ulps off one sqrt(v n)
         step = z / np.sqrt(base * n)

@@ -17,7 +17,7 @@ def test_gaussian_shift_clt_mean_bound():
     rng = derive_stream(101, 0, 0)
     acc = np.zeros(d)
     for _ in range(reps):
-        acc += models.estimate_block(model, theta[None, :], n, rng)[0] - theta
+        acc += models.estimate_block(model, theta[None, None, :], n, rng)[0, 0] - theta
     assert np.linalg.norm(acc / reps) <= 4.0 * math.sqrt(d / (n * reps))
 
 
@@ -27,7 +27,7 @@ def test_rademacher_draws_have_pm1_support():
     # a mean of n = 1 draws is the draw itself, on both sampling paths
     raw = [raw_estimate(model, np.zeros(4), 1, rng) for _ in range(16)]
     assert set(np.unique(raw)) == {-1.0, 1.0}
-    block = models.estimate_block(model, np.zeros((64, 4)), 1, rng)
+    block = models.estimate_block(model, np.zeros((64, 1, 4)), 1, rng)
     assert set(np.unique(block)) == {-1.0, 1.0}
 
 
@@ -54,7 +54,7 @@ def test_block_poisson_mle_is_the_row_mle():
     # n e^theta = (0.25, 0.68): about 9 rows in 10 have a zero count
     model = models.ExponentialFamily(dim=2, family="poisson_product")
     n, thetas = 5, np.broadcast_to([-3.0, -2.0], (200, 2))
-    block = models.estimate_block(model, thetas, n, derive_stream(114, 0, 0))
+    block = models.estimate_block(model, thetas[:, None], n, derive_stream(114, 0, 0))[:, 0]
     xbars = derive_stream(114, 0, 0).poisson(n * np.exp(thetas)) / n
     assert 0.5 < np.mean(np.any(xbars == 0, axis=1)) < 1.0
     for got, xbar in zip(block, xbars):
@@ -64,7 +64,7 @@ def test_block_poisson_mle_is_the_row_mle():
 def test_sample_xi_identity_covariance():
     model = models.GaussianShift(dim=3)
     rng = derive_stream(105, 0, 0)
-    xi = models.sample_xi_block(model, np.zeros((100_000, 3)), rng)
+    xi = models.sample_xi_block(model, np.zeros((100_000, 1, 3)), rng)[:, 0]
     emp = xi.T @ xi / xi.shape[0]
     assert np.abs(emp - np.eye(3)).max() <= 0.05
 
@@ -72,7 +72,7 @@ def test_sample_xi_identity_covariance():
 def test_zero_noise_map_gives_zero_xi():
     model = models.GaussianShift(dim=3, noise_map=models.IdentityMap(scale=0.0))
     rng = derive_stream(106, 0, 0)
-    assert np.array_equal(models.sample_xi_block(model, np.ones((1, 3)), rng), np.zeros((1, 3)))
+    assert np.array_equal(models.sample_xi_block(model, np.ones((1, 1, 3)), rng), np.zeros((1, 1, 3)))
 
 
 def test_poisson_surrogate_covariance_is_inverse_fisher():
@@ -82,7 +82,7 @@ def test_poisson_surrogate_covariance_is_inverse_fisher():
     assert np.allclose(models.sigma(model, theta), np.diag(np.exp(-theta)))
     # MC sanity on the sampler variance
     rng = derive_stream(107, 0, 0)
-    xi = models.sample_xi_block(model, np.broadcast_to(theta, (50_000, 3)), rng)
+    xi = models.sample_xi_block(model, np.broadcast_to(theta, (50_000, 1, 3)), rng)[:, 0]
     emp_var = xi.var(axis=0)
     se = np.exp(-theta) * math.sqrt(2.0 / 50_000)
     assert np.all(np.abs(emp_var - np.exp(-theta)) <= 5.0 * se)
@@ -129,7 +129,7 @@ def test_estimator_consistency_median_decreasing(model):
     medians = []
     for i, n in enumerate((100, 400, 1600)):
         rng = derive_stream(108, i, 0)
-        hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 3)), n, rng)
+        hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 1, 3)), n, rng)[:, 0]
         medians.append(np.median(np.linalg.norm(hats - theta, axis=1)))
     inversions = sum(medians[i + 1] >= medians[i] for i in range(2))
     assert inversions <= 1
@@ -202,7 +202,7 @@ def test_estimator_covariance_matches_sigma(model, theta, n):
     theta = np.asarray(theta)
     reps = 10_000
     rng = derive_stream(109, 0, 0)
-    hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 3)), n, rng)
+    hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 1, 3)), n, rng)[:, 0]
     dev = math.sqrt(n) * (hats - theta)
     emp = dev.T @ dev / reps
     sig = models.sigma(model, theta)
@@ -221,9 +221,9 @@ def test_poisson_domain_errors():
             [0.5, -0.3],
         ]
     )
-    out = models.estimate_block(model, thetas, n, derive_stream(110, 0, 0))
+    out = models.estimate_block(model, thetas[:, None], n, derive_stream(110, 0, 0))[:, 0]
     assert np.isnan(out[:2]).all()
-    alone = models.estimate_block(model, thetas[2:], n, derive_stream(110, 0, 0))
+    alone = models.estimate_block(model, thetas[2:, None], n, derive_stream(110, 0, 0))[:, 0]
     assert np.isfinite(alone).all() and np.array_equal(out[2:], alone)
 
 
@@ -231,7 +231,7 @@ def test_estimate_block_marks_aborted_rows():
     model = models.ExponentialFamily(dim=1, family="poisson_product")
     rng = derive_stream(111, 0, 0)
     thetas = np.array([[0.0], [40.0]])
-    out = models.estimate_block(model, thetas, 10, rng)
+    out = models.estimate_block(model, thetas[:, None], 10, rng)[:, 0]
     assert np.isfinite(out[0, 0])
     assert np.isnan(out[1, 0])
 
@@ -245,7 +245,7 @@ def test_estimate_block_marks_aborted_rows():
     ids=["logistic", "ic_uniform"],
 )
 def test_estimate_block_does_not_depend_on_the_chunk_budget(model, monkeypatch):
-    thetas = np.zeros((40, 3))
+    thetas = np.zeros((40, 1, 3))
     default = models.estimate_block(model, thetas, 50, derive_stream(120, 0, 0))
     monkeypatch.setattr(models, "_CHUNK_SCALARS", 7)  # one raw-draw row per chunk
     tiny = models.estimate_block(model, thetas, 50, derive_stream(120, 0, 0))

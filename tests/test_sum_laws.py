@@ -55,9 +55,9 @@ def test_block_kernel_matches_raw_draw_means(case, n):
     model, t = SUM_CLOSED[case]
     theta = np.array([t])
     seed = 400 + n
-    block = models.estimate_block(model, np.full((REPS, 1), t), n, derive_stream(seed, 0, 0))
+    block = models.estimate_block(model, np.full((REPS, 1, 1), t), n, derive_stream(seed, 0, 0))
     raw, raw2 = (raw_means(model, theta, n, derive_stream(seed, i, 1)) for i in (0, 1))
-    assert_same_law(block[:, 0], raw, raw2, seed)
+    assert_same_law(block[:, 0, 0], raw, raw2, seed)
 
 
 def gate_laplace_block(n: int, scale: float):
@@ -66,9 +66,9 @@ def gate_laplace_block(n: int, scale: float):
     seed = 400 + n
     model = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.7)
     wide = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=scale)
-    block = models.estimate_block(wide, np.zeros((REPS, 1)), n, derive_stream(seed, 0, 0))
+    block = models.estimate_block(wide, np.zeros((REPS, 1, 1)), n, derive_stream(seed, 0, 0))
     raw, raw2 = (raw_means(model, np.zeros(1), n, derive_stream(seed, i, 1)) for i in (0, 1))
-    assert_same_law(block[:, 0], raw, raw2, seed)
+    assert_same_law(block[:, 0, 0], raw, raw2, seed)
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
@@ -93,7 +93,7 @@ def test_poisson_outer_draw_with_frequent_mle_fallback():
     theta, n, seed = np.array([-3.0]), 5, 410
     outer = np.array(
         [
-            models.estimate_block(model, theta[None, :], n, derive_stream(seed, r, 0))[0, 0]
+            models.estimate_block(model, theta[None, None, :], n, derive_stream(seed, r, 0))[0, 0, 0]
             for r in range(REPS)
         ]
     )
