@@ -119,13 +119,12 @@ def test_poisson_overflowing_start_aborts_its_group_only():
     assert np.array_equal(got[:, [0, 2]], alone)
 
 
-STEP_KERNELS = {
-    "estimate_block": lambda model, block, rng, chains: models.estimate_block(model, block, 1, rng, chains),
-    "sample_xi_block": models.sample_xi_block,
-    "surrogate_step": lambda model, block, rng, chains: models.surrogate_step(
-        model, block, 1, rng, chains=chains
-    ),
-}
+# the three step kernels as kernel(model, block, rng, chains)
+STEP_KERNELS = (
+    lambda model, block, rng, chains: models.estimate_block(model, block, 1, rng, chains),
+    models.sample_xi_block,
+    lambda model, block, rng, chains: models.surrogate_step(model, block, 1, rng, chains=chains),
+)
 
 
 def test_chain_blocks_only():
@@ -135,7 +134,7 @@ def test_chain_blocks_only():
     rng = derive_stream(462, 0, 0)
     for case in ("shift_identity", "ic_rademacher", "poisson"):
         model = KERNELS[case][0]
-        for kernel in STEP_KERNELS.values():
+        for kernel in STEP_KERNELS:
             for block, chains in ((np.zeros((10, D)), 1), (np.zeros((10, D)), 5), (np.zeros((2, 3, D)), 5)):
                 with pytest.raises(ValueError, match="do not fit"):
                     kernel(model, block, rng, chains)
