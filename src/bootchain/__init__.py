@@ -4,7 +4,7 @@ normal-approximation diagnostics."""
 
 # cli is imported on demand (`from bootchain import cli`), not here, so that
 # `python -m bootchain.cli` does not find it already imported.
-from . import bootstrap, config, core, distances, experiments, functionals, gaussian, models
+from . import bootstrap, config, core, distances, experiments, functionals, models
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,6 @@ __all__ = [
     "distances",
     "experiments",
     "functionals",
-    "gaussian",
     "models",
     "__version__",
 ]

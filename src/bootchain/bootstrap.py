@@ -76,6 +76,14 @@ def collapsed_weights(k: int) -> tuple[int, ...]:
     return tuple((-1) ** i * math.comb(k + 1, i + 1) for i in range(k + 1))
 
 
+def _as_block(model, rows, name: str) -> np.ndarray:
+    """rows as a float (B, d) block, d = model.dim; else a ValueError."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != model.dim:
+        raise ValueError(f"{name} of shape {rows.shape}: expected a (B, d) block with d = {model.dim}")
+    return rows
+
+
 def chain_steps(model, starts, k: int, n: int, m: int, rng, step=None):
     """Step M chains from each row of a (B, d) block of starts k times,
     yielding the (B, M, d) states of steps 1, ..., k as they are drawn: the
@@ -104,7 +112,7 @@ def simulate_chain_block(model, starts, k: int, n: int, m: int, rng, step=None) 
     shape (k+1, B, M, d). For callers that want every state at once, such
     as the surrogate checks; fk_estimate_at folds from chain_steps without
     this array."""
-    starts = np.asarray(starts, dtype=float)
+    starts = _as_block(model, starts, "starts")
     states = np.empty((k + 1, starts.shape[0], m, starts.shape[1]))
     states[0] = starts[:, None, :]
     for j, after in enumerate(chain_steps(model, starts, k, n, m, rng, step), 1):
@@ -146,7 +154,7 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
     top = max(orders)
     if top > 0 and m < 1:
         raise ValueError("need at least one chain when k >= 1")
-    theta_hat = np.asarray(theta_hat, dtype=float)
+    theta_hat = _as_block(model, theta_hat, "theta_hat")
     finite = np.isfinite(theta_hat).all(axis=1)
     starts = theta_hat[finite]
     at_start = functionals.value(f, starts)

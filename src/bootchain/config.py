@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import functionals, models
-from .experiments import ConfigError, ExperimentConfig, GridSpec, _grid_point, unit_sin_theta
+from .experiments import ConfigError, ExperimentConfig, GridSpec, unit_sin_theta
 
 _TOP_KEYS = {
     "kind",
@@ -255,30 +255,34 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
         if not isinstance(val, str) or not val:
             raise ConfigError(f"outputs.{key}: expected a non-empty path string")
 
+    k = _as_int(doc["k"], "k", 0)
+    tilde = compare.get("tilde", False)
     if kind == "clt":  # the diagnostic runs no chains and compares no estimators
-        unused = {"k": _as_int(doc["k"], "k", 0) != 0, "mc.M": m != 1, "delta": "delta" in doc}
+        unused = {"k": k != 0, "mc.M": m != 1, "delta": "delta" in doc}
         unused.update({f"compare.{key}": flag for key, flag in compare.items()})
         for name, bad in unused.items():
             if bad:
                 raise ConfigError(f"{name}: clt configs need k = 0, M = 1, no delta, no compare")
+    elif tilde and k == 0:
+        raise ConfigError("compare.tilde: a k = 0 run steps no chains, surrogate or bootstrap")
+    elif "delta" in doc and not tilde:
+        raise ConfigError("delta: only surrogate chains (compare.tilde) are truncated")
 
     cfg = ExperimentConfig(
         kind=kind,
         model=partial(build_model, dict(doc["model"])),
         functional=partial(build_functional, dict(doc["functional"])),
         theta=_theta(doc.get("theta")),
-        k=_as_int(doc["k"], "k", 0),
+        k=k,
         grid=grid,
         inner_chains=m,
         replicates=r,
         delta=delta,
         seed=_as_int(doc["seed"], "seed", 0),
-        use_tilde=bool(compare.get("tilde", False)),
+        use_tilde=tilde,
         compare_plugin=bool(compare.get("plugin", False)),
         timing=doc.get("timing", "wall"),
     )
-    # fail fast on builder errors and theta's length instead of mid-run
-    _grid_point(cfg, *cfg.grid.points()[0])
     return cfg, outputs
 
 

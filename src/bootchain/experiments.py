@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bootstrap, distances, functionals, gaussian, models
+from . import bootstrap, distances, functionals, models
 
 KINDS = ("risk", "normality", "clt", "sweep", "oracle-check")
 MAX_SEED = 2**64
@@ -186,13 +186,14 @@ class TrialSummary:
 def _prime_allocator() -> None:
     """Keep the replicate loop's arrays on the heap.
 
-    Every block allocates and frees arrays of up to (k+1)*B*M*d doubles.
-    glibc malloc maps blocks above a dynamic threshold (128 KiB at start)
-    straight from the OS and trims the heap top beyond twice that, so such
-    arrays can be faulted in afresh on every block: on a 2-vCPU Linux VM, a
-    quarter of the wall time of a surrogate sweep, all of it system time.
-    Freeing one large mapped block raises both thresholds for the rest of
-    the process; other allocators are unaffected.
+    Every chain step allocates and frees a block's (B, M, d) states (up to
+    2^14 doubles, or M*d at B = 1) and a raw-draw kernel its chunks of up
+    to 2^16 doubles. glibc malloc maps blocks above a dynamic threshold
+    (128 KiB at start) straight from the OS and trims the heap top beyond
+    twice that, so such arrays can be faulted in afresh on every block: on
+    a 2-vCPU Linux VM, a quarter of the wall time of a surrogate sweep, all
+    of it system time. Freeing one large mapped block raises both
+    thresholds for the rest of the process; other allocators are unaffected.
     """
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
 
@@ -247,7 +248,7 @@ def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     theta = np.asarray(cfg.theta(d), dtype=float)
     if theta.shape != (d,):
         raise ConfigError(f"theta has dimension {theta.shape}, grid point (n={n}, d={d}) needs {d}")
-    return model, func, theta, gaussian.sigma_f(model, func, theta)
+    return model, func, theta, models.sigma_f(model, func, theta)
 
 
 def _summary(
@@ -361,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary
             f_true = float(functionals.value(func, theta))
             step = None  # the bootstrap step, or the surrogate step truncated at delta
             if cfg.use_tilde and max(orders) > 0:
-                delta = gaussian.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
+                delta = models.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
                 step = partial(models.surrogate_step, delta=delta)
             t0 = time.perf_counter()
             payload = (model, func, theta, f_true, orders, n, cfg.inner_chains, step, cfg.seed)

@@ -1,4 +1,4 @@
-"""Model families P_theta, their refitted estimator and Gaussian surrogate.
+"""Model families P_theta, their refitted estimator and Gaussian approximation.
 
 Four model variants are provided:
 
@@ -25,18 +25,19 @@ through estimate_block: theta + L(theta) (driver means).
 The model API is three vectorized kernels that step many parameter rows at
 once, estimate_block (theta_hat fitted to data drawn at each row),
 sample_xi_block (surrogate draws xi) and surrogate_step (theta + xi/sqrt(n),
-xi truncated at a radius delta), plus sigma. For the Gaussian shift and the
-Gaussian-mean family theta_hat ~ N(theta, Sigma(theta)/n), so their
-estimate_block is the untruncated surrogate_step. Every other estimator here
-sees the data only through its sample mean, so estimate_block draws that
-mean from the exact law of a sum of n draws wherever one exists: Binomial
-for Rademacher sums, Gamma for exponential sums, a difference of two
-Gamma(n, 1) sums for Laplace noise, Poisson additivity, and exact normal
-means. Those kernels cost O(1) per cell and are equal in law to drawing n
-raw observations per row and averaging. Logistic and uniform drivers have no
-closed sum law; they are the only kernels left that make n raw draws per
-cell (_chunked_raw_mean). Rows whose state left the sampling domain come
-back as NaN and are counted by the callers.
+xi truncated at a radius delta), plus sigma and the sigma_f and
+default_delta derived from it. For the Gaussian shift and the Gaussian-mean
+family theta_hat ~ N(theta, Sigma(theta)/n), so their estimate_block is the
+untruncated surrogate_step. Every other estimator here sees the data only
+through its sample mean, so estimate_block draws that mean from the exact
+law of a sum of n draws wherever one exists: Binomial for Rademacher sums,
+Gamma for exponential sums, a difference of two Gamma(n, 1) sums for
+Laplace noise, Poisson additivity, and exact normal means. Those kernels
+cost O(1) per cell and are equal in law to drawing n raw observations per
+row and averaging. Logistic and uniform drivers have no closed sum law;
+they are the only kernels left that make n raw draws per cell
+(_chunked_raw_mean). Rows whose state left the sampling domain come back
+as NaN and are counted by the callers.
 
 All three kernels take one block shape, with a chain axis: (B, 1, d) starts
 or (B, M, d) states with chains = M, stepped to (B, M, d). B independent
@@ -318,11 +319,9 @@ Model = GaussianShift | IndependentComponents | ExponentialFamily | LogConcaveLo
 # maximum likelihood (exponential families)
 
 
-def _mle_from_mean(model: ExponentialFamily, xbar: np.ndarray) -> np.ndarray:
-    """Psi^{-1}(Xbar) per row of xbar, (d,) or (M, d). A Poisson row with a
-    zero coordinate has no MLE; it takes the clamp rule log(max(Xbar, 1e-6))."""
-    if model.family == "gaussian_mean":
-        return xbar / model.base
+def _mle_from_mean(xbar: np.ndarray) -> np.ndarray:
+    """The Poisson MLE log(Xbar) per row of a (d,) or (rows, d) xbar; a row with
+    a zero coordinate has none and takes the clamp rule log(max(Xbar, 1e-6))."""
     with np.errstate(divide="ignore"):
         fit = np.log(xbar)
     bad = ~np.all(xbar > 0, axis=-1)
@@ -367,6 +366,22 @@ def sigma(model: Model, theta) -> np.ndarray:
     d = model.dim
     lt = _factor(model, np.broadcast_to(np.asarray(theta, dtype=float), (d, d)), np.eye(d))
     return lt.T @ lt
+
+
+def sigma_f(model: Model, f, theta) -> float:
+    """sqrt(<Sigma(theta) f'(theta), f'(theta)>), the efficient scale of f: the
+    limiting sd of sqrt(n)(f(theta_hat) - f(theta)), clamped at 0 against rounding."""
+    theta = np.asarray(theta, dtype=float)
+    g = functionals.grad(f, theta)
+    quad = float(g @ sigma(model, theta) @ g)
+    return math.sqrt(max(quad, 0.0))
+
+
+def default_delta(model: Model, theta, n: int) -> float:
+    """delta = 3 sqrt(tr Sigma(theta) / n), the radius of a surrogate run whose
+    config sets none: by Gaussian norm concentration, truncation ~ never fires."""
+    tr = float(np.trace(sigma(model, theta)))
+    return 3.0 * math.sqrt(tr / n)
 
 
 def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:
@@ -417,7 +432,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
         out = np.full(lead + (d,), np.nan)
         if np.any(ok):
             counts = rng.poisson(np.broadcast_to(lam, lead + (d,))[ok])
-            out[ok] = _mle_from_mean(model, counts / n)
+            out[ok] = _mle_from_mean(counts / n)
         return out
 
     raise TypeError(f"unknown model type {type(model).__name__}")
@@ -434,11 +449,13 @@ def sample_xi_block(model: Model, thetas: np.ndarray, rng, chains: int = 1) -> n
 
 def surrogate_step(model: Model, states, n: int, rng, delta: float = math.inf, chains: int = 1) -> np.ndarray:
     """One Gaussian step for a block of states: states + xi(states)/sqrt(n),
-    each xi zeroed where ||xi||^2 >= (delta sqrt(n))^2. delta = inf turns
-    truncation off; delta = 0 zeroes every draw and so freezes the chain.
-    The block and chains follow sample_xi_block: (B, 1, d) or (B, M, d)
-    with chains = M, to (B, M, d) in antithetic pairs. Untruncated, it is the bootstrap step of
-    the Gaussian shift and the Gaussian-mean family (estimate_block)."""
+    each xi zeroed where ||xi||^2 >= (delta sqrt(n))^2, so k steps stay within
+    k delta; delta = inf turns truncation off, delta = 0 freezes the chain.
+    Truncation is per draw, at the current state: the sup of the noise over
+    all states is not observable for state-dependent noise, and for constant
+    noise the two rules coincide. The block and chains follow sample_xi_block:
+    (B, 1, d) or (B, M, d) with chains = M, to (B, M, d) in antithetic pairs.
+    Untruncated, it is the shift's and Gaussian-mean's bootstrap step."""
     xi = sample_xi_block(model, states, rng, chains)
     if delta < math.inf:
         cut = functionals._row_dot(xi, xi) >= (delta * math.sqrt(n)) ** 2

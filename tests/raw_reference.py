@@ -25,9 +25,10 @@ def raw_estimate(model, theta, n: int, rng) -> np.ndarray:
     if isinstance(model, models.ExponentialFamily):
         if model.family == "poisson_product":
             draws = rng.poisson(np.exp(theta), size=(n, model.dim)).astype(float)
-        else:
-            draws = model.base * theta + np.sqrt(model.base) * rng.standard_normal((n, model.dim))
-        return models._mle_from_mean(model, draws.mean(axis=0))
+            return models._mle_from_mean(draws.mean(axis=0))
+        # Gaussian-mean: X ~ N(v theta, diag(v)), so the MLE is Xbar / v
+        draws = model.base * theta + np.sqrt(model.base) * rng.standard_normal((n, model.dim))
+        return draws.mean(axis=0) / model.base
     eta = np.empty((n, model.dim))
     for j, tag in enumerate(model.noise_dist):
         eta[:, j] = models._DRIVERS[tag][0](rng, n)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootchain import bootstrap, cli, config, core, distances, functionals, gaussian, models
+from bootchain import bootstrap, cli, config, core, distances, functionals, models
 from bootchain import experiments as exp
 
 EXPM1_A = 0.0050125208594010634  # e^(1/200) - 1
@@ -198,7 +198,7 @@ def test_c7_surrogate_equivalence():
         se = distances.wasserstein1_bootstrap_se(a, b, np.random.default_rng(7), n_boot=100)
         assert w1 <= 0.01 + 3.0 * se
 
-        delta = gaussian.default_delta(model, theta, n)
+        delta = models.default_delta(model, theta, n)
         states = bootstrap.simulate_chain_block(
             model, theta[None], 3, n, 10_000, exp.derive_stream(1007, 2, 0),
             partial(models.surrogate_step, delta=delta),

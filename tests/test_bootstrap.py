@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import warnings
 from functools import partial
 
@@ -316,3 +317,14 @@ def test_chain_states_are_evaluated_once(monkeypatch):
         points.clear()
         bootstrap.fk_estimate_at(model, f, theta_hat[None], (0, 1, 2, 3), 100, 50, derive_stream(214, 0, 0))
         assert sum(points) == 1 + 3 * 50
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 4)], ids=["single_fit", "d_plus_one"])
+def test_block_entry_points_name_the_shape_they_need(shape):
+    model = models.GaussianShift(dim=3)
+    rows = np.zeros(shape)
+    expected = re.escape(f"of shape {shape}: expected a (B, d) block with d = 3")
+    with pytest.raises(ValueError, match=expected):
+        bootstrap.fk_estimate_at(model, functionals.quadratic_form(), rows, (0, 1), 100, 4, derive_stream(215, 0, 0))
+    with pytest.raises(ValueError, match=expected):
+        bootstrap.simulate_chain_block(model, rows, 1, 100, 4, derive_stream(215, 0, 0))

@@ -105,8 +105,8 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
         {"theta": {"rule": "nope"}},
         {"compare": {"plugin": "yes"}},
         {"kind": "nope"},
-        {"delta": -1.0},
-        {"delta": math.nan},
+        {"delta": -1.0, "compare": {"tilde": True}},
+        {"delta": math.nan, "compare": {"tilde": True}},
         {"theta": [math.nan, 0.0]},
         {"functional": {"variant": "linear", "u": [math.nan, 0.0]}},
         {"model": {"variant": "log_concave_location", "scale": math.inf}},
@@ -141,7 +141,7 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
 
 
 def test_sweep_matrix_of_the_wrong_size_fails_before_any_replicate(tmp_path, monkeypatch, capsys):
-    # the load-time probe sees d = 2, where the matrix fits; the grid reaches d = 10
+    # the matrix fits the first grid point (d = 2), not the last (d = 10)
     def no_pass(*args, **kwargs):
         raise AssertionError("a replicate pass ran before every grid point was resolved")
 
@@ -414,6 +414,21 @@ def test_clt_run_without_two_survivors_is_a_failed_row(tmp_path, capsys):
 )
 def test_clt_config_rejects_fields_it_ignores(tmp_path, capsys, field, patch):
     assert cli.main(["run", str(write_cfg(tmp_path, dict(CLT_RADEMACHER, **patch)))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("delta", {"delta": 1e-9}),
+        ("delta", {"delta": "auto", "compare": {"tilde": False}}),
+        ("compare.tilde", {"k": 0, "compare": {"tilde": True}}),
+        ("compare.tilde", {"k": 0, "delta": 0.5, "compare": {"tilde": True}}),
+    ],
+)
+def test_risk_config_rejects_fields_it_ignores(tmp_path, capsys, field, patch):
+    # delta truncates surrogate chains only, and a k = 0 run steps no chains
+    assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, **patch)))]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 

@@ -8,7 +8,7 @@ import pytest
 from raw_reference import raw_estimate
 
 from bootchain import experiments as exp
-from bootchain import bootstrap, functionals, gaussian, models
+from bootchain import bootstrap, functionals, models
 
 # SHA-256 of the error matrix of test_stream_contract_pin
 STREAM_CONTRACT_DIGEST = "95a74b3433b14752bea8ec9cdaa11ac09226831c55b97704a11af99fc843631c"
@@ -415,7 +415,7 @@ def _shift_step(model, n, use_tilde):
     if not use_tilde:
         return None
     theta = exp.unit_sin_theta(model.dim)
-    return partial(models.surrogate_step, delta=gaussian.default_delta(model, theta, n))
+    return partial(models.surrogate_step, delta=models.default_delta(model, theta, n))
 
 
 class _PairedNormals:

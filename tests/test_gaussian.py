@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bootchain import bootstrap, distances, functionals, gaussian, models
+from bootchain import bootstrap, distances, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 from law_gate import assert_same_law
 
@@ -57,14 +57,14 @@ def test_sigma_f_examples():
     model = models.GaussianShift(dim=3)
     theta = np.array([0.5, -0.5, 1.0])
     u = np.array([1.0, 2.0, -2.0])
-    assert gaussian.sigma_f(model, functionals.linear(u), theta) == pytest.approx(
+    assert models.sigma_f(model, functionals.linear(u), theta) == pytest.approx(
         np.linalg.norm(u)
     )
     scaled = models.GaussianShift(dim=3, noise_map=models.IdentityMap(scale=1.5))
-    assert gaussian.sigma_f(scaled, functionals.quadratic_form(), theta) == pytest.approx(
+    assert models.sigma_f(scaled, functionals.quadratic_form(), theta) == pytest.approx(
         2.0 * 1.5 * np.linalg.norm(theta)
     )
-    assert gaussian.sigma_f(model, functionals.exp_linear(u), np.zeros(3)) == pytest.approx(
+    assert models.sigma_f(model, functionals.exp_linear(u), np.zeros(3)) == pytest.approx(
         np.linalg.norm(u)
     )
 
@@ -137,7 +137,7 @@ def test_sigma_f_consistency_with_plugin_error_sd():
     rng = derive_stream(309, 0, 0)
     hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 1, 4)), n, rng)[:, 0]
     errs = np.asarray(functionals.value(f, hats)) - functionals.value(f, theta)
-    sig = gaussian.sigma_f(model, f, theta)
+    sig = models.sigma_f(model, f, theta)
     assert abs(math.sqrt(n) * errs.std(ddof=1) - sig) <= 0.05 * sig
 
 
@@ -159,7 +159,7 @@ def test_xi_squared_norm_matches_trace():
 def test_default_delta_formula():
     model = models.GaussianShift(dim=4, noise_map=models.IdentityMap(scale=2.0))
     theta = np.zeros(4)
-    got = gaussian.default_delta(model, theta, 100)
+    got = models.default_delta(model, theta, 100)
     assert got == pytest.approx(3.0 * math.sqrt(16.0 / 100.0))
 
 
@@ -179,7 +179,7 @@ def test_sigma_f_nonnegative_everywhere():
     for _ in range(50):
         theta = rng.standard_normal(3) * 2
         for f in fs:
-            assert gaussian.sigma_f(model, f, theta) >= 0.0
+            assert models.sigma_f(model, f, theta) >= 0.0
 
 
 def test_surrogate_chain_shape():

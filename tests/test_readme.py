@@ -17,3 +17,11 @@ def test_readme_python_example_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "vs plug-in" in proc.stdout
+
+
+def test_readme_layout_names_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (layout,) = re.findall(r"^## Layout\n\n```\n(.*?)^```", text, flags=re.S | re.M)
+    listed = re.findall(r"^  (\w+\.py) ", layout, flags=re.M)
+    modules = {p.name for p in (ROOT / "src" / "bootchain").glob("*.py")} - {"__init__.py"}
+    assert sorted(listed) == sorted(modules)

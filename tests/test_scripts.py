@@ -16,11 +16,6 @@ def _run_script(name, *args):
     )
 
 
-def test_surrogate_diagnostics_script_runs():
-    proc = _run_script("surrogate_diagnostics.py", "--draws", "2000")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
 def test_clt_rates_script_runs():
     proc = _run_script("clt_rates.py", "--replicates", "500", "--n-grid", "100", "400")
     assert proc.returncode == 0, proc.stdout + proc.stderr
