@@ -30,8 +30,8 @@ def main():
             dim=d, noise_dist="centered_exponential"
         ),
         "uniform components": models.IndependentComponents(dim=d, noise_dist="uniform"),
-        "laplace location": models.LogConcaveLocation(dim=d, noise_dist="laplace", scale=2**-0.5),
-        "logistic location": models.LogConcaveLocation(
+        "laplace location": models.location(dim=d, noise_dist="laplace", scale=2**-0.5),
+        "logistic location": models.location(
             dim=d, noise_dist="logistic", scale=(3.0 / np.pi**2) ** 0.5
         ),
     }

@@ -5,22 +5,22 @@ state: state[j+1] is theta_hat fitted to n observations drawn under
 P_state[j]. chain_steps is the one stepping loop; its step argument swaps
 this bootstrap transition (models.estimate_block) for another kernel with
 the same signature, such as the Gaussian surrogate step
-models.surrogate_step, and simulate_chain_block stacks its states into
-one array. Signed binomial weights turn chain evaluations of f into Monte
-Carlo estimates of the iterated bias operator applied to f, and the
-collapsed weights fold the whole alternating partial sum of corrections
-into a single pass over one chain. One length-k chain feeds every order
-j <= k through its prefixes: fk_estimate_at evaluates f once on each
-step's states as chain_steps draws them, keeping only their values, and
-folds each requested order from the leading rows of that value array, each
-equal to what a run of that order alone computes from the same stream. It
-takes a (B, d) block of fitted values: all chains of a block step together
-through one kernel call per step, and each row is folded exactly as a lone
-row's chains would be. Chain reuse correlates orders within a
-replicate but leaves the corrected estimator unbiased for the weighted sum
-of state expectations; the standard errors reported by the Monte Carlo
-layer absorb the correlation. Chains that leave the model domain abort: an
-order that lost more than 1% of a row's chains is NaN, never an exception.
+models.surrogate_step. Signed binomial weights turn chain evaluations of f
+into Monte Carlo estimates of the iterated bias operator applied to f, and
+the collapsed weights fold the whole alternating partial sum of
+corrections into a single pass over one chain. One length-k chain feeds
+every order j <= k through its prefixes: fk_estimate_at evaluates f once
+on each step's states as chain_steps draws them, keeping only their
+values, and folds each requested order from the leading rows of that value
+array, each equal to what a run of that order alone computes from the same
+stream. It takes a (B, d) block of fitted values: all chains of a block
+step together through one kernel call per step, and each row is folded
+exactly as a lone row's chains would be. Chain reuse correlates orders
+within a replicate but leaves the corrected estimator unbiased for the
+weighted sum of state expectations; the standard errors reported by the
+Monte Carlo layer absorb the correlation. Chains that leave the model
+domain abort: an order that lost more than 1% of a row's chains is NaN,
+never an exception.
 
 The kernels have a chain axis: chain_steps passes chains=M and a (B, 1, d)
 block of starts at step 0, which the kernel fans out to the (B, M, d)
@@ -105,19 +105,6 @@ def chain_steps(model, starts, k: int, n: int, m: int, rng, step=None):
     for _ in range(k):
         states = step(model, states, n, rng, chains=m)
         yield states
-
-
-def simulate_chain_block(model, starts, k: int, n: int, m: int, rng, step=None) -> np.ndarray:
-    """The states of chain_steps stacked after a (B, d) block of starts:
-    shape (k+1, B, M, d). For callers that want every state at once, such
-    as the surrogate checks; fk_estimate_at folds from chain_steps without
-    this array."""
-    starts = _as_block(model, starts, "starts")
-    states = np.empty((k + 1, starts.shape[0], m, starts.shape[1]))
-    states[0] = starts[:, None, :]
-    for j, after in enumerate(chain_steps(model, starts, k, n, m, rng, step), 1):
-        states[j] = after
-    return states
 
 
 def _survivor_mean(per_chain: np.ndarray, m: int) -> np.ndarray:

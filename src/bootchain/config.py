@@ -148,11 +148,7 @@ def build_model(cfg: dict, d: int) -> models.Model:
             )
         if variant == "log_concave_location":
             _reject_unknown(cfg, {"variant", "noise_dist", "scale"}, where)
-            return models.LogConcaveLocation(
-                dim=d,
-                noise_dist=cfg.get("noise_dist", "laplace"),
-                scale=cfg.get("scale", 1.0),
-            )
+            return models.location(d, cfg.get("noise_dist", "laplace"), cfg.get("scale", 1.0))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -265,6 +261,8 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
                 raise ConfigError(f"{name}: clt configs need k = 0, M = 1, no delta, no compare")
     elif tilde and k == 0:
         raise ConfigError("compare.tilde: a k = 0 run steps no chains, surrogate or bootstrap")
+    elif compare.get("plugin") and (k == 0 or kind == "oracle-check"):
+        raise ConfigError("compare.plugin: a k = 0 or oracle-check run reports the plug-in row anyway")
     elif "delta" in doc and not tilde:
         raise ConfigError("delta: only surrogate chains (compare.tilde) are truncated")
 

@@ -63,16 +63,3 @@ def wasserstein2(a, b) -> float:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     return float(math.sqrt(np.mean((x - y) ** 2)))
 
-
-def wasserstein1_bootstrap_se(a, b, rng, n_boot: int = 100) -> float:
-    """Bootstrap standard error of the empirical W1 between two samples,
-    resampling both with replacement. Used to set Monte Carlo fluctuation
-    bands for same-law comparisons."""
-    x = _check_sample(a)
-    y = _check_sample(b)
-    vals = np.empty(n_boot)
-    for i in range(n_boot):
-        xs = x[rng.integers(0, x.size, x.size)]
-        ys = y[rng.integers(0, y.size, y.size)]
-        vals[i] = wasserstein1(xs, ys)
-    return float(vals.std(ddof=1))

@@ -293,8 +293,8 @@ def _check_point(cfg: ExperimentConfig, n: int, d: int, model, func, theta, sig_
     if cfg.kind == "clt" and func.variant != "linear":
         raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
     if cfg.kind == "oracle-check":
-        shift = isinstance(model, models.GaussianShift)
-        if not (shift and isinstance(model.noise_map, models.IdentityMap)):
+        noise = model.noise_map if isinstance(model, models.GaussianShift) else None
+        if not (isinstance(noise, models.IdentityMap) and np.ndim(noise.scale) == 0):
             raise ConfigError("oracle check needs the shift model with Sigma = sigma^2 I")
         if func.variant != "exp_linear":
             raise ConfigError("oracle check needs the exp_linear functional")

@@ -1,12 +1,16 @@
 """Model families P_theta, their refitted estimator and Gaussian approximation.
 
-Four model variants are provided:
+Three model families are provided:
 
   * GaussianShift          X = theta + A(theta) z / sqrt(n), single draw
   * IndependentComponents  X = theta + A(theta) sum_j eta_j x_j, n i.i.d.
   * ExponentialFamily      product Poisson / Gaussian-mean, MLE via the
                            closed-form inverse of the mean map
-  * LogConcaveLocation     X = theta + eta, n i.i.d., sample-mean estimator
+
+Log-concave location, X = theta + eta with sample-mean estimator, is no
+family of its own: location() builds it as independent components along
+the standard basis with the constant map A = diag(scale * sd), sd the
+noise's standard deviation at unit scale.
 
 Every variant carries one Gaussian factor L(theta) (_factor): the surrogate
 is xi(theta) = L(theta) z with z standard normal, and its covariance
@@ -15,12 +19,9 @@ sqrt(n)(theta_hat - theta). For the exponential families that is the
 inverse Fisher information Psi'(theta)^{-1} (Psi the mean map), not
 Psi'(theta) itself, the covariance of sqrt(n)(Xbar - Psi(theta)).
 
-Every noise tag, independent-components driver or location noise, lives in
-one table of unit-variance drivers (_DRIVERS). A location noise is a
-standardized driver times diag(scale * sd), sd its standard deviation at
-unit scale, which is its model's factor L; independent components apply
-their factor to the drivers the same way. So both families take one path
-through estimate_block: theta + L(theta) (driver means).
+Every noise tag is one unit-variance driver in one table (_DRIVERS), and
+independent components apply their factor to the driver means:
+estimate_block returns theta + L(theta) (driver means).
 
 The model API is three vectorized kernels that step many parameter rows at
 once, estimate_block (theta_hat fitted to data drawn at each row),
@@ -75,12 +76,14 @@ DEFAULT_MLE_CLAMP = 1e-6
 
 @dataclass(frozen=True)
 class IdentityMap:
-    """A(theta) = scale * I, any dimension."""
+    """A(theta) = diag(scale): scale * I in any dimension for a number, the
+    diagonal itself for a (d,) vector."""
 
-    scale: float = 1.0
+    scale: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
+        scale = np.asarray(self.scale, dtype=float)
+        if not np.all(np.isfinite(scale) & (scale >= 0.0)):
             raise ValueError("scale must be finite and nonnegative")
 
     def apply(self, thetas, vecs):
@@ -169,9 +172,7 @@ _DRIVERS = {
     "logistic": (lambda rng, size: rng.logistic(0.0, _LOGISTIC_SCALE, size=size), None),
 }
 
-IC_NOISE_TAGS = ("rademacher", "uniform", "centered_exponential", "gaussian")
-# location noise = scale * sd * driver, sd the noise's standard deviation at unit scale
-LOCATION_NOISE_TAGS = ("laplace", "logistic", "gaussian")
+# the log-concave location noises: sd, their standard deviation at unit scale
 _LOCATION_SD = {"laplace": math.sqrt(2.0), "logistic": math.pi / _SQRT3, "gaussian": 1.0}
 
 
@@ -237,6 +238,7 @@ class IndependentComponents:
     """X = theta + A(theta) sum_j eta_j x_j with independent unit-variance
     drivers eta_j; theta_hat is the sample mean of n i.i.d. copies.
 
+    noise_dist names a driver of _DRIVERS per coordinate, or one for all.
     directions is a (d, d) matrix with x_j as columns, or None for the
     standard basis. The driver moments are validated against the closed-form
     registry, not by simulation.
@@ -250,7 +252,7 @@ class IndependentComponents:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        tags = _normalize_tags(self.noise_dist, self.dim, IC_NOISE_TAGS)
+        tags = _normalize_tags(self.noise_dist, self.dim, _DRIVERS)
         object.__setattr__(self, "noise_dist", tags)
         if self.directions is not None:
             dmat = np.asarray(self.directions, dtype=float)
@@ -293,26 +295,19 @@ class ExponentialFamily:
             raise ValueError("poisson_product takes no base parameters")
 
 
-@dataclass(frozen=True)
-class LogConcaveLocation:
-    """X = theta + eta with mean-zero log-concave noise; theta_hat = Xbar."""
-
-    dim: int
-    noise_dist: tuple[str, ...] = "laplace"
-    scale: np.ndarray = 1.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        tags = _normalize_tags(self.noise_dist, self.dim, LOCATION_NOISE_TAGS)
-        object.__setattr__(self, "noise_dist", tags)
-        s = np.broadcast_to(np.atleast_1d(np.asarray(self.scale, dtype=float)), (self.dim,)).copy()
-        if not np.all(np.isfinite(s) & (s > 0)):
-            raise ValueError("noise scales must be finite and positive")
-        object.__setattr__(self, "scale", s)
+def location(dim: int, noise_dist="laplace", scale=1.0) -> IndependentComponents:
+    """Log-concave location X = theta + eta, theta_hat = Xbar, with Laplace,
+    logistic or Gaussian noise of the given scale per coordinate: independent
+    components along the standard basis with A = diag(scale * sd)."""
+    tags = _normalize_tags(noise_dist, dim, _LOCATION_SD)
+    s = np.broadcast_to(np.asarray(scale, dtype=float), (dim,))
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise ValueError("noise scales must be finite and positive")
+    sd = np.array([_LOCATION_SD[t] for t in tags])
+    return IndependentComponents(dim, tags, noise_map=IdentityMap(s * sd))
 
 
-Model = GaussianShift | IndependentComponents | ExponentialFamily | LogConcaveLocation
+Model = GaussianShift | IndependentComponents | ExponentialFamily
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +345,6 @@ def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
         if model.family == "poisson_product":
             return np.exp(-0.5 * thetas) * v
         return v / np.sqrt(model.base)
-    if isinstance(model, LogConcaveLocation):
-        sd = np.array([_LOCATION_SD[t] for t in model.noise_dist])
-        return model.scale * sd * v
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -413,7 +405,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     thetas, lead = _chain_block(model, thetas, chains)
     d = model.dim
 
-    if isinstance(model, (IndependentComponents, LogConcaveLocation)):
+    if isinstance(model, IndependentComponents):
         antithetic = "centered_exponential" not in model.noise_dist
         etabar = np.empty(lead + (d,))
         for j, tag in enumerate(model.noise_dist):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from law_gate import wasserstein1_bootstrap_se
+from raw_reference import simulate_chain_block
 
 from bootchain import bootstrap, cli, config, core, distances, functionals, models
 from bootchain import experiments as exp
@@ -188,18 +190,18 @@ def test_c7_surrogate_equivalence():
         # m independent chains (m starts of one chain each): the bootstrap se
         # of W1 assumes i.i.d. samples, which antithetic twins are not
         starts = np.tile(theta, (m, 1))
-        hat = bootstrap.simulate_chain_block(model, starts, k, n, 1, exp.derive_stream(1007, 0, 0))
-        tilde = bootstrap.simulate_chain_block(
+        hat = simulate_chain_block(model, starts, k, n, 1, exp.derive_stream(1007, 0, 0))
+        tilde = simulate_chain_block(
             model, starts, k, n, 1, exp.derive_stream(1007, 1, 0), models.surrogate_step
         )
         a = np.asarray(functionals.value(f, hat[k][:, 0]))
         b = np.asarray(functionals.value(f, tilde[k][:, 0]))
         w1 = distances.wasserstein1(a, b)
-        se = distances.wasserstein1_bootstrap_se(a, b, np.random.default_rng(7), n_boot=100)
+        se = wasserstein1_bootstrap_se(a, b, np.random.default_rng(7), n_boot=100)
         assert w1 <= 0.01 + 3.0 * se
 
         delta = models.default_delta(model, theta, n)
-        states = bootstrap.simulate_chain_block(
+        states = simulate_chain_block(
             model, theta[None], 3, n, 10_000, exp.derive_stream(1007, 2, 0),
             partial(models.surrogate_step, delta=delta),
         )[:, 0]
@@ -221,15 +223,13 @@ def test_c8_homotopy_superposition():
             rng, sup = exp.derive_stream(1008, idx, 0), starts[:, None]
             for t in bits:
                 sup = sup + t * models.sample_xi_block(model, sup, rng) / math.sqrt(n)
-            chain = bootstrap.simulate_chain_block(
+            chain = simulate_chain_block(
                 model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), models.surrogate_step
             )
             a = np.asarray(functionals.value(f, sup[:, 0]))
             b = np.asarray(functionals.value(f, chain[l][:, 0]))
             w1 = distances.wasserstein1(a, b)
-            se = distances.wasserstein1_bootstrap_se(
-                a, b, np.random.default_rng(idx), n_boot=60
-            )
+            se = wasserstein1_bootstrap_se(a, b, np.random.default_rng(idx), n_boot=60)
             assert w1 <= 0.01 + 3.0 * se, f"flags {bits}"
 
 

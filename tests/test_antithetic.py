@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 from law_gate import assert_same_law
+from raw_reference import simulate_chain_block
 
 from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -67,13 +68,13 @@ PAIRED_KERNELS = {
         3,
     ),
     "location_laplace": (
-        models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.7),
+        models.location(dim=1, noise_dist="laplace", scale=0.7),
         models.estimate_block,
         0.0,
         3,
     ),
     "location_logistic": (
-        models.LogConcaveLocation(dim=1, noise_dist="logistic"),
+        models.location(dim=1, noise_dist="logistic"),
         models.estimate_block,
         0.0,
         3,
@@ -93,9 +94,9 @@ def test_each_twin_keeps_the_plain_chain_law(case):
     model, step, t, n = PAIRED_KERNELS[case]
     seed = 420 + sorted(PAIRED_KERNELS).index(case)
     starts = np.array([[t]])
-    paired = bootstrap.simulate_chain_block(model, starts, 2, n, 2 * REPS, derive_stream(seed, 0, 0), step)[:, 0]
+    paired = simulate_chain_block(model, starts, 2, n, 2 * REPS, derive_stream(seed, 0, 0), step)[:, 0]
     ref, ref2 = (
-        bootstrap.simulate_chain_block(model, starts, 2, n, REPS, derive_stream(seed, i, 0), plain(step))[-1, 0, :, 0]
+        simulate_chain_block(model, starts, 2, n, REPS, derive_stream(seed, i, 0), plain(step))[-1, 0, :, 0]
         for i in (1, 2)
     )
     plus, minus = paired[-1, :REPS, 0], paired[-1, REPS:, 0]
@@ -109,7 +110,7 @@ def test_twins_take_the_negated_draw(case):
     model, step, t, n = PAIRED_KERNELS[case]
     m = 7  # odd: chain 3 has no twin
     start = np.array([[t]])
-    states = bootstrap.simulate_chain_block(model, start, 1, n, m, derive_stream(430, 0, 0), step)[:, 0]
+    states = simulate_chain_block(model, start, 1, n, m, derive_stream(430, 0, 0), step)[:, 0]
     inc = states[1, :, 0] - t
     assert np.allclose(inc[4:], -inc[:3], rtol=0, atol=1e-14)
     assert not np.allclose(inc[3], -inc[:3])
@@ -117,7 +118,7 @@ def test_twins_take_the_negated_draw(case):
 
 @pytest.mark.parametrize(
     "model",
-    [models.GaussianShift(dim=3), models.LogConcaveLocation(dim=3, noise_dist="gaussian")],
+    [models.GaussianShift(dim=3), models.location(dim=3, noise_dist="gaussian")],
     ids=["shift", "location"],
 )
 def test_paired_step_stream_order(model):

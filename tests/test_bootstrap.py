@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from law_gate import wasserstein1_bootstrap_se
+from raw_reference import simulate_chain_block
 
 from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -61,11 +63,11 @@ def test_simulate_chain_k0_and_deterministic_kernel():
     model = models.GaussianShift(dim=3)
     rng = derive_stream(201, 0, 0)
     start = unit_sin_theta(3)
-    states = bootstrap.simulate_chain_block(model, start[None], 0, 100, 1, rng)[:, 0]
+    states = simulate_chain_block(model, start[None], 0, 100, 1, rng)[:, 0]
     assert np.array_equal(states, start[None, None, :])
 
     frozen = models.GaussianShift(dim=3, noise_map=models.IdentityMap(scale=0.0))
-    states = bootstrap.simulate_chain_block(frozen, start[None], 5, 100, 1, rng)[:, 0]
+    states = simulate_chain_block(frozen, start[None], 5, 100, 1, rng)[:, 0]
     assert np.array_equal(states[:, 0], np.broadcast_to(start, (6, 3)))
 
 
@@ -73,7 +75,7 @@ def test_chain_increments_have_variance_one_over_n():
     model = models.GaussianShift(dim=3)
     n, m = 50, 10_000
     rng = derive_stream(202, 0, 0)
-    states = bootstrap.simulate_chain_block(model, np.zeros((1, 3)), 2, n, m, rng)[:, 0]
+    states = simulate_chain_block(model, np.zeros((1, 3)), 2, n, m, rng)[:, 0]
     se = math.sqrt(2.0 / m) / n  # SE of a variance estimate of 1/n
     for j in range(2):
         inc = states[j + 1] - states[j]
@@ -97,7 +99,7 @@ def test_estimate_Bjf_quadratic_and_linear():
     n, m = 50, 20_000
 
     def bjf(f, j, rng):
-        states = bootstrap.simulate_chain_block(model, theta[None], j, n, m, rng)[:, 0]
+        states = simulate_chain_block(model, theta[None], j, n, m, rng)[:, 0]
         w = np.array(bootstrap.difference_weights(j), dtype=float)
         return _mean_and_se(w @ functionals.value(f, states))
 
@@ -132,7 +134,7 @@ def test_fk_estimate_k1_quadratic_matches_closed_form():
     f = functionals.quadratic_form()
     twin = copy.deepcopy(rng)
     mean = bootstrap.fk_estimate_at(model, f, theta_hat[None], (1,), n, m, rng)[0, 0]
-    states = bootstrap.simulate_chain_block(model, theta_hat[None], 1, n, m, twin)[:, 0]
+    states = simulate_chain_block(model, theta_hat[None], 1, n, m, twin)[:, 0]
     per_chain = _per_chain_folds(f, states)
     assert np.isfinite(per_chain).all()
     per_chain_mean, se = _mean_and_se(per_chain)
@@ -161,7 +163,7 @@ def test_telescoping_equivalence_on_shared_chains():
     model = models.GaussianShift(dim=3)
     k, n, m = 3, 50, 500
     start = unit_sin_theta(3)
-    states = bootstrap.simulate_chain_block(model, start[None], k, n, m, derive_stream(207, 0, 0))[:, 0]
+    states = simulate_chain_block(model, start[None], k, n, m, derive_stream(207, 0, 0))[:, 0]
     f = functionals.exp_linear(np.array([0.5, -0.2, 0.1]))
     fv = np.asarray(functionals.value(f, states))
 
@@ -181,12 +183,12 @@ def test_prefix_state_matches_fresh_chain_in_distribution():
     n, m = 100, 20_000
     theta = unit_sin_theta(3)
     f = functionals.quadratic_form()
-    inner = bootstrap.simulate_chain_block(model, theta[None], 2, n, m, derive_stream(208, 0, 0))[:, 0]
-    fresh = bootstrap.simulate_chain_block(model, theta[None], 1, n, m, derive_stream(208, 1, 0))[:, 0]
+    inner = simulate_chain_block(model, theta[None], 2, n, m, derive_stream(208, 0, 0))[:, 0]
+    fresh = simulate_chain_block(model, theta[None], 1, n, m, derive_stream(208, 1, 0))[:, 0]
     a = np.asarray(functionals.value(f, inner[1]))
     b = np.asarray(functionals.value(f, fresh[1]))
     w1 = distances.wasserstein1(a, b)
-    se = distances.wasserstein1_bootstrap_se(a, b, np.random.default_rng(0), n_boot=60)
+    se = wasserstein1_bootstrap_se(a, b, np.random.default_rng(0), n_boot=60)
     assert w1 <= 0.01 + 3.0 * se
 
 
@@ -292,7 +294,7 @@ def test_abort_limit_boundary():
         if len(dead) > 2:
             assert np.isnan(got[1])
             continue
-        states = bootstrap.simulate_chain_block(
+        states = simulate_chain_block(
             model, theta_hat[None], 1, n, m, derive_stream(213, 0, 0), step
         )[:, 0]
         per_chain = _per_chain_folds(f, states)
@@ -327,4 +329,4 @@ def test_block_entry_points_name_the_shape_they_need(shape):
     with pytest.raises(ValueError, match=expected):
         bootstrap.fk_estimate_at(model, functionals.quadratic_form(), rows, (0, 1), 100, 4, derive_stream(215, 0, 0))
     with pytest.raises(ValueError, match=expected):
-        bootstrap.simulate_chain_block(model, rows, 1, 100, 4, derive_stream(215, 0, 0))
+        simulate_chain_block(model, rows, 1, 100, 4, derive_stream(215, 0, 0))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootchain import cli, config, distances, experiments
+from bootchain import cli, config, distances, experiments, models
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -165,6 +165,14 @@ def test_diag_tanh_scalars_fit_every_dimension(tmp_path):
         grid={"n": [4, 100, 400], "alpha": 0.38},
     )
     assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 0
+
+
+def test_independent_components_take_the_location_drivers(tmp_path):
+    # a Laplace driver has unit variance, so Sigma = scale^2 I
+    noise = {"kind": "identity", "scale": 1.5}
+    model = {"variant": "independent_components", "noise_dist": "laplace", "noise": noise}
+    assert np.allclose(models.sigma(config.build_model(model, 3), np.zeros(3)), 2.25 * np.eye(3))
+    assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, model=model)))]) == 0
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -424,10 +432,13 @@ def test_clt_config_rejects_fields_it_ignores(tmp_path, capsys, field, patch):
         ("delta", {"delta": "auto", "compare": {"tilde": False}}),
         ("compare.tilde", {"k": 0, "compare": {"tilde": True}}),
         ("compare.tilde", {"k": 0, "delta": 0.5, "compare": {"tilde": True}}),
+        ("compare.plugin", {"k": 0, "compare": {"plugin": True}}),
+        ("compare.plugin", {"kind": "oracle-check", "compare": {"plugin": True}}),
     ],
 )
 def test_risk_config_rejects_fields_it_ignores(tmp_path, capsys, field, patch):
-    # delta truncates surrogate chains only, and a k = 0 run steps no chains
+    # delta truncates surrogate chains only, a k = 0 run steps no chains, and
+    # the plug-in row is the only row at k = 0 and one of every oracle-check
     assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, **patch)))]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}:")
 

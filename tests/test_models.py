@@ -91,8 +91,13 @@ def test_sigma_examples():
     ic = models.IndependentComponents(dim=3, noise_dist="gaussian")
     assert np.allclose(models.sigma(ic, np.zeros(3)), np.eye(3))
 
-    loc = models.LogConcaveLocation(dim=2, noise_dist="laplace", scale=[0.5, 2.0])
+    loc = models.location(dim=2, noise_dist="laplace", scale=[0.5, 2.0])
     assert np.allclose(models.sigma(loc, np.zeros(2)), np.diag([2 * 0.5**2, 2 * 2.0**2]))
+    # each location noise's own variance at scale s: 2 s^2 for Laplace(s),
+    # pi^2 s^2 / 3 for logistic(s), s^2 for normal(s)
+    s = np.array([0.5, 2.0, 1.5])
+    loc = models.location(dim=3, noise_dist=("laplace", "logistic", "gaussian"), scale=s)
+    assert np.allclose(models.sigma(loc, np.zeros(3)), np.diag(np.array([2.0, math.pi**2 / 3, 1.0]) * s**2))
 
     dmap = models.DiagTanhMap(a=np.array([2.0, 3.0]), b=np.array([0.5, -1.0]))
     gs = models.GaussianShift(dim=2, noise_map=dmap)
@@ -119,7 +124,7 @@ def test_sigma_of_mixed_independent_components():
         models.GaussianShift(dim=3),
         models.IndependentComponents(dim=3, noise_dist=("rademacher", "uniform", "centered_exponential")),
         models.ExponentialFamily(dim=3, family="poisson_product"),
-        models.LogConcaveLocation(dim=3, noise_dist=("laplace", "logistic", "gaussian")),
+        models.location(dim=3, noise_dist=("laplace", "logistic", "gaussian")),
     ],
 )
 def test_estimator_consistency_median_decreasing(model):
@@ -189,7 +194,7 @@ def test_estimator_consistency_median_decreasing(model):
             id="gaussian_mean",
         ),
         pytest.param(
-            models.LogConcaveLocation(dim=3, noise_dist=("laplace", "logistic", "gaussian"), scale=[0.5, 1.0, 2.0]),
+            models.location(dim=3, noise_dist=("laplace", "logistic", "gaussian"), scale=[0.5, 1.0, 2.0]),
             [0.2, -0.1, 0.4],
             50,
             id="location",
@@ -238,7 +243,7 @@ def test_estimate_block_marks_aborted_rows():
 @pytest.mark.parametrize(
     "model",
     [
-        models.LogConcaveLocation(dim=3, noise_dist="logistic"),
+        models.location(dim=3, noise_dist="logistic"),
         models.IndependentComponents(dim=3, noise_dist="uniform"),
     ],
     ids=["logistic", "ic_uniform"],
@@ -259,11 +264,11 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         models.IndependentComponents(dim=2, noise_dist=("rademacher",))
     with pytest.raises(ValueError):
-        models.LogConcaveLocation(dim=2, noise_dist="laplace", scale=0.0)
+        models.location(dim=2, noise_dist="laplace", scale=0.0)
     with pytest.raises(ValueError):
-        models.LogConcaveLocation(dim=2, noise_dist="laplace", scale=math.inf)
+        models.location(dim=2, noise_dist="laplace", scale=math.inf)
     with pytest.raises(ValueError):
-        models.LogConcaveLocation(dim=2, noise_dist="rademacher")  # an IC driver only
+        models.location(dim=2, noise_dist="rademacher")  # not a log-concave location noise
     with pytest.raises(ValueError):
         models.ExponentialFamily(dim=2, family="gaussian_mean", base=[-1.0, 1.0])
     with pytest.raises(ValueError):
@@ -271,7 +276,10 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         models.ExponentialFamily(dim=2, family="nope")
     with pytest.raises(ValueError):
-        models.LogConcaveLocation(dim=2, noise_dist="cauchy")
+        models.location(dim=2, noise_dist="cauchy")
+    for scale in ([1.0, -0.5], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            models.IdentityMap(scale=np.array(scale))
 
 
 def test_gaussian_mean_family():

@@ -13,6 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from raw_reference import simulate_chain_block
 
 from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -27,7 +28,7 @@ def stacked_fold(model, f, theta_hat, orders, n, m, rng, step=None):
     finite = np.isfinite(rows).all(axis=1)
     out = np.full((len(orders), rows.shape[0]), math.nan)
     top = max(orders)
-    states = bootstrap.simulate_chain_block(model, rows[finite], top, n, m, rng, step)
+    states = simulate_chain_block(model, rows[finite], top, n, m, rng, step)
     at_start = functionals.value(f, rows[finite])
     vals = np.ascontiguousarray(functionals.value(f, states).swapaxes(0, 1))
     vals[:, 0] = at_start[:, None]
@@ -106,7 +107,7 @@ def test_streamed_fold_keeps_nan_rows_and_aborted_chains():
     ref = stacked_fold(model, f, theta_hat, orders, N, m, derive_stream(480, 0, 0))
     assert np.array_equal(got, ref, equal_nan=True)
     finite = theta_hat[[0, 2, 3, 5]]
-    states = bootstrap.simulate_chain_block(model, finite, 3, N, m, derive_stream(480, 0, 0))
+    states = simulate_chain_block(model, finite, 3, N, m, derive_stream(480, 0, 0))
     lost = np.isnan(states).any(axis=-1).sum(axis=-1)  # (step, row)
     assert lost[-1, 0] == lost[-1, 3] == 0 and lost[2, 1] > m // 4
     assert 0 < lost[2, 2] <= m // 100 < lost[3, 2]

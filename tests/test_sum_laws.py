@@ -34,11 +34,11 @@ SUM_CLOSED = {
     "poisson": (models.ExponentialFamily(dim=1, family="poisson_product"), 0.3),
     "gaussian_mean": (models.ExponentialFamily(dim=1, family="gaussian_mean", base=2.5), 0.4),
     "location_gaussian": (
-        models.LogConcaveLocation(dim=1, noise_dist="gaussian", scale=1.5),
+        models.location(dim=1, noise_dist="gaussian", scale=1.5),
         0.0,
     ),
     "location_laplace": (
-        models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.7),
+        models.location(dim=1, noise_dist="laplace", scale=0.7),
         0.0,
     ),
 }
@@ -64,8 +64,8 @@ def gate_laplace_block(n: int, scale: float):
     """The gate on Laplace block means at the given scale against raw means
     at scale 0.7, at the seed of the Laplace cases above."""
     seed = 400 + n
-    model = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=0.7)
-    wide = models.LogConcaveLocation(dim=1, noise_dist="laplace", scale=scale)
+    model = models.location(dim=1, noise_dist="laplace", scale=0.7)
+    wide = models.location(dim=1, noise_dist="laplace", scale=scale)
     block = models.estimate_block(wide, np.zeros((REPS, 1, 1)), n, derive_stream(seed, 0, 0))
     raw, raw2 = (raw_means(model, np.zeros(1), n, derive_stream(seed, i, 1)) for i in (0, 1))
     assert_same_law(block[:, 0, 0], raw, raw2, seed)
