@@ -10,7 +10,7 @@ rows from a plug-in draw and a surrogate draw per point, with W1/W2 in the
 row's extra.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
-B = max(1, 2^14 // (M d)) (_BLOCK_SCALARS), and block b draws all of
+B = max(1, 2^16 // (M d)) (_BLOCK_SCALARS), and block b draws all of
 its randomness from the counter-based stream derive_stream(master_seed, b,
 0): first its B theta_hat rows, one call of the block kernel
 models.estimate_block on B starts at theta with chains = 1, then the
@@ -187,7 +187,7 @@ def _prime_allocator() -> None:
     """Keep the replicate loop's arrays on the heap.
 
     Every chain step allocates and frees a block's (B, M, d) states (up to
-    2^14 doubles, or M*d at B = 1) and a raw-draw kernel its chunks of up
+    2^16 doubles, or M*d at B = 1) and a raw-draw kernel its chunks of up
     to 2^16 doubles. glibc malloc maps blocks above a dynamic threshold
     (128 KiB at start) straight from the OS and trims the heap top beyond
     twice that, so such arrays can be faulted in afresh on every block: on
@@ -198,7 +198,7 @@ def _prime_allocator() -> None:
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
 
 
-_BLOCK_SCALARS = 2**14  # chain-state budget B*M*d of one block of replicates
+_BLOCK_SCALARS = 2**16  # chain-state budget B*M*d of one block of replicates
 
 
 def _block_size(m: int, d: int) -> int:

@@ -136,6 +136,20 @@ class DiagTanhMap:
 ScalingMap = IdentityMap | ConstantMatrixMap | DiagTanhMap
 
 
+def _check_map_dim(noise_map: ScalingMap, dim: int) -> None:
+    """A map built for another dimension fails with the model, not at its
+    first kernel call. A number scale, or a diag_tanh a and b of one entry
+    each (numbers), fits every dimension."""
+    if isinstance(noise_map, ConstantMatrixMap):
+        shape, fits = noise_map.matrix.shape, [(dim, dim)]
+    elif isinstance(noise_map, DiagTanhMap):
+        shape, fits = noise_map.a.shape, [(1,), (dim,)]
+    else:
+        shape, fits = np.shape(noise_map.scale), [(), (dim,)]
+    if shape not in fits:
+        raise ValueError(f"noise_map has shape {shape}, dim = {dim} needs {fits[-1]}")
+
+
 # ---------------------------------------------------------------------------
 # noise drivers
 
@@ -231,6 +245,7 @@ class GaussianShift:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        _check_map_dim(self.noise_map, self.dim)
 
 
 @dataclass(frozen=True)
@@ -254,6 +269,7 @@ class IndependentComponents:
             raise ValueError("dim must be >= 1")
         tags = _normalize_tags(self.noise_dist, self.dim, _DRIVERS)
         object.__setattr__(self, "noise_dist", tags)
+        _check_map_dim(self.noise_map, self.dim)
         if self.directions is not None:
             dmat = np.asarray(self.directions, dtype=float)
             if dmat.shape != (self.dim, self.dim):

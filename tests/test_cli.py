@@ -181,6 +181,17 @@ def test_shipped_config_parses(path):
     assert cfg.kind in experiments.KINDS and outputs
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_writes_the_same_bytes_at_one_and_two_workers(path, tmp_path):
+    cfg = write_cfg(tmp_path, dict(json.loads(path.read_text()), timing="none"))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert cli.main(["run", str(cfg), "--out-dir", str(out), "--threads", threads]) == 0
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert written[0] and written[0] == written[1]
+
+
 def test_failed_grid_point_exits_3(tmp_path):
     doc = dict(
         MINIMAL_RISK,
@@ -463,13 +474,18 @@ def _kill_worker(payload, start, stop):
     os._exit(1)
 
 
-# M d = 40, so a block holds 409 replicates: R = 2000 gives 5 blocks, enough
+# M d = 160, so a block holds 409 replicates: R = 2000 gives 5 blocks, enough
 # to split over 2 workers
-SPLIT_RISK = dict(MINIMAL_RISK, mc={"M": 20, "R": 2000})
+SPLIT_RISK = dict(MINIMAL_RISK, mc={"M": 80, "R": 2000})
 
 
 def test_killed_pool_worker_is_an_experiment_failure(tmp_path, monkeypatch, capsys):
-    # the worker dies without a result, so the pool breaks under the run
+    # the worker dies without a result, so the pool breaks under the run; a
+    # pass of fewer than 2 blocks per worker would run in process, where
+    # _kill_worker ends the test run itself
+    mc = SPLIT_RISK["mc"]
+    blocks = -(-mc["R"] // experiments._block_size(mc["M"], SPLIT_RISK["grid"]["d"]))
+    assert blocks >= 2 * 2
     monkeypatch.setattr(experiments, "_run_replicates", _kill_worker)
     doc = dict(SPLIT_RISK, outputs={"csv": "k.csv"})
     rc = cli.main(

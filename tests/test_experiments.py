@@ -11,7 +11,7 @@ from bootchain import experiments as exp
 from bootchain import bootstrap, functionals, models
 
 # SHA-256 of the error matrix of test_stream_contract_pin
-STREAM_CONTRACT_DIGEST = "95a74b3433b14752bea8ec9cdaa11ac09226831c55b97704a11af99fc843631c"
+STREAM_CONTRACT_DIGEST = "7e64755afffa65b92892e87139712fd60804da7dabbfe3be1c053c185513444a"
 
 
 def small_cfg(**over):
@@ -446,7 +446,7 @@ def _orders_passes(k):
     ids=["identity", "diag_tanh"],
 )
 def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde):
-    # Stream contract (README "Determinism"): block b of B = max(1, 2^14 // (M d))
+    # Stream contract (README "Determinism"): block b of B = max(1, 2^16 // (M d))
     # replicates draws its B theta_hat rows and then every step of all its
     # chains from derive_stream(seed, b, 0). Every order row of a pass that
     # folds several orders from one chain (top order k: (k,), (0, k) and
@@ -458,10 +458,10 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
     n, seed = 50, 11
     step = _shift_step(model, n, use_tilde)
 
-    # B = 1 (M d > 2^14): a block is one replicate, and for the shift model its
+    # B = 1 (M d > 2^15): a block is one replicate, and for the shift model its
     # one-row outer draw consumes the stream exactly as the raw reference
     # does, so the errors are bit-identical to that path computed inline
-    m, reps = 4100, 3
+    m, reps = 8200, 3
     assert exp._block_size(m, 4) == 1
     expected = np.empty((k + 1, reps))
     for j in range(k + 1):
@@ -482,7 +482,7 @@ def test_shift_replicate_stream_matches_sample_data_path(noise_map, k, use_tilde
     # chains in row order at every step, each row's M chains from h = M/2
     # fresh normal rows and their negations, and folds each replicate's
     # chains on their own
-    m, reps = 100, 90
+    m, reps = 400, 90
     size = exp._block_size(m, 4)
     assert size == 40
     kernel = step or models.estimate_block
@@ -514,7 +514,7 @@ def test_stream_contract_pin():
     model = models.GaussianShift(dim=3)
     f = functionals.quadratic_form()
     theta = exp.unit_sin_theta(3)
-    m, reps = 40, 300
+    m, reps = 160, 300
     assert exp._block_size(m, 3) == 136  # B > 1, R not a multiple of B
     payload = (model, f, theta, float(functionals.value(f, theta)), (0, 2), 100, m, None, 2026)
     errs = exp._batched_errors(payload, reps, 1)
@@ -567,11 +567,11 @@ KIND_ROW_CASES = {
     ),
 }
 KIND_ROW_DIGESTS = {
-    "risk": "0754dc2a94ae9f4d43bff1d946425cb2d1994871d8097697dc427a5d98fa8074",
-    "normality": "b87ef9bddda4832ad5fd8f989f50bffc6f967856cad07e8036a8baa98e0381f6",
-    "sweep": "9bf995117a5b731e144a5a614bb707efe3134903982e27a344d06175e468fdeb",
+    "risk": "f99cfb7a6ad2c5cc0fe1a153c98d481fb4a3552693dce1c95ccdbd955b956ae7",
+    "normality": "b3b9fc75040381f851e5693f727fa16afcd293581f2ade48637e994e21193334",
+    "sweep": "70e116ffde6223c927b9ecd3edbc98573706229de8b00835be784418b5f8ca81",
     "clt": "df4bd2308708429136546dcf66603e5e132dddeec010a6fb0a4fd44a29823441",
-    "oracle-check": "b72a61e5942cb9d609b420d60e5f2e98404a02a3d79bd45c935fa8cd920a6660",
+    "oracle-check": "e6aec2a8cf0d150ee1376f8324490c05926e69fac467ebca29a6019e145e0370",
 }
 
 
@@ -600,22 +600,23 @@ def test_kind_rows_pin(case):
 
 # Poisson counts and centered-exponential drivers have no symmetric law, so
 # their chains stay plain: these digests were taken before chains were
-# paired, and the rows must not move (mixed tags: one asymmetric tag keeps
-# the whole model plain)
+# paired, and re-taken when the block budget went from 2^14 to 2^16 scalars
+# (M = 31 -> 124 keeps B = 176); no other change may move the rows (mixed
+# tags: one asymmetric tag keeps the whole model plain)
 PLAIN_CHAIN_DIGESTS = {
     "poisson": (
         models.ExponentialFamily(dim=3, family="poisson_product"),
-        "ab0a0e3fb9ffabb30c6a58324a062a50f53e07cbc9960c28f10fec3385368b24",
+        "0859101e4475ff79503ab8d8b3fdca210453d7d5dcc0ec122588c7ef12d99714",
     ),
     "ic_centered_exponential": (
         models.IndependentComponents(dim=3, noise_dist="centered_exponential"),
-        "8d143703f656f674300464e7864988a4add0ab45860e3504b169506030424256",
+        "4e15c9a9834b2ab19b574647f9f270914672dc9bb5e7016ad4077908e051e929",
     ),
     "ic_mixed": (
         models.IndependentComponents(
             dim=3, noise_dist=("rademacher", "centered_exponential", "uniform")
         ),
-        "c68aa4e3ce1227b95c4d95e72f5bc0014e3e39360c703c052f29af8581391893",
+        "83c49be16e4a84c58baf7177fa5af2ef290f4325b1ad0c071d7a1c8db669af3e",
     ),
 }
 
@@ -628,45 +629,48 @@ def test_asymmetric_families_keep_plain_chains(case):
         k=2,
         compare_plugin=True,
         replicates=300,
-        inner_chains=31,
+        inner_chains=124,  # B = 176: two blocks
         grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
         timing="none",
     )
+    assert exp._block_size(cfg.inner_chains, 3) == 176
     assert _rows_digest(exp.run_experiment(cfg)) == digest
 
 
 # the families no digest above covers: (model, risk rows digest, clt rows
 # digest), taken when the kernels still took plain (rows, d) blocks beside
-# chain blocks, so the rows must not move
+# chain blocks; the risk digests were re-taken when the block budget went
+# from 2^14 to 2^16 scalars (B = 176 -> 704, one block per point), the clt
+# digests draw no blocks and did not move. No other change may move the rows
 FAMILY_DIGESTS = {
     "laplace": (
         models.location(dim=3, noise_dist="laplace"),
-        "1109ff7d3dc96a97479ab11796d602bff2e3710e24c1265184dd0cd19952b117",
+        "1c45e4cc9062f4ba154b6a364d15ccd548a73fc01eedc3663a71481077323f00",
         "86c65cf8cc192f300e9bbb31b30d605cb0c803746665f35e08fa32b2dc9e4a2d",
     ),
     "logistic": (
         models.location(dim=3, noise_dist="logistic", scale=(0.5, 1.0, 2.0)),
-        "9d81bc151ea5e0788118ea695a82e4411a421440f81a9108f5d95eb7cb277742",
+        "84b8acc9a96b6a38cce01a4214819a6444b4daa23db45604bd3de0edcb43ac47",
         "a5657994c83680f3c8688f5ff0f0b3ce3875f23306fc6c537e40fae961e9b38c",
     ),
     "ic_uniform": (
         models.IndependentComponents(dim=3, noise_dist="uniform"),
-        "860ca4636be09dc6997425289f7c412cb4ee323d6b06db1c86d612698f1a668a",
+        "241d1bc8d003e1df6014604a35034e3f51d1f058d466405f3a160131ccfe3e2e",
         "02ff03cec527798705d76b3dbb028b42e980d34e8c436b51a6dcae1a8aa7948d",
     ),
     "ic_gaussian": (
         models.IndependentComponents(dim=3, noise_dist="gaussian", directions=np.triu(np.ones((3, 3)))),
-        "34e65469d64c087f22861c33790fcaa7482d48e83ca9451ddaf812879b56bc30",
+        "99d55971800492a1d81191cccf97d0317c36722b3fd9f58961a4a365890f35cc",
         "190ec0d1047dde63ea055b3bc66ed79f3c80c941e02eea4a4d3d59995328857a",
     ),
     "gaussian_mean": (
         models.ExponentialFamily(dim=3, family="gaussian_mean", base=(0.5, 2.0, 7.0)),
-        "b154b1ce97394202d9733e6823bc9eac0e1f105626acfa73a24f1c45e5f8bb3c",
+        "3d2382da149624c3c257523adcfb2035f2d71a6ca65c5db1ca673dc5715e3577",
         "6a398e2c1ca2f2dbb7fe9b117f31c3d4088aa53ac915da765619dd52fac8c89d",
     ),
     "shift_diag_tanh": (
         models.GaussianShift(dim=3, noise_map=models.DiagTanhMap(a=(1.0, 1.5, 2.0), b=(0.5, -1.0, 1.5))),
-        "bd2129dbadb2d6dbdbe3c3002bbf48e590ee8da71f4b73f2d4adb2ca8274424a",
+        "9e97d1dbd35ff68302b25eb634c6e5428e8cee99f8d1d0257cc13d6651d4d73a",
         "8c961c6afaff60439fd6e680771f4a48ac7079ec4beb6a29617f18f74b158574",
     ),
 }
@@ -813,12 +817,24 @@ def test_oracle_check_starts_one_pool_per_run(monkeypatch):
         theta=np.zeros(3),
         k=2,
         replicates=20,
-        inner_chains=2000,  # B = 2: 10 blocks, so both passes split
+        inner_chains=8000,  # B = 2: 10 blocks, so both passes split
         grid=exp.GridSpec(n_values=(50, 100), d_fixed=3),
     )
     rows = exp.run_experiment(cfg, threads=2)
     assert [s.k for s in rows] == [0, 1, 2, 0, 1, 2]
     assert len(SpyPool.starts) == 1 and len(passes) == 2 and len(SpyPool.splits) == 2
+
+
+def test_block_size_at_the_shipped_shapes():
+    assert exp._block_size(200, 5) == 65  # risk_quadratic, oracle_check
+    assert exp._block_size(1000, 28) == 2  # rate_sweep's largest d
+    assert exp._block_size(1000, 66) == 1  # M d > 2^16: one replicate a block
+
+
+def test_allocator_prime_covers_a_block():
+    # a step holds a block's (B, M, d) states and the new states it returns;
+    # the primed threshold must stay above both, or they are mapped afresh
+    assert 2 * 8 * exp._BLOCK_SCALARS <= exp._ALLOCATOR_PRIME_BYTES
 
 
 def test_block_partition_is_thread_invariant(monkeypatch):

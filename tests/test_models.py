@@ -282,6 +282,29 @@ def test_spec_validation_errors():
             models.IdentityMap(scale=np.array(scale))
 
 
+@pytest.mark.parametrize(
+    "noise_map",
+    [
+        models.IdentityMap(np.ones(2)),
+        models.DiagTanhMap(a=np.full(2, 1.0), b=np.full(2, 0.5)),
+        models.ConstantMatrixMap(np.eye(2)),
+    ],
+    ids=["identity", "diag_tanh", "constant"],
+)
+@pytest.mark.parametrize("family", [models.GaussianShift, models.IndependentComponents])
+def test_noise_map_of_another_dimension_is_rejected(family, noise_map):
+    with pytest.raises(ValueError, match=r"shape \(2,.*dim = 3 needs \(3,"):
+        family(dim=3, noise_map=noise_map)
+    family(dim=2, noise_map=noise_map)
+
+
+def test_number_scales_fit_every_dimension():
+    for noise_map in (models.IdentityMap(1.5), models.DiagTanhMap(a=1.0, b=0.5)):
+        for dim in (1, 4):
+            models.GaussianShift(dim=dim, noise_map=noise_map)
+            models.IndependentComponents(dim=dim, noise_map=noise_map)
+
+
 def test_gaussian_mean_family():
     base = np.array([0.5, 2.0])
     model = models.ExponentialFamily(dim=2, family="gaussian_mean", base=base)
