@@ -143,9 +143,14 @@ def build_model(cfg: dict, d: int) -> models.Model:
             )
         if variant == "exponential_family":
             _reject_unknown(cfg, {"variant", "family", "base"}, where)
-            return models.ExponentialFamily(
-                dim=d, family=cfg.get("family", "poisson_product"), base=cfg.get("base")
-            )
+            family, base = cfg.get("family", "poisson_product"), cfg.get("base")
+            if family == "gaussian_mean":
+                return models.gaussian_mean(d, 1.0 if base is None else base)
+            if family != "poisson_product":
+                raise ConfigError(f"{where}: unknown exponential family {family!r}")
+            if base is not None:
+                raise ConfigError(f"{where}: poisson_product takes no base parameters")
+            return models.ExponentialFamily(d)
         if variant == "log_concave_location":
             _reject_unknown(cfg, {"variant", "noise_dist", "scale"}, where)
             return models.location(d, cfg.get("noise_dist", "laplace"), cfg.get("scale", 1.0))
@@ -239,13 +244,13 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
     delta = doc.get("delta")
     delta = None if delta in (None, "auto") else _as_number(delta, "delta")
 
-    compare = doc.get("compare") or {}
+    compare = doc.get("compare", {})
     _reject_unknown(compare, {"plugin", "tilde"}, "compare")
     for key in compare:
         if not isinstance(compare[key], bool):
             raise ConfigError(f"compare.{key}: expected a boolean")
 
-    outputs = doc.get("outputs") or {}
+    outputs = doc.get("outputs", {})
     _reject_unknown(outputs, {"csv", "json", "svg"}, "outputs")
     for key, val in outputs.items():
         if not isinstance(val, str) or not val:

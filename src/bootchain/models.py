@@ -4,19 +4,20 @@ Three model families are provided:
 
   * GaussianShift          X = theta + A(theta) z / sqrt(n), single draw
   * IndependentComponents  X = theta + A(theta) sum_j eta_j x_j, n i.i.d.
-  * ExponentialFamily      product Poisson / Gaussian-mean, MLE via the
-                           closed-form inverse of the mean map
+  * ExponentialFamily      product Poisson, MLE log(Xbar)
 
-Log-concave location, X = theta + eta with sample-mean estimator, is no
-family of its own: location() builds it as independent components along
-the standard basis with the constant map A = diag(scale * sd), sd the
-noise's standard deviation at unit scale.
+Two more models are built from these. Log-concave location, X = theta + eta
+with sample-mean estimator: location() builds it as independent components
+along the standard basis with the constant map A = diag(scale * sd), sd the
+noise's standard deviation at unit scale. Gaussian-mean, X ~ N(v theta,
+diag(v)) with MLE Xbar / v ~ N(theta, diag(1/v)/n): gaussian_mean() builds
+it as the Gaussian shift with A = diag(1/sqrt(v)).
 
 Every variant carries one Gaussian factor L(theta) (_factor): the surrogate
 is xi(theta) = L(theta) z with z standard normal, and its covariance
 Sigma(theta) = L(theta) L(theta)^T is the (limiting) covariance of
-sqrt(n)(theta_hat - theta). For the exponential families that is the
-inverse Fisher information Psi'(theta)^{-1} (Psi the mean map), not
+sqrt(n)(theta_hat - theta). For Poisson that is the inverse Fisher
+information Psi'(theta)^{-1} = diag(e^{-theta}) (Psi the mean map), not
 Psi'(theta) itself, the covariance of sqrt(n)(Xbar - Psi(theta)).
 
 Every noise tag is one unit-variance driver in one table (_DRIVERS), and
@@ -27,9 +28,9 @@ The model API is three vectorized kernels that step many parameter rows at
 once, estimate_block (theta_hat fitted to data drawn at each row),
 sample_xi_block (surrogate draws xi) and surrogate_step (theta + xi/sqrt(n),
 xi truncated at a radius delta), plus sigma and the sigma_f and
-default_delta derived from it. For the Gaussian shift and the Gaussian-mean
-family theta_hat ~ N(theta, Sigma(theta)/n), so their estimate_block is the
-untruncated surrogate_step. Every other estimator here sees the data only
+default_delta derived from it. For the Gaussian shift theta_hat ~
+N(theta, Sigma(theta)/n), so its estimate_block is the untruncated
+surrogate_step. Every other estimator here sees the data only
 through its sample mean, so estimate_block draws that mean from the exact
 law of a sum of n draws wherever one exists: Binomial for Rademacher sums,
 Gamma for exponential sums, a difference of two Gamma(n, 1) sums for
@@ -281,34 +282,15 @@ class IndependentComponents:
 
 @dataclass(frozen=True)
 class ExponentialFamily:
-    """Product exponential family with closed-form mean map.
-
-    poisson_product: coordinates Poisson(e^{theta_i}); Psi(theta) = e^theta.
-    gaussian_mean:   X ~ N(v * theta, diag(v)) with base variances v;
-                     Psi(theta) = v * theta, so Psi(T) = R^d and every
-                     Xbar has an MLE.
-
-    Where Xbar leaves Psi(T) (a Poisson row with a zero count), theta_hat
-    is the deterministic clamp rule Psi^{-1}(max(Xbar, 1e-6)).
-    """
+    """Product Poisson: coordinates Poisson(e^{theta_i}), mean map Psi(theta) =
+    e^theta, MLE theta_hat = log(Xbar). A row with a zero count has no MLE
+    and takes the deterministic clamp rule log(max(Xbar, 1e-6))."""
 
     dim: int
-    family: str = "poisson_product"
-    base: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.family not in ("poisson_product", "gaussian_mean"):
-            raise ValueError(f"unknown exponential family {self.family!r}")
-        if self.family == "gaussian_mean":
-            base = self.base if self.base is not None else 1.0
-            v = np.broadcast_to(np.atleast_1d(np.asarray(base, dtype=float)), (self.dim,)).copy()
-            if not np.all(np.isfinite(v) & (v > 0)):
-                raise ValueError("gaussian_mean base variances must be finite and positive")
-            object.__setattr__(self, "base", v)
-        elif self.base is not None:
-            raise ValueError("poisson_product takes no base parameters")
 
 
 def location(dim: int, noise_dist="laplace", scale=1.0) -> IndependentComponents:
@@ -323,11 +305,21 @@ def location(dim: int, noise_dist="laplace", scale=1.0) -> IndependentComponents
     return IndependentComponents(dim, tags, noise_map=IdentityMap(s * sd))
 
 
+def gaussian_mean(dim: int, base=1.0) -> GaussianShift:
+    """Gaussian-mean X ~ N(v theta, diag(v)) with base variances v: the MLE
+    Xbar / v ~ N(theta, diag(1/v)/n) exactly, so it is the Gaussian shift
+    with A = diag(1/sqrt(v)), the root of the inverse Fisher information."""
+    v = np.broadcast_to(np.asarray(base, dtype=float), (dim,))
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError("gaussian_mean base variances must be finite and positive")
+    return GaussianShift(dim, IdentityMap(1.0 / np.sqrt(v)))
+
+
 Model = GaussianShift | IndependentComponents | ExponentialFamily
 
 
 # ---------------------------------------------------------------------------
-# maximum likelihood (exponential families)
+# maximum likelihood (Poisson)
 
 
 def _mle_from_mean(xbar: np.ndarray) -> np.ndarray:
@@ -356,11 +348,8 @@ def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
     if isinstance(model, IndependentComponents):
         mix = v if model.directions is None else _matmul_rows(v, model.directions.T)
         return model.noise_map.apply(thetas, mix)
-    if isinstance(model, ExponentialFamily):
-        # inverse Fisher information Psi'(theta)^{-1}
-        if model.family == "poisson_product":
-            return np.exp(-0.5 * thetas) * v
-        return v / np.sqrt(model.base)
+    if isinstance(model, ExponentialFamily):  # inverse Fisher information e^{-theta}
+        return np.exp(-0.5 * thetas) * v
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -413,9 +402,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     start's M chains and pairs the rest antithetically (_paired). Rows
     outside the sampling domain (and NaN inputs) come back NaN.
     """
-    if isinstance(model, GaussianShift) or (
-        isinstance(model, ExponentialFamily) and model.family == "gaussian_mean"
-    ):
+    if isinstance(model, GaussianShift):
         # theta_hat ~ N(theta, Sigma(theta)/n): the untruncated surrogate step
         return surrogate_step(model, thetas, n, rng, chains=chains)
     thetas, lead = _chain_block(model, thetas, chains)
@@ -463,7 +450,7 @@ def surrogate_step(model: Model, states, n: int, rng, delta: float = math.inf, c
     all states is not observable for state-dependent noise, and for constant
     noise the two rules coincide. The block and chains follow sample_xi_block:
     (B, 1, d) or (B, M, d) with chains = M, to (B, M, d) in antithetic pairs.
-    Untruncated, it is the shift's and Gaussian-mean's bootstrap step."""
+    Untruncated, it is the shift's bootstrap step."""
     xi = sample_xi_block(model, states, rng, chains)
     if delta < math.inf:
         cut = functionals._row_dot(xi, xi) >= (delta * math.sqrt(n)) ** 2

@@ -4,7 +4,8 @@ Every step kernel of the form theta + c L(theta) (symmetric driver block)
 draws its drivers for h = ceil(M/2) chains of each replicate and gives chain
 h+i the negated draw of chain i. Each twin must keep its chain's law: the
 marginal of the "+" chains and of the "-" chains each match plain chains of
-the same kernel (assert_same_law: W1 to a plain sample no larger than a
+the same kernel, or for Gaussian-mean chains refitted to raw draws
+(assert_same_law: W1 to a plain sample no larger than a
 second plain sample's, up to four standard errors of the difference, and
 the same sd to four standard errors of the log-ratio). The
 pair cancels the odd part of the fold, so its variance across replicates
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 from law_gate import assert_same_law
-from raw_reference import simulate_chain_block
+from raw_reference import raw_gaussian_mean, simulate_chain_block
 
 from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -36,6 +37,18 @@ def plain(step):
     return kernel
 
 
+def raw_gaussian_mean_step(base):
+    """The Gaussian-mean bootstrap step the long way: every chain refits
+    Xbar / v to n raw draws of N(v state, diag(v)), not the shift's one
+    normal draw that models.gaussian_mean steps with."""
+
+    def kernel(model, states, n, rng, chains):
+        fanned = np.broadcast_to(states, (states.shape[0], chains, states.shape[-1]))
+        return np.array([[raw_gaussian_mean(base, s, n, rng) for s in row] for row in fanned])
+
+    return kernel
+
+
 PAIRED_KERNELS = {
     "shift_identity": (
         models.GaussianShift(dim=1, noise_map=models.IdentityMap(scale=1.3)),
@@ -50,7 +63,7 @@ PAIRED_KERNELS = {
         2,
     ),
     "surrogate_poisson": (
-        models.ExponentialFamily(dim=1, family="poisson_product"),
+        models.ExponentialFamily(dim=1),
         models.surrogate_step,
         0.3,
         3,
@@ -80,12 +93,14 @@ PAIRED_KERNELS = {
         3,
     ),
     "gaussian_mean": (
-        models.ExponentialFamily(dim=1, family="gaussian_mean", base=2.5),
+        models.gaussian_mean(1, 2.5),
         models.estimate_block,
         0.4,
         3,
     ),
 }
+# the plain chains a case's twins are compared with, where not plain(step)
+PLAIN_REFERENCE = {"gaussian_mean": raw_gaussian_mean_step(2.5)}
 
 
 @pytest.mark.parametrize("case", sorted(PAIRED_KERNELS))
@@ -95,8 +110,9 @@ def test_each_twin_keeps_the_plain_chain_law(case):
     seed = 420 + sorted(PAIRED_KERNELS).index(case)
     starts = np.array([[t]])
     paired = simulate_chain_block(model, starts, 2, n, 2 * REPS, derive_stream(seed, 0, 0), step)[:, 0]
+    reference = PLAIN_REFERENCE.get(case, plain(step))
     ref, ref2 = (
-        simulate_chain_block(model, starts, 2, n, REPS, derive_stream(seed, i, 0), plain(step))[-1, 0, :, 0]
+        simulate_chain_block(model, starts, 2, n, REPS, derive_stream(seed, i, 0), reference)[-1, 0, :, 0]
         for i in (1, 2)
     )
     plus, minus = paired[-1, :REPS, 0], paired[-1, REPS:, 0]

@@ -240,7 +240,7 @@ def test_bias_decay_geometry_ratio():
 def test_all_aborted_chains_give_nan():
     # n e^40 is past the Poisson domain guard, so all 50 chains abort at
     # their first step; the plug-in order needs no chain
-    model = models.ExponentialFamily(dim=1, family="poisson_product")
+    model = models.ExponentialFamily(dim=1)
     rng = derive_stream(211, 0, 0)
     f = functionals.linear(np.array([1.0]))
     (plugin,), (corrected,) = bootstrap.fk_estimate_at(model, f, np.array([[40.0]]), (0, 1), 10, 50, rng)
@@ -250,7 +250,7 @@ def test_all_aborted_chains_give_nan():
 def test_fk_estimate_at_orders_are_their_single_order_runs():
     # lambda n just below the Poisson domain guard: chains abort more often
     # the longer they run, so each order has its own abort pattern
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     f = functionals.quadratic_form()
     theta = np.array([math.log(1e10 * (1 - 5e-7)), 0.0])
     n, m, orders = 100, 50, (0, 1, 2, 3)

@@ -127,6 +127,64 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
     assert "error: model.directions[0]: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("compare", []), ("compare", 0), ("compare", False), ("outputs", []), ("outputs", "")]
+)
+def test_non_object_compare_or_outputs_exits_2(tmp_path, capsys, key, value):
+    # a falsy non-object is no empty object: "outputs": [] would write no file
+    assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, **{key: value})))]) == 2
+    assert capsys.readouterr().err == f"error: {key}: expected an object\n"
+
+
+BASE_ERROR = "model: gaussian_mean base variances must be finite and positive"
+
+
+@pytest.mark.parametrize(
+    "model, line",
+    [
+        ({"family": "poisson_product", "base": 2.0}, "model: poisson_product takes no base parameters"),
+        ({"family": "nope"}, "model: unknown exponential family 'nope'"),
+        ({"family": "gaussian_mean", "base": 0.0}, BASE_ERROR),
+        ({"family": "gaussian_mean", "base": -1.0}, BASE_ERROR),
+        ({"family": "gaussian_mean", "base": math.inf}, BASE_ERROR),
+    ],
+    ids=["poisson_base", "unknown_family", "base_0", "base_-1", "base_inf"],
+)
+def test_exponential_family_config_errors_exit_2(tmp_path, capsys, model, line):
+    doc = dict(MINIMAL_RISK, model={"variant": "exponential_family", **model})
+    assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_gaussian_mean_is_no_oracle_check_model(tmp_path, capsys):
+    # a shift, but with a (d,) vector scale, even at the default base 1
+    doc = dict(
+        MINIMAL_RISK,
+        kind="oracle-check",
+        model={"variant": "exponential_family", "family": "gaussian_mean"},
+        functional={"variant": "exp_linear", "u": {"rule": "e1"}},
+    )
+    assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2
+    assert "oracle check needs the shift model with Sigma = sigma^2 I" in capsys.readouterr().err
+
+
+def test_gaussian_mean_run_writes_the_same_bytes_at_one_and_two_workers(tmp_path):
+    # four blocks of 16 replicates, so the run at 2 threads ships the model to the pool
+    doc = dict(
+        MINIMAL_RISK,
+        model={"variant": "exponential_family", "family": "gaussian_mean", "base": [0.5, 2.0]},
+        mc={"M": 2000, "R": 64},
+        outputs={"csv": "g.csv", "json": "g.json"},
+    )
+    assert experiments._block_size(2000, 2) == 16
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(out), "--threads", threads]) == 0
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(written[0]) == 2 and written[0] == written[1]
+
+
 def test_config_errors_name_their_field_once(tmp_path, capsys):
     for line, patch in {
         "error: functional.u: length 2 does not match d = 3": dict(

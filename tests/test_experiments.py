@@ -209,8 +209,8 @@ def test_clt_centered_exponential_w1_strictly_improves():
 @pytest.mark.parametrize(
     "kind, model, theta",
     [
-        ("normality", models.ExponentialFamily(dim=2, family="poisson_product"), [1.0, -1.0]),
-        ("clt", models.ExponentialFamily(dim=2, family="gaussian_mean", base=[4.0, 0.25]), [0.5, -1.0]),
+        ("normality", models.ExponentialFamily(dim=2), [1.0, -1.0]),
+        ("clt", models.gaussian_mean(2, [4.0, 0.25]), [0.5, -1.0]),
     ],
     ids=["normality_poisson", "clt_gaussian_mean"],
 )
@@ -531,7 +531,7 @@ ROW_FLOATS = ("bias", "se_bias", "sd", "rmse", "sqrt_n_rmse", "sigma_f", "d_k", 
 KIND_ROW_CASES = {
     # the Poisson overflow edge of ONE_PASS_CASES: the n = 100, k = 2 row fails
     "risk": dict(
-        model=models.ExponentialFamily(dim=2, family="poisson_product"),
+        model=models.ExponentialFamily(dim=2),
         theta=np.array([math.log(1e10 * (1 - 5e-7)), 0.0]),
         grid=exp.GridSpec(n_values=(50, 100), d_fixed=2),
         compare_plugin=True,
@@ -605,7 +605,7 @@ def test_kind_rows_pin(case):
 # tags: one asymmetric tag keeps the whole model plain)
 PLAIN_CHAIN_DIGESTS = {
     "poisson": (
-        models.ExponentialFamily(dim=3, family="poisson_product"),
+        models.ExponentialFamily(dim=3),
         "0859101e4475ff79503ab8d8b3fdca210453d7d5dcc0ec122588c7ef12d99714",
     ),
     "ic_centered_exponential": (
@@ -664,7 +664,7 @@ FAMILY_DIGESTS = {
         "190ec0d1047dde63ea055b3bc66ed79f3c80c941e02eea4a4d3d59995328857a",
     ),
     "gaussian_mean": (
-        models.ExponentialFamily(dim=3, family="gaussian_mean", base=(0.5, 2.0, 7.0)),
+        models.gaussian_mean(3, (0.5, 2.0, 7.0)),
         "3d2382da149624c3c257523adcfb2035f2d71a6ca65c5db1ca673dc5715e3577",
         "6a398e2c1ca2f2dbb7fe9b117f31c3d4088aa53ac915da765619dd52fac8c89d",
     ),
@@ -717,7 +717,7 @@ def test_unknown_kind_rejected():
 
 
 def test_nonfinite_outer_estimate_is_a_domain_abort(monkeypatch):
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     f = functionals.quadratic_form()
 
     def no_chains(*args, **kwargs):
@@ -754,7 +754,7 @@ ONE_PASS_CASES = {
     # lambda n sits just below the Poisson domain guard: chains step over
     # it, so the k=2 row loses most replicates and the k=0 row none
     "poisson_overflow_edge": dict(
-        model=models.ExponentialFamily(dim=2, family="poisson_product"),
+        model=models.ExponentialFamily(dim=2),
         theta=np.array([math.log(1e10 * (1 - 5e-7)), 0.0]),
         grid=exp.GridSpec(n_values=(100,), d_fixed=2),
         compare_plugin=True,
@@ -870,7 +870,7 @@ def test_poisson_block_folds_only_its_finite_rows(monkeypatch):
         return steps(model, start, *args)
 
     monkeypatch.setattr(bootstrap, "chain_steps", spy)
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     f = functionals.quadratic_form()
     ok = np.array([[-0.5, 0.3], [0.2, -1.0], [1.0, 0.0]])
     mixed = np.array([ok[0], [np.nan, 0.0], ok[1], [np.inf, 0.2], ok[2]])

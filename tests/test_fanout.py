@@ -5,8 +5,8 @@ kernel the B starts as a (B, 1, d) block and the kernel fans each out to its
 M chains; later steps pass the (B, M, d) states. The chain states must be
 bit-identical to a driver that materializes the M copies of each start and
 passes (B, M, d) at step 0 too, for every kernel, order, and parity of M.
-The bootstrap step of the Gaussian shift and of the Gaussian-mean family is
-the untruncated surrogate step on every block: starts with chains = 1 or M,
+The bootstrap step of the Gaussian shift, Gaussian-mean included, is the
+untruncated surrogate step on every block: starts with chains = 1 or M,
 and states.
 """
 
@@ -65,10 +65,10 @@ KERNELS = {
     "location_laplace": (models.location(dim=D, noise_dist="laplace", scale=0.7), None),
     "location_logistic": (models.location(dim=D, noise_dist="logistic"), None),
     "location_gaussian": (models.location(dim=D, noise_dist="gaussian", scale=1.5), None),
-    "poisson": (models.ExponentialFamily(dim=D, family="poisson_product"), None),
-    "gaussian_mean": (models.ExponentialFamily(dim=D, family="gaussian_mean", base=2.5), None),
+    "poisson": (models.ExponentialFamily(dim=D), None),
+    "gaussian_mean": (models.gaussian_mean(D, 2.5), None),
     "surrogate_shift": (models.GaussianShift(dim=D), TRUNCATED),
-    "surrogate_poisson": (models.ExponentialFamily(dim=D, family="poisson_product"), TRUNCATED),
+    "surrogate_poisson": (models.ExponentialFamily(dim=D), TRUNCATED),
 }
 
 
@@ -109,7 +109,7 @@ def test_truncation_fires_in_the_fan_out_cases():
 
 
 def test_poisson_overflowing_start_aborts_its_group_only():
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     starts = np.array([[0.3, 0.1], [50.0, 0.0], [-0.2, 0.4]])
     m, n = 5, 20
     got = simulate_chain_block(model, starts, 2, n, m, derive_stream(461, 0, 0))
@@ -219,7 +219,7 @@ def test_shift_bootstrap_step_is_the_untruncated_surrogate_step(case):
 
 def test_gaussian_mean_step_is_theta_plus_z_over_sqrt_vn():
     base, n = np.array([0.5, 2.0, 7.0]), 50
-    model = models.ExponentialFamily(dim=D, family="gaussian_mean", base=base)
+    model = models.gaussian_mean(D, base)
     for i, (block, m) in enumerate(_step_blocks(D)):
         rng, ref = derive_stream(466, i, 0), derive_stream(466, i, 0)
         got = models.estimate_block(model, block, n, rng, chains=m)
@@ -227,7 +227,7 @@ def test_gaussian_mean_step_is_theta_plus_z_over_sqrt_vn():
         half = ref.standard_normal((block.shape[0], (m + 1) // 2, D))
         z = np.concatenate([half, -half[:, : m // 2]], axis=1)
         assert rng.integers(2**62) == ref.integers(2**62)  # both streams drew as much
-        # L z / sqrt(n) divides by sqrt(v), then by sqrt(n): a few ulps off one sqrt(v n)
+        # L z / sqrt(n) multiplies by 1/sqrt(v), then divides by sqrt(n): a few ulps off one sqrt(v n)
         step = z / np.sqrt(base * n)
         want = block + step
         ulps = np.spacing(np.abs(step)) + np.spacing(np.abs(want))

@@ -55,6 +55,14 @@ def test_grad_examples():
     assert np.allclose(got, [6.0, 0.0])
 
 
+def test_power_one_is_linear():
+    # p = 1 is the smallest exponent power accepts, and it is <u, theta> itself
+    u = np.array([0.7, -1.2, 0.4])
+    theta = np.array([[3.0, 4.0, -1.5], [0.2, -0.3, 2.5]])
+    assert np.array_equal(fn.value(fn.power(u, 1), theta), fn.value(fn.linear(u), theta))
+    assert np.array_equal(fn.grad(fn.power(u, 1), theta), fn.grad(fn.linear(u), theta))
+
+
 def test_grad_check_bounds():
     rng = np.random.default_rng(3)
     theta = rng.standard_normal(3)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from raw_reference import raw_estimate
+from raw_reference import raw_estimate, raw_gaussian_mean
 
 from bootchain import models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -33,7 +33,7 @@ def test_rademacher_draws_have_pm1_support():
 
 def test_poisson_coordinate_means_near_one():
     # the raw counts the sum-law tests compare the Poisson kernel against
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     rng = derive_stream(103, 0, 0)
     n = 100_000
     xbar = np.exp(raw_estimate(model, np.zeros(2), n, rng))  # the MLE is log(Xbar)
@@ -51,7 +51,7 @@ def test_poisson_mle_and_fallback():
 
 def test_block_poisson_mle_is_the_row_mle():
     # n e^theta = (0.25, 0.68): about 9 rows in 10 have a zero count
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     n, thetas = 5, np.broadcast_to([-3.0, -2.0], (200, 2))
     block = models.estimate_block(model, thetas[:, None], n, derive_stream(114, 0, 0))[:, 0]
     xbars = derive_stream(114, 0, 0).poisson(n * np.exp(thetas)) / n
@@ -76,7 +76,7 @@ def test_zero_noise_map_gives_zero_xi():
 
 def test_poisson_surrogate_covariance_is_inverse_fisher():
     # the MLE log(Xbar) has Fisher information Psi'(theta) = diag(e^theta)
-    model = models.ExponentialFamily(dim=3, family="poisson_product")
+    model = models.ExponentialFamily(dim=3)
     theta = np.array([-0.5, 0.0, 1.0])
     assert np.allclose(models.sigma(model, theta), np.diag(np.exp(-theta)))
     # MC sanity on the sampler variance
@@ -123,7 +123,7 @@ def test_sigma_of_mixed_independent_components():
     [
         models.GaussianShift(dim=3),
         models.IndependentComponents(dim=3, noise_dist=("rademacher", "uniform", "centered_exponential")),
-        models.ExponentialFamily(dim=3, family="poisson_product"),
+        models.ExponentialFamily(dim=3),
         models.location(dim=3, noise_dist=("laplace", "logistic", "gaussian")),
     ],
 )
@@ -185,10 +185,10 @@ def test_estimator_consistency_median_decreasing(model):
         ),
         # n e^theta >= 1213: the delta-method error is well inside the band
         pytest.param(
-            models.ExponentialFamily(dim=3, family="poisson_product"), [-0.5, 0.0, 1.0], 2000, id="poisson"
+            models.ExponentialFamily(dim=3), [-0.5, 0.0, 1.0], 2000, id="poisson"
         ),
         pytest.param(
-            models.ExponentialFamily(dim=3, family="gaussian_mean", base=[0.5, 2.0, 4.0]),
+            models.gaussian_mean(3, [0.5, 2.0, 4.0]),
             [1.0, -0.5, 0.2],
             50,
             id="gaussian_mean",
@@ -216,7 +216,7 @@ def test_estimator_covariance_matches_sigma(model, theta, n):
 
 def test_poisson_domain_errors():
     # a rate outside the sampling domain is a NaN row, and it draws nothing
-    model = models.ExponentialFamily(dim=2, family="poisson_product")
+    model = models.ExponentialFamily(dim=2)
     n = 100
     thetas = np.array(
         [
@@ -232,7 +232,7 @@ def test_poisson_domain_errors():
 
 
 def test_estimate_block_marks_aborted_rows():
-    model = models.ExponentialFamily(dim=1, family="poisson_product")
+    model = models.ExponentialFamily(dim=1)
     rng = derive_stream(111, 0, 0)
     thetas = np.array([[0.0], [40.0]])
     out = models.estimate_block(model, thetas[:, None], 10, rng)[:, 0]
@@ -269,12 +269,9 @@ def test_spec_validation_errors():
         models.location(dim=2, noise_dist="laplace", scale=math.inf)
     with pytest.raises(ValueError):
         models.location(dim=2, noise_dist="rademacher")  # not a log-concave location noise
-    with pytest.raises(ValueError):
-        models.ExponentialFamily(dim=2, family="gaussian_mean", base=[-1.0, 1.0])
-    with pytest.raises(ValueError):
-        models.ExponentialFamily(dim=2, family="gaussian_mean", base=[math.inf, 1.0])
-    with pytest.raises(ValueError):
-        models.ExponentialFamily(dim=2, family="nope")
+    for base in (0.0, [-1.0, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="base variances must be finite and positive"):
+            models.gaussian_mean(2, base)
     with pytest.raises(ValueError):
         models.location(dim=2, noise_dist="cauchy")
     for scale in ([1.0, -0.5], [1.0, math.inf]):
@@ -306,10 +303,12 @@ def test_number_scales_fit_every_dimension():
 
 
 def test_gaussian_mean_family():
+    # the shift that gaussian_mean builds has Sigma = diag(1/v), the inverse Fisher
+    # information, and the raw-draw MLE the sum-law tests compare it with is consistent
     base = np.array([0.5, 2.0])
-    model = models.ExponentialFamily(dim=2, family="gaussian_mean", base=base)
+    model = models.gaussian_mean(2, base)
     theta = np.array([1.0, -0.5])
     assert np.allclose(models.sigma(model, theta), np.diag(1.0 / base))  # theta_hat = Xbar / v
     rng = derive_stream(113, 0, 0)
-    hat = raw_estimate(model, theta, 4000, rng)
+    hat = raw_gaussian_mean(base, theta, 4000, rng)
     assert np.linalg.norm(hat - theta) <= 0.2  # sd ~ sqrt(1/(v n)) per coord

@@ -90,7 +90,7 @@ def test_streamed_fold_keeps_nan_rows_and_aborted_chains():
     # started at that edge loses about half its chains at step 2; the row
     # just below it loses 1% of them by step 2 (the limit at M = 200) and
     # more by step 3, so its order 2 folds the survivors and order 3 is NaN
-    model = models.ExponentialFamily(dim=3, family="poisson_product")
+    model = models.ExponentialFamily(dim=3)
     edge = math.log(models.POISSON_LAM_MAX / N)
     theta_hat = np.array(
         [
