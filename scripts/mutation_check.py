@@ -4,9 +4,10 @@
 
 scripts/mutations.json lists one-line mutations of the package, one row
 each: the file, the old text, the new text, and the tests that must kill
-the mutation. The check copies src/, tests/ and pyproject.toml to a
-temporary directory and runs every named test there on the unmutated copy,
-where all must pass. Then, row by row, it replaces the old text by the new
+the mutation. The check copies src/, tests/, configs/ (acceptance criteria
+such as C11 read a shipped config) and pyproject.toml to a temporary
+directory and runs every named test there on the unmutated copy, where all
+must pass. Then, row by row, it replaces the old text by the new
 text, runs each of the row's tests on its own, and restores the file. A row
 is killed when every one of its tests fails on the mutant.
 
@@ -50,7 +51,7 @@ def main() -> int:
         return 1
     with tempfile.TemporaryDirectory(prefix="mutation_check_") as tmp:
         copy = Path(tmp)
-        for sub in ("src", "tests"):
+        for sub in ("src", "tests", "configs"):
             shutil.copytree(ROOT / sub, copy / sub, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
@@ -75,7 +76,7 @@ def main() -> int:
                     t0 = time.perf_counter()
                     killed = _pytest(copy, [test]) != 0
                     verdict = "killed" if killed else "SURVIVED"
-                    print(f"{row['id']:32s} {verdict:8s} {time.perf_counter() - t0:5.1f} s  {test}", flush=True)
+                    print(f"{row['id']:34s} {verdict:8s} {time.perf_counter() - t0:5.1f} s  {test}", flush=True)
                     if not killed:
                         survived.append((row["id"], test))
             finally:

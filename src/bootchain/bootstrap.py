@@ -46,13 +46,6 @@ import numpy as np
 from . import functionals, models
 
 MAX_ORDER = 12  # exact integer binomials; the interesting regime is small k
-
-
-class EstimationError(RuntimeError):
-    """A Monte Carlo summary broke an identity it must satisfy (a clt row's
-    W1 above its W2). Aborted chains raise nothing: they make NaN estimates."""
-
-
 ABORT_RATE_LIMIT = 0.01
 
 
@@ -161,20 +154,3 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
             out[i, finite] = _survivor_mean(np.array(collapsed_weights(k), dtype=float) @ vals[:, : k + 1], m)
     return out
 
-
-def bias_oracle_exp(theta, u, sigma2: float, n: int, k: int) -> float:
-    """Exact bias magnitude of the order-k corrected estimator for
-    f = exp(<., u>) under the constant-noise shift model with Sigma =
-    sigma2 * I.
-
-    There Tf = f * e^a with a = sigma2 ||u||^2 / (2n) (Gaussian MGF), so
-    each application of the bias operator multiplies f by (e^a - 1) and the
-    corrected estimator's bias is f(theta) (e^a - 1)^(k+1), with sign
-    (-1)^k.
-    """
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if sigma2 < 0:
-        raise ValueError("noise variance must be >= 0")
-    a = sigma2 * float(u @ u) / (2.0 * n)
-    return float(np.exp(theta @ u) * math.expm1(a) ** (k + 1))

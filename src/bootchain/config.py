@@ -145,7 +145,8 @@ def build_model(cfg: dict, d: int) -> models.Model:
             _reject_unknown(cfg, {"variant", "family", "base"}, where)
             family, base = cfg.get("family", "poisson_product"), cfg.get("base")
             if family == "gaussian_mean":
-                return models.gaussian_mean(d, 1.0 if base is None else base)
+                base = _per_coordinate(1.0 if base is None else base, "model.base", d)
+                return models.gaussian_mean(d, base)
             if family != "poisson_product":
                 raise ConfigError(f"{where}: unknown exponential family {family!r}")
             if base is not None:
@@ -153,7 +154,8 @@ def build_model(cfg: dict, d: int) -> models.Model:
             return models.ExponentialFamily(d)
         if variant == "log_concave_location":
             _reject_unknown(cfg, {"variant", "noise_dist", "scale"}, where)
-            return models.location(d, cfg.get("noise_dist", "laplace"), cfg.get("scale", 1.0))
+            scale = _per_coordinate(cfg.get("scale", 1.0), "model.scale", d)
+            return models.location(d, cfg.get("noise_dist", "laplace"), scale)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:

@@ -7,7 +7,7 @@ before any replicate runs. _summary turns a point's error vector into its
 row (bias, se, sd, rmse, d_k, aborts, the failed flag). risk, sweep,
 normality and oracle-check rows come from one replicate pass per point; clt
 rows from a plug-in draw and a surrogate draw per point, with W1/W2 in the
-row's extra.
+row's extra; oracle-check rows are tested against the exact _oracle_bias.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
 B = max(1, 2^16 // (M d)) (_BLOCK_SCALARS), and block b draws all of
@@ -30,6 +30,7 @@ files.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -55,6 +56,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+class EstimationError(RuntimeError):
+    """A Monte Carlo summary broke an identity it must satisfy (a clt row's
+    W1 above its W2)."""
+
+
 def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
     """Independent-quality random stream keyed by (seed, replicate, chain);
     the harness passes a replicate block's index, or a clt grid point's.
@@ -63,8 +69,8 @@ def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
     from index tuples to streams is injective and stateless. Identical
     tuples give identical streams on every run and worker count.
     """
-    if not (0 <= master_seed < MAX_SEED):
-        raise ValueError("master seed must fit in 64 bits")
+    if not isinstance(master_seed, numbers.Integral) or not (0 <= master_seed < MAX_SEED):
+        raise ValueError("master seed must be an integer that fits in 64 bits")
     if not (0 <= replicate_index < MAX_INDEX and 0 <= chain_index < MAX_INDEX):
         raise ValueError("replicate/chain indices must fit in 32 bits")
     key = np.array([master_seed, (replicate_index << 32) | chain_index], dtype=np.uint64)
@@ -87,16 +93,17 @@ class GridSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
-        if len(ns) == 0 or any(n < 1 for n in ns):
-            raise ConfigError("grid needs positive sample sizes")
+        ns = tuple(self.n_values)
+        if not ns or not all(isinstance(n, numbers.Integral) and n >= 1 for n in ns):
+            raise ConfigError("grid needs positive integer sample sizes")
+        ns = tuple(int(n) for n in ns)
         if len(set(ns)) != len(ns):
             raise ConfigError("grid n values must be distinct")
         object.__setattr__(self, "n_values", tuple(sorted(ns)))
         if (self.d_fixed is None) == (self.alpha is None):
             raise ConfigError("grid needs exactly one of d or alpha")
-        if self.d_fixed is not None and self.d_fixed < 1:
-            raise ConfigError("fixed dimension must be >= 1")
+        if self.d_fixed is not None and not (isinstance(self.d_fixed, numbers.Integral) and self.d_fixed >= 1):
+            raise ConfigError("fixed dimension must be an integer >= 1")
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise ConfigError("alpha must lie in (0, 1)")
 
@@ -153,8 +160,8 @@ class ExperimentConfig:
             raise ConfigError("normality diagnostics need R >= 100")
         if self.timing not in ("wall", "none"):
             raise ConfigError('timing must be "wall" or "none"')
-        if not (0 <= self.seed < MAX_SEED):
-            raise ConfigError("seed must fit in 64 bits")
+        if not isinstance(self.seed, numbers.Integral) or not (0 <= self.seed < MAX_SEED):
+            raise ConfigError("seed must be an integer that fits in 64 bits")
         if self.delta is not None and not self.delta > 0:
             raise ConfigError("delta must be positive (or None for the default)")
 
@@ -293,11 +300,7 @@ def _check_point(cfg: ExperimentConfig, n: int, d: int, model, func, theta, sig_
     if cfg.kind == "clt" and func.variant != "linear":
         raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
     if cfg.kind == "oracle-check":
-        noise = model.noise_map if isinstance(model, models.GaussianShift) else None
-        if not (isinstance(noise, models.IdentityMap) and np.ndim(noise.scale) == 0):
-            raise ConfigError("oracle check needs the shift model with Sigma = sigma^2 I")
-        if func.variant != "exp_linear":
-            raise ConfigError("oracle check needs the exp_linear functional")
+        _oracle_bias(model, func, theta, n, cfg.k)
 
 
 def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta, sig_u):
@@ -318,7 +321,7 @@ def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta,
         w1 = distances.wasserstein1(dev[good], xi_proj[good])
         w2 = distances.wasserstein2(dev[good], xi_proj[good])
         if not w1 <= w2 + 1e-12:
-            raise bootstrap.EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
+            raise EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
         extra = {"w1": w1, "w2": w2}
     seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
     summ = _summary(n, d, 0, dev / math.sqrt(n), sig_u, seconds, dev=dev)
@@ -326,16 +329,31 @@ def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta,
     return summ
 
 
+def _oracle_bias(model, func, theta, n: int, k: int) -> float:
+    """Exact signed bias of the order-k corrected estimator at sample size n,
+    or the ConfigError that says why no closed form applies. For f =
+    exp(<., u>) under the shift model with Sigma = sigma^2 I, Tf = f e^a with
+    a = sigma^2 ||u||^2 / (2n) (Gaussian MGF), so each application of the
+    bias operator multiplies f by (e^a - 1): the bias is
+    (-1)^k f(theta) (e^a - 1)^(k+1)."""
+    noise = model.noise_map if isinstance(model, models.GaussianShift) else None
+    if not (isinstance(noise, models.IdentityMap) and np.ndim(noise.scale) == 0):
+        raise ConfigError("oracle check needs the shift model with Sigma = sigma^2 I")
+    if func.variant != "exp_linear":
+        raise ConfigError("oracle check needs the exp_linear functional")
+    a = noise.scale**2 * float(func.u @ func.u) / (2.0 * n)
+    return (-1) ** k * float(np.exp(theta @ func.u) * math.expm1(a) ** (k + 1))
+
+
 def _oracle_verdict(summ: TrialSummary, model, func, theta) -> None:
-    """Checks a row's bias against the closed-form oracle for f = exp(<., u>)
-    under the isotropic shift: the row passes iff |bias - signed target| <=
-    4 se_bias. extra gets the target, the z-score and the verdict."""
-    target = bootstrap.bias_oracle_exp(theta, func.u, model.noise_map.scale**2, summ.n, summ.k)
-    signed = (-1) ** summ.k * target
+    """Checks a row's bias against _oracle_bias: the row passes iff |bias -
+    signed target| <= 4 se_bias. extra gets the target's magnitude and sign,
+    the z-score and the verdict."""
+    signed = _oracle_bias(model, func, theta, summ.n, summ.k)
     ok = summ.se_bias > 0 and abs(summ.bias - signed) <= 4.0 * summ.se_bias
     z = (summ.bias - signed) / summ.se_bias if summ.se_bias > 0 else math.nan
     summ.extra.update(
-        oracle_bias=target, oracle_bias_signed=signed, oracle_z=z, oracle_pass=bool(ok)
+        oracle_bias=abs(signed), oracle_bias_signed=signed, oracle_z=z, oracle_pass=bool(ok)
     )
     summ.failed = summ.failed or not ok
 

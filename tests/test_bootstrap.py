@@ -14,11 +14,6 @@ from raw_reference import simulate_chain_block
 from bootchain import bootstrap, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 
-# frozen closed-form targets for the exp-linear bias oracle at
-# a = sigma^2 ||u||^2 / (2n) = 1/200 (mpmath, 40 digits)
-EXPM1_A = 0.0050125208594010634
-EXPM1_A_SQ = 2.5125365365930775e-5
-
 
 def test_difference_weights_examples():
     assert bootstrap.difference_weights(1) == (-1, 1)
@@ -203,21 +198,6 @@ def test_gaussian_mgf_supports_exp_oracle():
     a = float(u @ u) / (2 * n)
     se = vals.std(ddof=1) / math.sqrt(draws)
     assert abs(vals.mean() - math.exp(a)) <= 4.0 * se
-
-
-def test_bias_oracle_exp_values():
-    u = np.array([1.0, 0.0])
-    theta = np.zeros(2)
-    assert bootstrap.bias_oracle_exp(theta, u, 0.0, 100, 3) == 0.0
-    assert bootstrap.bias_oracle_exp(theta, u, 1.0, 100, 0) == pytest.approx(EXPM1_A, rel=1e-12)
-    assert bootstrap.bias_oracle_exp(theta, u, 1.0, 100, 1) == pytest.approx(
-        EXPM1_A_SQ, rel=1e-12
-    )
-    # scaling by f(theta) = exp(<theta, u>)
-    theta2 = np.array([0.7, 0.0])
-    assert bootstrap.bias_oracle_exp(theta2, u, 1.0, 100, 0) == pytest.approx(
-        math.exp(0.7) * EXPM1_A, rel=1e-12
-    )
 
 
 def test_bias_decay_geometry_ratio():

@@ -193,6 +193,12 @@ def test_config_errors_name_their_field_once(tmp_path, capsys):
         "error: model.noise.kind: unknown scaling map 'bogus'": dict(
             model={"variant": "gaussian_shift", "noise": {"kind": "bogus"}}
         ),
+        "error: model.base: length 2 does not match d = 3": dict(
+            model={"variant": "exponential_family", "family": "gaussian_mean", "base": [1.0, 2.0]}, grid=D3
+        ),
+        "error: model.scale: length 2 does not match d = 3": dict(
+            model={"variant": "log_concave_location", "scale": [1.0, 2.0]}, grid=D3
+        ),
     }.items():
         assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, **patch)))]) == 2
         assert capsys.readouterr().err == line + "\n"

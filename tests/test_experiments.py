@@ -12,6 +12,10 @@ from bootchain import bootstrap, functionals, models
 
 # SHA-256 of the error matrix of test_stream_contract_pin
 STREAM_CONTRACT_DIGEST = "7e64755afffa65b92892e87139712fd60804da7dabbfe3be1c053c185513444a"
+# frozen closed-form targets for the exp-linear bias oracle at
+# a = sigma^2 ||u||^2 / (2n) = 1/200 (mpmath, 40 digits)
+EXPM1_A = 0.0050125208594010634
+EXPM1_A_SQ = 2.5125365365930775e-5
 
 
 def small_cfg(**over):
@@ -50,6 +54,10 @@ def test_derive_stream_validation():
         exp.derive_stream(0, 2**32, 0)
     with pytest.raises(ValueError):
         exp.derive_stream(0, 0, -3)
+    # a fractional seed is refused, never truncated; numpy integers pass
+    with pytest.raises(ValueError):
+        exp.derive_stream(1.5, 0, 0)
+    assert exp.derive_stream(np.uint64(1), 0, 0).random() == exp.derive_stream(1, 0, 0).random()
 
 
 def test_unit_sin_theta():
@@ -73,6 +81,12 @@ def test_grid_spec_points_and_validation():
         exp.GridSpec(n_values=(10,))
     with pytest.raises(exp.ConfigError):
         exp.GridSpec(n_values=(10,), alpha=1.0)
+    # fractional n and d are refused, never truncated; numpy integers pass
+    with pytest.raises(exp.ConfigError):
+        exp.GridSpec(n_values=(100.7,), d_fixed=3)
+    with pytest.raises(exp.ConfigError):
+        exp.GridSpec(n_values=(100,), d_fixed=2.5)
+    assert exp.GridSpec(n_values=(np.int64(100),), d_fixed=np.int64(3)).points() == [(100, 3)]
 
 
 def test_rate_fit_exact_power_laws():
@@ -305,9 +319,22 @@ def test_oracle_check_runner():
     assert rows[0].extra["oracle_bias"] == pytest.approx(0.0050125208594010634, rel=1e-12)
 
 
+def test_oracle_bias_values():
+    def oracle(sigma, theta, k):
+        model = models.GaussianShift(2, models.IdentityMap(sigma))
+        return exp._oracle_bias(model, functionals.exp_linear([1.0, 0.0]), theta, 100, k)
+
+    theta = np.zeros(2)
+    assert oracle(0.0, theta, 3) == 0.0
+    assert oracle(1.0, theta, 0) == pytest.approx(EXPM1_A, rel=1e-12)
+    assert oracle(1.0, theta, 1) == pytest.approx(-EXPM1_A_SQ, rel=1e-12)  # sign (-1)^k
+    # scaling by f(theta) = exp(<theta, u>)
+    assert oracle(1.0, np.array([0.7, 0.0]), 0) == pytest.approx(math.exp(0.7) * EXPM1_A, rel=1e-12)
+
+
 def test_oracle_verdict_fails_a_wrong_target(monkeypatch):
-    oracle = bootstrap.bias_oracle_exp
-    monkeypatch.setattr(bootstrap, "bias_oracle_exp", lambda *args: 2.0 * oracle(*args))
+    oracle = exp._oracle_bias
+    monkeypatch.setattr(exp, "_oracle_bias", lambda *args: 2.0 * oracle(*args))
     d = 5
     cfg = small_cfg(
         kind="oracle-check",
@@ -343,7 +370,7 @@ def test_oracle_verdict_fails_a_zero_standard_error():
 
 def test_oracle_check_rejects_wrong_setting():
     cfg = small_cfg(kind="oracle-check")
-    with pytest.raises(exp.ConfigError):
+    with pytest.raises(exp.ConfigError, match="oracle check needs the exp_linear functional"):
         exp.run_experiment(cfg)
     # Sigma = sigma^2 I only: neither a matrix nor a per-coordinate scale
     for noise in (models.ConstantMatrixMap(np.eye(3)), models.IdentityMap(np.array([1.0, 1.0, 2.0]))):
@@ -352,7 +379,7 @@ def test_oracle_check_rejects_wrong_setting():
             functional=functionals.exp_linear(exp.unit_sin_theta(3)),
             model=models.GaussianShift(dim=3, noise_map=noise),
         )
-        with pytest.raises(exp.ConfigError):
+        with pytest.raises(exp.ConfigError, match=r"oracle check needs the shift model with Sigma = sigma\^2 I"):
             exp.run_experiment(cfg2)
 
 
@@ -365,6 +392,8 @@ def test_experiment_config_validation():
         small_cfg(timing="fast")
     with pytest.raises(exp.ConfigError):
         small_cfg(seed=-1)
+    with pytest.raises(exp.ConfigError):
+        small_cfg(seed=1.5)
 
 
 def test_run_experiment_sweep_attaches_slope():
