@@ -1,10 +1,11 @@
 """Strict JSON experiment configuration.
 
-Unknown keys are rejected at every level and numeric fields are validated
-against the module preconditions, so a typo fails loudly with the offending
-field path instead of silently running the wrong experiment. Model,
-functional and theta entries become dimension-indexed factories, which lets
-one config drive a sweep where d = ceil(n^alpha) varies across the grid.
+This module maps JSON keys and types onto experiments.ExperimentConfig,
+which holds every rule about fields and values. Unknown keys are rejected
+at every level, so a typo fails loudly with the offending field path
+instead of silently running the wrong experiment. Model, functional and
+theta entries become dimension-indexed factories, which lets one config
+drive a sweep where d = ceil(n^alpha) varies across the grid.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import functionals, models
-from .experiments import ConfigError, ExperimentConfig, GridSpec, unit_sin_theta
+from .experiments import ConfigError, ExperimentConfig, GridSpec, as_int, unit_sin_theta
 
 _TOP_KEYS = {
     "kind",
@@ -50,14 +51,6 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return obj[key]
-
-
-def _as_int(value, where: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}")
-    return value
 
 
 def _as_number(value, where: str) -> float:
@@ -94,7 +87,7 @@ def _per_coordinate(value, where: str, d: int):
 
 
 # ---------------------------------------------------------------------------
-# factories (module-level so worker processes can unpickle them)
+# factories: each builds its object at the grid dimension d
 
 
 def _u_rule(rule: str, d: int) -> np.ndarray:
@@ -183,7 +176,7 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
             return functionals.linear(resolve_u())
         if variant == "power":
             _reject_unknown(cfg, {"variant", "u", "p"}, where)
-            return functionals.power(resolve_u(), _as_int(_require(cfg, "p", where), f"{where}.p", 1))
+            return functionals.power(resolve_u(), as_int(_require(cfg, "p", where), f"{where}.p"))
         if variant == "quadratic_form":
             _reject_unknown(cfg, {"variant", "Q"}, where)
             q = cfg.get("Q")
@@ -222,26 +215,18 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
     for key in _REQUIRED:
         _require(doc, key, "config")
 
-    kind = doc["kind"]
-
     grid_cfg = doc["grid"]
     _reject_unknown(grid_cfg, {"n", "d", "alpha"}, "grid")
     n_values = _require(grid_cfg, "n", "grid")
     if not isinstance(n_values, list) or not n_values:
         raise ConfigError("grid.n: expected a non-empty list")
-    n_values = tuple(_as_int(n, "grid.n", 1) for n in n_values)
-    d_fixed = grid_cfg.get("d")
     alpha = grid_cfg.get("alpha")
-    if d_fixed is not None:
-        d_fixed = _as_int(d_fixed, "grid.d", 1)
     if alpha is not None:
         alpha = _as_number(alpha, "grid.alpha")
-    grid = GridSpec(n_values=n_values, d_fixed=d_fixed, alpha=alpha)
+    grid = GridSpec(n_values=tuple(n_values), d_fixed=grid_cfg.get("d"), alpha=alpha)
 
     mc = doc["mc"]
     _reject_unknown(mc, {"M", "R"}, "mc")
-    m = _as_int(_require(mc, "M", "mc"), "mc.M", 1)
-    r = _as_int(_require(mc, "R", "mc"), "mc.R", 1)
 
     delta = doc.get("delta")
     delta = None if delta in (None, "auto") else _as_number(delta, "delta")
@@ -258,36 +243,25 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
         if not isinstance(val, str) or not val:
             raise ConfigError(f"outputs.{key}: expected a non-empty path string")
 
-    k = _as_int(doc["k"], "k", 0)
-    tilde = compare.get("tilde", False)
-    if kind == "clt":  # the diagnostic runs no chains and compares no estimators
-        unused = {"k": k != 0, "mc.M": m != 1, "delta": "delta" in doc}
-        unused.update({f"compare.{key}": flag for key, flag in compare.items()})
-        for name, bad in unused.items():
-            if bad:
-                raise ConfigError(f"{name}: clt configs need k = 0, M = 1, no delta, no compare")
-    elif tilde and k == 0:
-        raise ConfigError("compare.tilde: a k = 0 run steps no chains, surrogate or bootstrap")
-    elif compare.get("plugin") and (k == 0 or kind == "oracle-check"):
-        raise ConfigError("compare.plugin: a k = 0 or oracle-check run reports the plug-in row anyway")
-    elif "delta" in doc and not tilde:
-        raise ConfigError("delta: only surrogate chains (compare.tilde) are truncated")
-
     cfg = ExperimentConfig(
-        kind=kind,
+        kind=doc["kind"],
         model=partial(build_model, dict(doc["model"])),
         functional=partial(build_functional, dict(doc["functional"])),
         theta=_theta(doc.get("theta")),
-        k=k,
+        k=doc["k"],
         grid=grid,
-        inner_chains=m,
-        replicates=r,
+        inner_chains=_require(mc, "M", "mc"),
+        replicates=_require(mc, "R", "mc"),
         delta=delta,
-        seed=_as_int(doc["seed"], "seed", 0),
-        use_tilde=tilde,
-        compare_plugin=bool(compare.get("plugin", False)),
+        seed=doc["seed"],
+        use_tilde=compare.get("tilde", False),
+        compare_plugin=compare.get("plugin", False),
         timing=doc.get("timing", "wall"),
     )
+    # a null or "auto" delta reaches cfg as its default None, so only the
+    # document shows that the key was given
+    if "delta" in doc and not cfg.use_tilde:
+        raise ConfigError("delta: only surrogate chains (compare.tilde) are truncated")
     return cfg, outputs
 
 

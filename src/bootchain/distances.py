@@ -46,20 +46,23 @@ def kolmogorov_to_std_normal(sample) -> float:
     return float(np.maximum(np.abs(hi - phi), np.abs(lo - phi)).max())
 
 
-def wasserstein1(a, b) -> float:
-    """W1 between equal-length samples: mean absolute gap of sorted pairs."""
+def _sorted_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples sorted, so that x[i] pairs with y[i]."""
     x = np.sort(_check_sample(a))
     y = np.sort(_check_sample(b))
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    return x, y
+
+
+def wasserstein1(a, b) -> float:
+    """W1 between equal-length samples: mean absolute gap of sorted pairs."""
+    x, y = _sorted_pair(a, b)
     return float(np.abs(x - y).mean())
 
 
 def wasserstein2(a, b) -> float:
     """W2 between equal-length samples: root mean square gap of sorted pairs."""
-    x = np.sort(_check_sample(a))
-    y = np.sort(_check_sample(b))
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    x, y = _sorted_pair(a, b)
     return float(math.sqrt(np.mean((x - y) ** 2)))
 

@@ -1,13 +1,16 @@
-"""Declarative experiment harness: risk, normality, CLT diagnostics, sweeps.
+"""Declarative experiment harness: risk, normality, CLT diagnostics, sweeps
+and oracle checks.
 
-One runner, run_experiment, serves every kind. It resolves each grid point
-once (_grid_point: the model, functional, theta, the one check of its
-dimension, and sigma_f) and checks the kind's preconditions at every point
-before any replicate runs. _summary turns a point's error vector into its
-row (bias, se, sd, rmse, d_k, aborts, the failed flag). risk, sweep,
-normality and oracle-check rows come from one replicate pass per point; clt
-rows from a plug-in draw and a surrogate draw per point, with W1/W2 in the
-row's extra; oracle-check rows are tested against the exact _oracle_bias.
+ExperimentConfig and GridSpec hold every rule about fields and values, for
+JSON and Python configs alike. One runner, run_experiment, serves every
+kind. It resolves each grid point once (_grid_point: the model, functional
+and theta, the one check of theta, and sigma_f) and checks the kind's
+preconditions at every point before any replicate runs. _summary turns a
+point's error vector into its row (bias, se, sd, rmse, d_k, aborts, the
+failed flag). risk, sweep, normality and oracle-check rows come from one
+replicate pass per point; clt rows from a plug-in draw and a surrogate draw
+per point, with W1/W2 in the row's extra; oracle-check rows are tested
+against the exact _oracle_bias.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
 B = max(1, 2^16 // (M d)) (_BLOCK_SCALARS), and block b draws all of
@@ -77,6 +80,13 @@ def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def as_int(value, where: str) -> int:
+    """value as an int; a bool or fractional value is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where}: expected an integer")
+    return int(value)
+
+
 def unit_sin_theta(d: int) -> np.ndarray:
     """Deterministic parameter rule theta_i proportional to sin(i), scaled to
     unit norm; dimension-consistent across sweeps."""
@@ -93,19 +103,20 @@ class GridSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        ns = tuple(self.n_values)
-        if not ns or not all(isinstance(n, numbers.Integral) and n >= 1 for n in ns):
-            raise ConfigError("grid needs positive integer sample sizes")
-        ns = tuple(int(n) for n in ns)
+        ns = tuple(as_int(n, "grid.n") for n in self.n_values)
+        if not ns or min(ns) < 1:
+            raise ConfigError("grid.n: needs positive sample sizes")
         if len(set(ns)) != len(ns):
-            raise ConfigError("grid n values must be distinct")
+            raise ConfigError("grid.n: values must be distinct")
         object.__setattr__(self, "n_values", tuple(sorted(ns)))
         if (self.d_fixed is None) == (self.alpha is None):
-            raise ConfigError("grid needs exactly one of d or alpha")
-        if self.d_fixed is not None and not (isinstance(self.d_fixed, numbers.Integral) and self.d_fixed >= 1):
-            raise ConfigError("fixed dimension must be an integer >= 1")
+            raise ConfigError("grid: needs exactly one of d or alpha")
+        if self.d_fixed is not None:
+            object.__setattr__(self, "d_fixed", as_int(self.d_fixed, "grid.d"))
+            if self.d_fixed < 1:
+                raise ConfigError("grid.d: must be >= 1")
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise ConfigError("alpha must lie in (0, 1)")
+            raise ConfigError("grid.alpha: must lie in (0, 1)")
 
     def points(self) -> list[tuple[int, int]]:
         if self.d_fixed is not None:
@@ -113,24 +124,19 @@ class GridSpec:
         return [(n, max(1, math.ceil(n**self.alpha))) for n in self.n_values]
 
 
-def _constant(obj, d: int):
-    return obj
-
-
-def as_factory(obj) -> Callable[[int], object]:
-    """Wrap a fixed spec object as a dimension-indexed factory."""
-    return obj if callable(obj) else partial(_constant, obj)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything an experiment run needs; model/functional/theta may be
-    fixed objects or factories taking the grid dimension d."""
+    fixed objects or factories taking the grid dimension d (theta None is
+    unit_sin_theta). Every rule of a JSON config, including the refusal of
+    a field the run would ignore, holds here, and each message starts with
+    the config-file field: mc.M is inner_chains, mc.R replicates,
+    compare.tilde use_tilde and compare.plugin compare_plugin."""
 
     kind: str
-    model: Callable[[int], models.Model]
-    functional: Callable[[int], functionals.Functional]
-    theta: Callable[[int], np.ndarray]
+    model: models.Model | Callable[[int], models.Model]
+    functional: functionals.Functional | Callable[[int], functionals.Functional]
+    theta: np.ndarray | Callable[[int], np.ndarray] | None
     k: int
     grid: GridSpec
     inner_chains: int = 1000  # M
@@ -142,28 +148,36 @@ class ExperimentConfig:
     timing: str = "wall"
 
     def __post_init__(self):
-        object.__setattr__(self, "model", as_factory(self.model))
-        object.__setattr__(self, "functional", as_factory(self.functional))
-        theta = self.theta
-        if theta is None:
-            theta = unit_sin_theta
-        elif not callable(theta):
-            theta = partial(_constant, np.asarray(theta, dtype=float))
-        object.__setattr__(self, "theta", theta)
         if self.kind not in KINDS:
             raise ConfigError(f"kind: expected one of {KINDS}, got {self.kind!r}")
+        for name, where in (("k", "k"), ("inner_chains", "mc.M"), ("replicates", "mc.R"), ("seed", "seed")):
+            object.__setattr__(self, name, as_int(getattr(self, name), where))
         if not (0 <= self.k <= bootstrap.MAX_ORDER):
-            raise ConfigError(f"k must be in [0, {bootstrap.MAX_ORDER}]")
-        if self.replicates < 1 or self.inner_chains < 1:
-            raise ConfigError("R and M must be >= 1")
+            raise ConfigError(f"k: must be in [0, {bootstrap.MAX_ORDER}]")
+        if self.inner_chains < 1:
+            raise ConfigError("mc.M: must be >= 1")
+        if self.replicates < 1:
+            raise ConfigError("mc.R: must be >= 1")
         if self.kind == "normality" and self.replicates < 100:
-            raise ConfigError("normality diagnostics need R >= 100")
+            raise ConfigError("mc.R: normality diagnostics need R >= 100")
         if self.timing not in ("wall", "none"):
-            raise ConfigError('timing must be "wall" or "none"')
-        if not isinstance(self.seed, numbers.Integral) or not (0 <= self.seed < MAX_SEED):
-            raise ConfigError("seed must be an integer that fits in 64 bits")
+            raise ConfigError('timing: must be "wall" or "none"')
+        if not (0 <= self.seed < MAX_SEED):
+            raise ConfigError("seed: must fit in 64 bits")
         if self.delta is not None and not self.delta > 0:
-            raise ConfigError("delta must be positive (or None for the default)")
+            raise ConfigError("delta: must be positive (or unset for the default)")
+        if self.kind == "clt":  # the diagnostic runs no chains and compares no estimators
+            unused = (("k", self.k != 0), ("mc.M", self.inner_chains != 1), ("delta", self.delta is not None),
+                      ("compare.tilde", self.use_tilde), ("compare.plugin", self.compare_plugin))
+            for name, bad in unused:
+                if bad:
+                    raise ConfigError(f"{name}: clt configs need k = 0, M = 1, no delta, no compare")
+        elif self.use_tilde and self.k == 0:
+            raise ConfigError("compare.tilde: a k = 0 run steps no chains, surrogate or bootstrap")
+        elif self.compare_plugin and (self.k == 0 or self.kind == "oracle-check"):
+            raise ConfigError("compare.plugin: a k = 0 or oracle-check run reports the plug-in row anyway")
+        elif self.delta is not None and not self.use_tilde:
+            raise ConfigError("delta: only surrogate chains (compare.tilde) are truncated")
 
 
 @dataclass
@@ -248,13 +262,16 @@ def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.n
 
 
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):
-    """(model, functional, theta, sigma_f) at grid point (n, d); the one
-    check that theta has the grid's dimension."""
-    model = cfg.model(d)
-    func = cfg.functional(d)
-    theta = np.asarray(cfg.theta(d), dtype=float)
+    """(model, functional, theta, sigma_f) at grid point (n, d), calling
+    each factory at d; the one check that theta is finite and has the
+    grid's dimension."""
+    specs = (cfg.model, cfg.functional, unit_sin_theta if cfg.theta is None else cfg.theta)
+    model, func, theta = (spec(d) if callable(spec) else spec for spec in specs)
+    theta = np.asarray(theta, dtype=float)
     if theta.shape != (d,):
         raise ConfigError(f"theta has dimension {theta.shape}, grid point (n={n}, d={d}) needs {d}")
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError("theta: entries must be finite")
     return model, func, theta, models.sigma_f(model, func, theta)
 
 
@@ -370,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary
         _check_point(cfg, *point)
     if cfg.kind == "clt":
         return [_clt_row(cfg, gi, *point) for gi, point in enumerate(points)]
-    orders = (0, cfg.k) if cfg.compare_plugin and cfg.k > 0 else (cfg.k,)
+    orders = (0, cfg.k) if cfg.compare_plugin else (cfg.k,)
     if cfg.kind == "oracle-check":
         orders = tuple(range(cfg.k + 1))
 
@@ -379,7 +396,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary
         for n, d, model, func, theta, sig_f in points:
             f_true = float(functionals.value(func, theta))
             step = None  # the bootstrap step, or the surrogate step truncated at delta
-            if cfg.use_tilde and max(orders) > 0:
+            if cfg.use_tilde:
                 delta = models.default_delta(model, theta, n) if cfg.delta is None else cfg.delta
                 step = partial(models.surrogate_step, delta=delta)
             t0 = time.perf_counter()

@@ -180,6 +180,8 @@ def test_clt_gaussian_shift_distances_near_zero():
     cfg = small_cfg(
         kind="clt",
         functional=functionals.linear(u),
+        k=0,
+        inner_chains=1,
         replicates=5000,
         grid=exp.GridSpec(n_values=(100,), d_fixed=3),
     )
@@ -196,6 +198,8 @@ def test_clt_rademacher_w2_decreasing():
         kind="clt",
         model=models.IndependentComponents(dim=4, noise_dist="rademacher"),
         functional=functionals.linear(u),
+        k=0,
+        inner_chains=1,
         replicates=5000,
         grid=exp.GridSpec(n_values=(100, 400, 1600), d_fixed=4),
     )
@@ -212,6 +216,8 @@ def test_clt_centered_exponential_w1_strictly_improves():
         kind="clt",
         model=models.IndependentComponents(dim=3, noise_dist="centered_exponential"),
         functional=functionals.linear(u),
+        k=0,
+        inner_chains=1,
         replicates=8000,
         grid=exp.GridSpec(n_values=(100, 1600), d_fixed=3),
     )
@@ -247,7 +253,7 @@ def test_exponential_family_sigma_f_is_the_mle_scale(kind, model, theta, u):
 
 
 def test_clt_requires_linear_functional():
-    cfg = small_cfg(kind="clt", functional=functionals.quadratic_form())
+    cfg = small_cfg(kind="clt", functional=functionals.quadratic_form(), k=0, inner_chains=1)
     with pytest.raises(exp.ConfigError):
         exp.run_experiment(cfg)
 
@@ -396,6 +402,42 @@ def test_experiment_config_validation():
         small_cfg(seed=1.5)
 
 
+def clt_cfg(**over):
+    return small_cfg(**{"kind": "clt", "functional": functionals.linear(np.ones(3)), "k": 0, "inner_chains": 1, **over})
+
+
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        pytest.param("k", lambda: clt_cfg(k=3), id="clt_k"),
+        pytest.param("mc.M", lambda: clt_cfg(inner_chains=999), id="clt_M"),
+        pytest.param("delta", lambda: clt_cfg(delta=0.5), id="clt_delta"),
+        pytest.param("compare.tilde", lambda: clt_cfg(use_tilde=True), id="clt_tilde"),
+        pytest.param("compare.plugin", lambda: clt_cfg(compare_plugin=True), id="clt_plugin"),
+        pytest.param("delta", lambda: small_cfg(delta=1e-9), id="delta_without_tilde"),
+        pytest.param("compare.tilde", lambda: small_cfg(k=0, use_tilde=True), id="tilde_at_k0"),
+        pytest.param("compare.tilde", lambda: small_cfg(k=0, use_tilde=True, delta=0.5), id="tilde_delta_at_k0"),
+        pytest.param("compare.plugin", lambda: small_cfg(k=0, compare_plugin=True), id="plugin_at_k0"),
+        pytest.param(
+            "compare.plugin",
+            lambda: small_cfg(kind="oracle-check", functional=functionals.exp_linear(np.ones(3)), compare_plugin=True),
+            id="plugin_in_oracle_check",
+        ),
+        pytest.param("k", lambda: small_cfg(k=1.5), id="k_fractional"),
+        pytest.param("k", lambda: small_cfg(k=True), id="k_bool"),
+        pytest.param("mc.M", lambda: small_cfg(inner_chains=2.5), id="M_fractional"),
+        pytest.param("mc.R", lambda: small_cfg(replicates=50.5), id="R_fractional"),
+        pytest.param("grid.d", lambda: exp.GridSpec(n_values=(100,), d_fixed=True), id="d_bool"),
+        pytest.param("theta", lambda: exp.run_experiment(small_cfg(theta=[math.nan, 0.0, 0.0])), id="theta_nan"),
+    ],
+)
+def test_experiment_config_rejects_fields_it_ignores(field, make):
+    # the rules of a JSON config, named by its fields, hold from Python too
+    with pytest.raises(exp.ConfigError) as err:
+        make()
+    assert str(err.value).startswith(f"{field}:")
+
+
 def test_run_experiment_sweep_attaches_slope():
     cfg = small_cfg(
         kind="sweep",
@@ -413,7 +455,7 @@ def test_theta_dimension_mismatch_rejected():
     cfg = small_cfg(theta=np.zeros(4))
     with pytest.raises(exp.ConfigError):
         exp.run_experiment(cfg)
-    clt = small_cfg(kind="clt", functional=functionals.linear(np.ones(3)), theta=np.zeros(4))
+    clt = small_cfg(kind="clt", functional=functionals.linear(np.ones(3)), theta=np.zeros(4), k=0, inner_chains=1)
     with pytest.raises(exp.ConfigError):
         exp.run_experiment(clt)
 
@@ -800,7 +842,9 @@ def test_every_order_row_equals_a_run_of_that_order_alone(case):
     rows = exp.run_experiment(cfg)
     assert [s.k for s in rows] == ([0, 1, 2, 3] if cfg.kind == "oracle-check" else [0, 2])
     for s in rows:
-        alone_cfg = dataclasses.replace(cfg, kind="risk", k=s.k, compare_plugin=False)
+        # a k = 0 run steps no chains, so it takes no surrogate step
+        chains = {} if s.k > 0 else {"use_tilde": False, "delta": None}
+        alone_cfg = dataclasses.replace(cfg, kind="risk", k=s.k, compare_plugin=False, **chains)
         (alone,) = exp.run_experiment(alone_cfg)
         fields = ("bias", "se_bias", "sd", "rmse", "d_k", "aborts")
         assert np.array_equal(
