@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import functionals, models
-from .experiments import ConfigError, ExperimentConfig, GridSpec, as_int, unit_sin_theta
+from .experiments import ConfigError, ExperimentConfig, GridSpec, as_int, as_real, unit_sin_theta
 
 _TOP_KEYS = {
     "kind",
@@ -51,12 +51,6 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return obj[key]
-
-
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number")
-    return float(value)
 
 
 def _as_vector(value, where: str, d: int | None = None) -> np.ndarray:
@@ -105,7 +99,7 @@ def _build_scaling_map(cfg, where: str, d: int) -> models.ScalingMap:
     kind = _require(cfg, "kind", where)
     if kind == "identity":
         _reject_unknown(cfg, {"kind", "scale"}, where)
-        scale = _as_number(cfg.get("scale", 1.0), f"{where}.scale")
+        scale = as_real(cfg.get("scale", 1.0), f"{where}.scale")
         return models.IdentityMap(scale=scale)
     if kind == "constant":
         _reject_unknown(cfg, {"kind", "matrix"}, where)
@@ -220,16 +214,10 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
     n_values = _require(grid_cfg, "n", "grid")
     if not isinstance(n_values, list) or not n_values:
         raise ConfigError("grid.n: expected a non-empty list")
-    alpha = grid_cfg.get("alpha")
-    if alpha is not None:
-        alpha = _as_number(alpha, "grid.alpha")
-    grid = GridSpec(n_values=tuple(n_values), d_fixed=grid_cfg.get("d"), alpha=alpha)
+    grid = GridSpec(n_values=tuple(n_values), d_fixed=grid_cfg.get("d"), alpha=grid_cfg.get("alpha"))
 
     mc = doc["mc"]
     _reject_unknown(mc, {"M", "R"}, "mc")
-
-    delta = doc.get("delta")
-    delta = None if delta in (None, "auto") else _as_number(delta, "delta")
 
     compare = doc.get("compare", {})
     _reject_unknown(compare, {"plugin", "tilde"}, "compare")
@@ -252,7 +240,7 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
         grid=grid,
         inner_chains=_require(mc, "M", "mc"),
         replicates=_require(mc, "R", "mc"),
-        delta=delta,
+        delta=None if doc.get("delta") == "auto" else doc.get("delta"),
         seed=doc["seed"],
         use_tilde=compare.get("tilde", False),
         compare_plugin=compare.get("plugin", False),

@@ -13,21 +13,21 @@ per point, with W1/W2 in the row's extra; oracle-check rows are tested
 against the exact _oracle_bias.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
-B = max(1, 2^16 // (M d)) (_BLOCK_SCALARS), and block b draws all of
-its randomness from the counter-based stream derive_stream(master_seed, b,
-0): first its B theta_hat rows, one call of the block kernel
-models.estimate_block on B starts at theta with chains = 1, then the
-chains of its finite rows, one kernel call per step with chains = M, each
-row's M chains in antithetic pairs where the kernel's driver is symmetric
-(bootstrap.chain_steps). At B = 1 a block is one replicate. Every order
-row a grid point reports (the plug-in row of compare_plugin, each
-oracle-check order) is folded from the same theta_hat and the prefixes of
-the same chains. B depends on (M, d) alone; a run's one worker pool splits
-the block range at any size, and the aggregation is a sequential fold in
-replicate order, so summaries are bit-identical for a fixed seed at every
-worker count and for every set of orders. Wall time is the one
-nondeterministic field; timing="none" zeroes it for byte-stable output
-files.
+B = max(1, 2^16 // (M d)) (_BLOCK_SCALARS), and block b draws all of its
+randomness from the one stream derive_stream(master_seed, b, 0), an SFC64
+generator seeded from the tuple: first its B theta_hat rows, one call of
+the block kernel models.estimate_block on B starts at theta with
+chains = 1, then the chains of its finite rows, one kernel call per step
+with chains = M, each row's M chains in antithetic pairs where the
+kernel's driver is symmetric (bootstrap.chain_steps). At B = 1 a block is
+one replicate. Every order row a grid point reports (the plug-in row of
+compare_plugin, each oracle-check order) is folded from the same theta_hat
+and the prefixes of the same chains. B depends on (M, d) alone; a run's
+one worker pool splits the block range at any size, and the aggregation is
+a sequential fold in replicate order, so summaries are bit-identical for a
+fixed seed at every worker count and for every set of orders. Wall time is
+the one nondeterministic field; timing="none" zeroes it for byte-stable
+output files.
 """
 
 from __future__ import annotations
@@ -68,16 +68,21 @@ def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
     """Independent-quality random stream keyed by (seed, replicate, chain);
     the harness passes a replicate block's index, or a clt grid point's.
 
-    Counter-based: the tuple is packed into a Philox-4x64 key, so the map
-    from index tuples to streams is injective and stateless. Identical
-    tuples give identical streams on every run and worker count.
+    An SFC64 generator seeded by SeedSequence(seed, spawn_key=(replicate,
+    chain)). The seed fills the hashed pool before the spawn key is
+    appended, so distinct tuples hash distinct words and share a stream only
+    through a collision of the 128-bit hash: distinct with overwhelming
+    probability, not by construction. (The entropy list [seed, replicate,
+    chain] would not do: its zero padding makes (s, 1, 0) and (s + 2^32, 0,
+    0) one stream.) Identical tuples give identical streams on every run
+    and worker count.
     """
     if not isinstance(master_seed, numbers.Integral) or not (0 <= master_seed < MAX_SEED):
         raise ValueError("master seed must be an integer that fits in 64 bits")
     if not (0 <= replicate_index < MAX_INDEX and 0 <= chain_index < MAX_INDEX):
         raise ValueError("replicate/chain indices must fit in 32 bits")
-    key = np.array([master_seed, (replicate_index << 32) | chain_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(replicate_index), int(chain_index)))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def as_int(value, where: str) -> int:
@@ -85,6 +90,13 @@ def as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{where}: expected an integer")
     return int(value)
+
+
+def as_real(value, where: str) -> float:
+    """value as a float; a bool, string or complex value is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number")
+    return float(value)
 
 
 def unit_sin_theta(d: int) -> np.ndarray:
@@ -115,8 +127,10 @@ class GridSpec:
             object.__setattr__(self, "d_fixed", as_int(self.d_fixed, "grid.d"))
             if self.d_fixed < 1:
                 raise ConfigError("grid.d: must be >= 1")
-        if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise ConfigError("grid.alpha: must lie in (0, 1)")
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", as_real(self.alpha, "grid.alpha"))
+            if not 0.0 < self.alpha < 1.0:
+                raise ConfigError("grid.alpha: must lie in (0, 1)")
 
     def points(self) -> list[tuple[int, int]]:
         if self.d_fixed is not None:
@@ -164,8 +178,10 @@ class ExperimentConfig:
             raise ConfigError('timing: must be "wall" or "none"')
         if not (0 <= self.seed < MAX_SEED):
             raise ConfigError("seed: must fit in 64 bits")
-        if self.delta is not None and not self.delta > 0:
-            raise ConfigError("delta: must be positive (or unset for the default)")
+        if self.delta is not None:
+            object.__setattr__(self, "delta", as_real(self.delta, "delta"))
+            if not self.delta > 0:
+                raise ConfigError("delta: must be positive (or unset for the default)")
         if self.kind == "clt":  # the diagnostic runs no chains and compares no estimators
             unused = (("k", self.k != 0), ("mc.M", self.inner_chains != 1), ("delta", self.delta is not None),
                       ("compare.tilde", self.use_tilde), ("compare.plugin", self.compare_plugin))

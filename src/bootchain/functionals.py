@@ -33,7 +33,7 @@ def linear(u) -> Functional:
 
 
 def power(u, p: int) -> Functional:
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError("power exponent must be a positive integer")
     return Functional("power", u=np.asarray(u, dtype=float), p=p)
 

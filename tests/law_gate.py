@@ -42,6 +42,16 @@ def spread_z(a, ref, ref2) -> float:
     return gap / math.sqrt(_log_sd_var(a) + _log_sd_var(pool))
 
 
+def w1_excess(a, ref, ref2, seed: int) -> float:
+    """W1(a, ref) - W1(ref2, ref) in units of sqrt(2) bootstrap se of
+    W1(a, ref): the statistic of assert_same_law's W1 clause, at most 4
+    under one law."""
+    w1 = distances.wasserstein1(a, ref)
+    null = distances.wasserstein1(ref2, ref)
+    se = wasserstein1_bootstrap_se(a, ref, derive_stream(seed, 0, 2))
+    return (w1 - null) / (math.sqrt(2.0) * se)
+
+
 def assert_same_law(a, ref, ref2, seed: int):
     """a is as close to ref as an independent sample ref2 of ref's law is,
     and has its spread.
@@ -50,16 +60,12 @@ def assert_same_law(a, ref, ref2, seed: int):
     mean over the sd of the integrated |Brownian bridge|), so a bare
     W1 <= 4 se gate fails several per cent of samples of one law. The
     difference W1(a, ref) - W1(ref2, ref) has mean 0 and sd at most about
-    sqrt(2) se; the gate is four of those. W1 weighs a scale error by the
-    spread of the whole law, so it misses a 10% error at 4000 draws; the
-    log-ratio of the sample sds (spread_z) is within four of its standard
-    errors.
+    sqrt(2) se; the gate is four of those (w1_excess). W1 weighs a scale
+    error by the spread of the whole law, so it misses a 10% error at 4000
+    draws; the log-ratio of the sample sds (spread_z) is within four of its
+    standard errors.
     """
-    w1 = distances.wasserstein1(a, ref)
-    null = distances.wasserstein1(ref2, ref)
-    se = wasserstein1_bootstrap_se(a, ref, derive_stream(seed, 0, 2))
-    assert w1 - null <= 4.0 * math.sqrt(2.0) * se, (
-        f"W1 = {w1:.4g} vs same-law W1 = {null:.4g}, se = {se:.4g}"
-    )
+    excess = w1_excess(a, ref, ref2, seed)
+    assert excess <= 4.0, f"same-law W1: W1 excess at {excess:.3g} of its 4 units"
     z = spread_z(a, ref, ref2)
     assert abs(z) <= 4.0, f"same-law spread: log sd ratio at {z:.3g} se"

@@ -10,8 +10,10 @@ from raw_reference import raw_estimate
 from bootchain import experiments as exp
 from bootchain import bootstrap, functionals, models
 
-# SHA-256 of the error matrix of test_stream_contract_pin
-STREAM_CONTRACT_DIGEST = "7e64755afffa65b92892e87139712fd60804da7dabbfe3be1c053c185513444a"
+# SHA-256 of the error matrix of test_stream_contract_pin; re-taken, with
+# every digest pin below, when the block streams went from keyed Philox to
+# SFC64, after the old digests passed with Philox patched back in
+STREAM_CONTRACT_DIGEST = "87cff8e27612d330ecc6c6846742b9f01d4a6a9cdec2d25c904dc27f4fc0f718"
 # frozen closed-form targets for the exp-linear bias oracle at
 # a = sigma^2 ||u||^2 / (2n) = 1/200 (mpmath, 40 digits)
 EXPM1_A = 0.0050125208594010634
@@ -45,6 +47,15 @@ def test_derive_stream_distinct_tuples_differ():
     for tup in ((7, 3, 6), (7, 4, 5), (8, 3, 5), (7, 5, 3)):
         other = exp.derive_stream(*tup).random(64)
         assert not np.array_equal(base, other)
+
+
+def test_derive_stream_keys_do_not_collide_through_padding():
+    # SeedSequence pads an entropy list [seed, b, c] with zero words, which
+    # would make these two tuples one stream; the spawn key form keeps the
+    # seed's words apart from (b, c)
+    a = exp.derive_stream(5, 1, 0).random(64)
+    b = exp.derive_stream(5 + 2**32, 0, 0).random(64)
+    assert not np.array_equal(a, b)
 
 
 def test_derive_stream_validation():
@@ -428,6 +439,11 @@ def clt_cfg(**over):
         pytest.param("mc.M", lambda: small_cfg(inner_chains=2.5), id="M_fractional"),
         pytest.param("mc.R", lambda: small_cfg(replicates=50.5), id="R_fractional"),
         pytest.param("grid.d", lambda: exp.GridSpec(n_values=(100,), d_fixed=True), id="d_bool"),
+        pytest.param("grid.alpha", lambda: exp.GridSpec(n_values=(10,), alpha="0.5"), id="alpha_string"),
+        pytest.param("grid.alpha", lambda: exp.GridSpec(n_values=(10,), alpha=True), id="alpha_bool"),
+        pytest.param("delta", lambda: small_cfg(use_tilde=True, delta="x"), id="delta_string"),
+        pytest.param("delta", lambda: small_cfg(use_tilde=True, delta=True), id="delta_bool"),
+        pytest.param("delta", lambda: small_cfg(use_tilde=True, delta=1j), id="delta_complex"),
         pytest.param("theta", lambda: exp.run_experiment(small_cfg(theta=[math.nan, 0.0, 0.0])), id="theta_nan"),
     ],
 )
@@ -638,11 +654,11 @@ KIND_ROW_CASES = {
     ),
 }
 KIND_ROW_DIGESTS = {
-    "risk": "f99cfb7a6ad2c5cc0fe1a153c98d481fb4a3552693dce1c95ccdbd955b956ae7",
-    "normality": "b3b9fc75040381f851e5693f727fa16afcd293581f2ade48637e994e21193334",
-    "sweep": "70e116ffde6223c927b9ecd3edbc98573706229de8b00835be784418b5f8ca81",
-    "clt": "df4bd2308708429136546dcf66603e5e132dddeec010a6fb0a4fd44a29823441",
-    "oracle-check": "e6aec2a8cf0d150ee1376f8324490c05926e69fac467ebca29a6019e145e0370",
+    "risk": "6b5bdba5ba3699acc5d533454376856fba29bb433858511e09aaf6460da06a1a",
+    "normality": "f285e2ef611154567a0fce7b36e6b40399d0cf6b3dd910d2983a4523457834b5",
+    "sweep": "3916c3ad72b2764b55bda113c93227eb2bf829915a5ccc3ce3d8fbae8879f940",
+    "clt": "2bdbd707521634a4dbfa1652eb4afe135190b455a30141043149bedb1f02ab82",
+    "oracle-check": "10992a0e25425a65947a8dfcc18ef2cc0cd352df00cc2de28402770418237728",
 }
 
 
@@ -670,24 +686,26 @@ def test_kind_rows_pin(case):
 
 
 # Poisson counts and centered-exponential drivers have no symmetric law, so
-# their chains stay plain: these digests were taken before chains were
-# paired, and re-taken when the block budget went from 2^14 to 2^16 scalars
-# (M = 31 -> 124 keeps B = 176); no other change may move the rows (mixed
-# tags: one asymmetric tag keeps the whole model plain)
+# their chains stay plain: these digests were first taken before chains
+# were paired. They were re-taken when the block budget went from 2^14 to
+# 2^16 scalars (M = 31 -> 124 keeps B = 176) and when the block streams went
+# from keyed Philox to SFC64, each time only after the old digests passed
+# with the old rule patched back in; no other change may move the rows
+# (mixed tags: one asymmetric tag keeps the whole model plain)
 PLAIN_CHAIN_DIGESTS = {
     "poisson": (
         models.ExponentialFamily(dim=3),
-        "0859101e4475ff79503ab8d8b3fdca210453d7d5dcc0ec122588c7ef12d99714",
+        "bfae3031fa1c9123bdbd209505443863f6eb25f2fea56f12047fc45ebfc67b28",
     ),
     "ic_centered_exponential": (
         models.IndependentComponents(dim=3, noise_dist="centered_exponential"),
-        "4e15c9a9834b2ab19b574647f9f270914672dc9bb5e7016ad4077908e051e929",
+        "fe9a2a4d326d9f5af639561dc942751cac284cddb0d4c700fd0be3462b6a0889",
     ),
     "ic_mixed": (
         models.IndependentComponents(
             dim=3, noise_dist=("rademacher", "centered_exponential", "uniform")
         ),
-        "83c49be16e4a84c58baf7177fa5af2ef290f4325b1ad0c071d7a1c8db669af3e",
+        "79e628ef7bc3698696c1f9e38d4979afe45bd6e152611bcdebd63bb9abb7064c",
     ),
 }
 
@@ -709,40 +727,43 @@ def test_asymmetric_families_keep_plain_chains(case):
 
 
 # the families no digest above covers: (model, risk rows digest, clt rows
-# digest), taken when the kernels still took plain (rows, d) blocks beside
-# chain blocks; the risk digests were re-taken when the block budget went
-# from 2^14 to 2^16 scalars (B = 176 -> 704, one block per point), the clt
-# digests draw no blocks and did not move. No other change may move the rows
+# digest), first taken when the kernels still took plain (rows, d) blocks
+# beside chain blocks. The risk digests were re-taken when the block budget
+# went from 2^14 to 2^16 scalars (B = 176 -> 704, one block per point; the
+# clt digests draw no blocks and did not move), and both when the block
+# streams went from keyed Philox to SFC64, each time only after the old
+# digests passed with the old rule patched back in. No other change may
+# move the rows
 FAMILY_DIGESTS = {
     "laplace": (
         models.location(dim=3, noise_dist="laplace"),
-        "1c45e4cc9062f4ba154b6a364d15ccd548a73fc01eedc3663a71481077323f00",
-        "86c65cf8cc192f300e9bbb31b30d605cb0c803746665f35e08fa32b2dc9e4a2d",
+        "0b89a4743315feecaf5084157c46aa2e97a345f4644ae899fc5f64feec2365be",
+        "c3891d5438883439bd9a2245724adc9f7cda00f16eb8b122a4385fb7ea1cf23d",
     ),
     "logistic": (
         models.location(dim=3, noise_dist="logistic", scale=(0.5, 1.0, 2.0)),
-        "84b8acc9a96b6a38cce01a4214819a6444b4daa23db45604bd3de0edcb43ac47",
-        "a5657994c83680f3c8688f5ff0f0b3ce3875f23306fc6c537e40fae961e9b38c",
+        "f5c6270da5b574f219ab61543edb5a4456f5c0fa8b8e5bb538be15f88d0f8e1a",
+        "e854ceab8e3993c7a64754545f19fe95808129d8b190f1a2bde25336de4296e7",
     ),
     "ic_uniform": (
         models.IndependentComponents(dim=3, noise_dist="uniform"),
-        "241d1bc8d003e1df6014604a35034e3f51d1f058d466405f3a160131ccfe3e2e",
-        "02ff03cec527798705d76b3dbb028b42e980d34e8c436b51a6dcae1a8aa7948d",
+        "467777aa40bfe53384376c98f4a2fb221d2a21444d93c464d296f44d191d78bf",
+        "c132e7cc562ac35858cdd1131ce256a12d7371a73df9fd64679c893c5e6b4f46",
     ),
     "ic_gaussian": (
         models.IndependentComponents(dim=3, noise_dist="gaussian", directions=np.triu(np.ones((3, 3)))),
-        "99d55971800492a1d81191cccf97d0317c36722b3fd9f58961a4a365890f35cc",
-        "190ec0d1047dde63ea055b3bc66ed79f3c80c941e02eea4a4d3d59995328857a",
+        "cd4f04d5b683d3a3c4533058a63f54e2443fbb765f45ccb9e423719b033ebfee",
+        "eafe65b19a5bf099285c70dbfe6a1100f0b3b9d99d4b0f06a7aaaa292dc50060",
     ),
     "gaussian_mean": (
         models.gaussian_mean(3, (0.5, 2.0, 7.0)),
-        "3d2382da149624c3c257523adcfb2035f2d71a6ca65c5db1ca673dc5715e3577",
-        "6a398e2c1ca2f2dbb7fe9b117f31c3d4088aa53ac915da765619dd52fac8c89d",
+        "e9f570808f675add23e991ef481940e3f457a7f65f93d6b548742947894e581e",
+        "2351141427cbffa161066f9c7d0b45e9d5e93295ea020b00b553cae2d59a5839",
     ),
     "shift_diag_tanh": (
         models.GaussianShift(dim=3, noise_map=models.DiagTanhMap(a=(1.0, 1.5, 2.0), b=(0.5, -1.0, 1.5))),
-        "9e97d1dbd35ff68302b25eb634c6e5428e8cee99f8d1d0257cc13d6651d4d73a",
-        "8c961c6afaff60439fd6e680771f4a48ac7079ec4beb6a29617f18f74b158574",
+        "750ab4d9630e203a347d849a217377ca77f280e5b9b8d495533bd7d23c347136",
+        "32672db76037751efe3214a47b42ed4abb7c22846247ca6598271d983b369133",
     ),
 }
 

@@ -106,8 +106,10 @@ def test_values_and_grads_finite(coords):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        fn.power(np.ones(2), 0)
+    # a bool is an int to isinstance, but True is no exponent
+    for p in (0, 2.0, True):
+        with pytest.raises(ValueError):
+            fn.power(np.ones(2), p)
     with pytest.raises(ValueError):
         fn.radial("nope")
     with pytest.raises(ValueError):

@@ -8,19 +8,27 @@ kernel is the shift's one normal draw), in law: its W1 to a raw sample is
 no larger than that of a second raw sample, up to four standard errors of
 the difference, and its sd matches theirs to four standard errors of the
 log-ratio (law_gate.assert_same_law).
+
+The Laplace cases run at POWER_REPS draws, the size at which the gate's
+power tests below show that each clause catches its scale error.
 """
 
 from functools import partial
 
 import numpy as np
 import pytest
-from law_gate import assert_same_law
+from law_gate import assert_same_law, spread_z, w1_excess
 from raw_reference import raw_estimate, raw_gaussian_mean
 
 from bootchain import models
 from bootchain.experiments import derive_stream
 
 REPS = 4000
+# At 4000 draws the spread clause caught 1.1x Laplace scale in only 68 /
+# 95.5 / 98.5 % of 200 seeds (n = 1 / 3 / 25), and W1 caught 1.2x in 79.5 /
+# 96.5 / 100 %; at 16,000 draws each caught its error at all of 100 seeds
+# and every n, and neither fired at the true scale
+POWER_REPS = 16000
 GAUSSIAN_MEAN_BASE = 2.5
 
 SUM_CLOSED = {
@@ -52,49 +60,48 @@ SUM_CLOSED = {
 RAW_FITS = {"gaussian_mean": partial(raw_gaussian_mean, GAUSSIAN_MEAN_BASE)}
 
 
-def raw_means(fit, theta, n: int, rng) -> np.ndarray:
-    """REPS draws of fit(theta, n, rng)."""
-    return np.array([fit(theta, n, rng)[0] for _ in range(REPS)])
+def raw_means(fit, theta, n: int, rng, reps: int = REPS) -> np.ndarray:
+    """reps draws of fit(theta, n, rng)."""
+    return np.array([fit(theta, n, rng)[0] for _ in range(reps)])
+
+
+def law_samples(case: str, n: int, reps: int, kernel_model=None):
+    """reps block means of the case (or of kernel_model at its theta), two
+    raw samples of the case and the seed."""
+    model, t = SUM_CLOSED[case]
+    seed = 400 + n
+    starts = np.full((reps, 1, 1), t)
+    block = models.estimate_block(kernel_model or model, starts, n, derive_stream(seed, 0, 0))
+    fit = RAW_FITS.get(case, partial(raw_estimate, model))
+    raw, raw2 = (raw_means(fit, np.array([t]), n, derive_stream(seed, i, 1), reps) for i in (0, 1))
+    return block[:, 0, 0], raw, raw2, seed
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
 @pytest.mark.parametrize("case", sorted(SUM_CLOSED))
 def test_block_kernel_matches_raw_draw_means(case, n):
-    model, t = SUM_CLOSED[case]
-    theta = np.array([t])
-    seed = 400 + n
-    block = models.estimate_block(model, np.full((REPS, 1, 1), t), n, derive_stream(seed, 0, 0))
-    fit = RAW_FITS.get(case, partial(raw_estimate, model))
-    raw, raw2 = (raw_means(fit, theta, n, derive_stream(seed, i, 1)) for i in (0, 1))
-    assert_same_law(block[:, 0, 0], raw, raw2, seed)
+    reps = POWER_REPS if case == "location_laplace" else REPS
+    assert_same_law(*law_samples(case, n, reps))
 
 
-def gate_laplace_block(n: int, scale: float):
-    """The gate on Laplace block means at the given scale against raw means
-    at scale 0.7, at the seed of the Laplace cases above."""
-    seed = 400 + n
-    model = models.location(dim=1, noise_dist="laplace", scale=0.7)
-    wide = models.location(dim=1, noise_dist="laplace", scale=scale)
-    block = models.estimate_block(wide, np.zeros((REPS, 1, 1)), n, derive_stream(seed, 0, 0))
-    fit = partial(raw_estimate, model)
-    raw, raw2 = (raw_means(fit, np.zeros(1), n, derive_stream(seed, i, 1)) for i in (0, 1))
-    assert_same_law(block[:, 0, 0], raw, raw2, seed)
+def laplace_at(scale: float):
+    return models.location(dim=1, noise_dist="laplace", scale=scale)
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
 def test_gate_rejects_a_misscaled_kernel(n):
-    # the law gate has power: Laplace noise at 1.2 times the scale fails its
-    # W1 clause at every seed (by 5.7 to 5.9 of its 4 units)
-    with pytest.raises(AssertionError, match="same-law W1"):
-        gate_laplace_block(n, 0.84)
+    # the law gate has power: its W1 clause fails Laplace noise at 1.2 times
+    # the scale, whatever its spread clause reads
+    samples = law_samples("location_laplace", n, POWER_REPS, laplace_at(0.84))
+    assert w1_excess(*samples) > 4.0
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
 def test_gate_rejects_a_tenth_too_wide_kernel(n):
-    # at 1.1 times the scale W1 reads 2.4 to 2.9 of its 4 units and passes;
-    # the spread clause fails it (the sd log-ratio at 4.6 to 6.3 se)
-    with pytest.raises(AssertionError, match="same-law spread"):
-        gate_laplace_block(n, 0.77)
+    # at 1.1 times the scale the spread clause fails the kernel, whatever
+    # its W1 clause reads
+    block, raw, raw2, _ = law_samples("location_laplace", n, POWER_REPS, laplace_at(0.77))
+    assert spread_z(block, raw, raw2) > 4.0
 
 
 def test_poisson_outer_draw_with_frequent_mle_fallback():
