@@ -162,7 +162,7 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
             if rule not in U_RULES:
                 raise ConfigError(f"{where}.u.rule: unknown rule {rule!r}")
             return _u_rule(rule, d)
-        return _as_vector(u, f"{where}.u", d)
+        return _as_vector(u, f"{where}.u")
 
     try:
         if variant == "linear":
@@ -221,9 +221,6 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
 
     compare = doc.get("compare", {})
     _reject_unknown(compare, {"plugin", "tilde"}, "compare")
-    for key in compare:
-        if not isinstance(compare[key], bool):
-            raise ConfigError(f"compare.{key}: expected a boolean")
 
     outputs = doc.get("outputs", {})
     _reject_unknown(outputs, {"csv", "json", "svg"}, "outputs")

@@ -75,12 +75,11 @@ def derive_stream(master_seed: int, replicate_index: int, chain_index: int):
     probability, not by construction. (The entropy list [seed, replicate,
     chain] would not do: its zero padding makes (s, 1, 0) and (s + 2^32, 0,
     0) one stream.) Identical tuples give identical streams on every run
-    and worker count.
+    and worker count; a bool or fractional key is refused, never truncated.
     """
-    if not isinstance(master_seed, numbers.Integral) or not (0 <= master_seed < MAX_SEED):
-        raise ValueError("master seed must be an integer that fits in 64 bits")
-    if not (0 <= replicate_index < MAX_INDEX and 0 <= chain_index < MAX_INDEX):
-        raise ValueError("replicate/chain indices must fit in 32 bits")
+    for key, top in ((master_seed, MAX_SEED), (replicate_index, MAX_INDEX), (chain_index, MAX_INDEX)):
+        if isinstance(key, bool) or not isinstance(key, numbers.Integral) or not 0 <= key < top:
+            raise ValueError("master seed must be an integer in [0, 2^64), each index one in [0, 2^32)")
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(replicate_index), int(chain_index)))
     return np.random.Generator(np.random.SFC64(seq))
 
@@ -162,6 +161,9 @@ class ExperimentConfig:
     timing: str = "wall"
 
     def __post_init__(self):
+        for name, where in (("use_tilde", "compare.tilde"), ("compare_plugin", "compare.plugin")):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{where}: expected a boolean")
         if self.kind not in KINDS:
             raise ConfigError(f"kind: expected one of {KINDS}, got {self.kind!r}")
         for name, where in (("k", "k"), ("inner_chains", "mc.M"), ("replicates", "mc.R"), ("seed", "seed")):
@@ -280,7 +282,7 @@ def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.n
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     """(model, functional, theta, sigma_f) at grid point (n, d), calling
     each factory at d; the one check that theta is finite and has the
-    grid's dimension."""
+    grid's dimension, and that the functional's u has it."""
     specs = (cfg.model, cfg.functional, unit_sin_theta if cfg.theta is None else cfg.theta)
     model, func, theta = (spec(d) if callable(spec) else spec for spec in specs)
     theta = np.asarray(theta, dtype=float)
@@ -288,6 +290,8 @@ def _grid_point(cfg: ExperimentConfig, n: int, d: int):
         raise ConfigError(f"theta has dimension {theta.shape}, grid point (n={n}, d={d}) needs {d}")
     if not np.all(np.isfinite(theta)):
         raise ConfigError("theta: entries must be finite")
+    if func.u is not None and func.u.shape != (d,):
+        raise ConfigError(f"functional.u: length {func.u.size} does not match d = {d}")
     return model, func, theta, models.sigma_f(model, func, theta)
 
 
@@ -330,7 +334,7 @@ def _check_point(cfg: ExperimentConfig, n: int, d: int, model, func, theta, sig_
     """The kind's preconditions at one resolved grid point."""
     if cfg.kind == "normality" and not sig_f >= SIGMA_F_FLOOR:
         raise ConfigError(f"sigma_f = {sig_f:g} below the {SIGMA_F_FLOOR:g} floor at (n={n}, d={d})")
-    if cfg.kind == "clt" and func.variant != "linear":
+    if cfg.kind == "clt" and (func.u is None or func.profile != "identity"):
         raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
     if cfg.kind == "oracle-check":
         _oracle_bias(model, func, theta, n, cfg.k)
@@ -372,7 +376,7 @@ def _oracle_bias(model, func, theta, n: int, k: int) -> float:
     noise = model.noise_map if isinstance(model, models.GaussianShift) else None
     if not (isinstance(noise, models.IdentityMap) and np.ndim(noise.scale) == 0):
         raise ConfigError("oracle check needs the shift model with Sigma = sigma^2 I")
-    if func.variant != "exp_linear":
+    if func.u is None or func.profile != "exp":
         raise ConfigError("oracle check needs the exp_linear functional")
     a = noise.scale**2 * float(func.u @ func.u) / (2.0 * n)
     return (-1) ** k * float(np.exp(theta @ func.u) * math.expm1(a) ** (k + 1))

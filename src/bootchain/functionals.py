@@ -5,6 +5,11 @@ problem and are emulated by the experiment design, not by non-smooth
 functions. Every operation accepts parameter arrays with arbitrary leading
 batch dimensions (the last axis is the coordinate axis), which the chain
 machinery relies on.
+
+Every built-in is a smooth profile phi of one scalar feature x of theta:
+the ridge x = <u, theta> (linear, power, exp_linear) or the quadratic x =
+theta^T Q theta (quadratic_form, radial). value computes x once and applies
+phi; grad applies phi' and then the chain rule of the feature's shape.
 """
 
 from __future__ import annotations
@@ -15,21 +20,30 @@ import numpy as np
 
 RADIAL_PROFILES = ("exp_neg", "log1p")
 
+# each profile's value and derivative at the feature x; p is the power exponent
+_PROFILES = {
+    "identity": (lambda x, p: x, lambda x, p: np.ones_like(x)),
+    "power": (lambda x, p: x**p, lambda x, p: p * x ** (p - 1)),
+    "exp": (lambda x, p: np.exp(x), lambda x, p: np.exp(x)),
+    "exp_neg": (lambda x, p: np.exp(-x), lambda x, p: -np.exp(-x)),
+    "log1p": (lambda x, p: np.log1p(x), lambda x, p: 1.0 / (1.0 + x)),
+}
+
 
 @dataclass(frozen=True)
 class Functional:
-    """A target f: R^d -> R. Q is None for the identity quadratic form
-    (dimension-generic, usable in sweeps where d varies)."""
+    """A target f: R^d -> R, a profile (a key of _PROFILES) of <u, theta>
+    when u is given, else of theta^T Q theta. Q is None for the identity
+    quadratic form (dimension-generic, usable in sweeps where d varies)."""
 
-    variant: str
+    profile: str
     u: np.ndarray | None = None
-    p: int | None = None
     Q: np.ndarray | None = None
-    profile: str | None = None
+    p: int | None = None
 
 
 def linear(u) -> Functional:
-    return Functional("linear", u=np.asarray(u, dtype=float))
+    return Functional("identity", u=np.asarray(u, dtype=float))
 
 
 def power(u, p: int) -> Functional:
@@ -43,17 +57,17 @@ def quadratic_form(Q=None) -> Functional:
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
-    return Functional("quadratic_form", Q=Q)
+    return Functional("identity", Q=Q)
 
 
 def exp_linear(u) -> Functional:
-    return Functional("exp_linear", u=np.asarray(u, dtype=float))
+    return Functional("exp", u=np.asarray(u, dtype=float))
 
 
 def radial(profile: str) -> Functional:
     if profile not in RADIAL_PROFILES:
         raise ValueError(f"unknown radial profile {profile!r}")
-    return Functional("radial", profile=profile)
+    return Functional(profile)
 
 
 def _row_dot(a, b) -> np.ndarray:
@@ -71,42 +85,23 @@ def _row_dot(a, b) -> np.ndarray:
     return out
 
 
+def _feature(f: Functional, t: np.ndarray):
+    if f.u is not None:
+        return t @ f.u
+    return _row_dot(t, t) if f.Q is None else _row_dot(t @ f.Q, t)
+
+
 def value(f: Functional, theta) -> float | np.ndarray:
     """Evaluate f at theta; theta may be (d,) or (..., d)."""
     t = np.asarray(theta, dtype=float)
-    if f.variant == "linear":
-        out = t @ f.u
-    elif f.variant == "power":
-        out = (t @ f.u) ** f.p
-    elif f.variant == "quadratic_form":
-        out = _row_dot(t, t) if f.Q is None else _row_dot(t @ f.Q, t)
-    elif f.variant == "exp_linear":
-        out = np.exp(t @ f.u)
-    elif f.variant == "radial":
-        r2 = _row_dot(t, t)
-        out = np.exp(-r2) if f.profile == "exp_neg" else np.log1p(r2)
-    else:
-        raise ValueError(f"unknown functional variant {f.variant!r}")
+    out = _PROFILES[f.profile][0](_feature(f, t), f.p)
     return float(out) if out.ndim == 0 else out
 
 
 def grad(f: Functional, theta) -> np.ndarray:
     """Analytic gradient of f at theta; batches like value()."""
     t = np.asarray(theta, dtype=float)
-    if f.variant == "linear":
-        return np.broadcast_to(f.u, t.shape).copy()
-    if f.variant == "power":
-        s = (t @ f.u) ** (f.p - 1)
-        return f.p * s[..., None] * f.u
-    if f.variant == "quadratic_form":
-        if f.Q is None:
-            return 2.0 * t
-        return t @ (f.Q + f.Q.T)
-    if f.variant == "exp_linear":
-        return np.exp(t @ f.u)[..., None] * f.u
-    if f.variant == "radial":
-        r2 = _row_dot(t, t)
-        g1 = -np.exp(-r2) if f.profile == "exp_neg" else 1.0 / (1.0 + r2)
-        return 2.0 * g1[..., None] * t
-    raise ValueError(f"unknown functional variant {f.variant!r}")
-
+    slope = _PROFILES[f.profile][1](_feature(f, t), f.p)[..., None]
+    if f.u is not None:
+        return slope * f.u
+    return slope * (2.0 * t if f.Q is None else t @ (f.Q + f.Q.T))

@@ -71,6 +71,15 @@ def test_derive_stream_validation():
     assert exp.derive_stream(np.uint64(1), 0, 0).random() == exp.derive_stream(1, 0, 0).random()
 
 
+def test_derive_stream_refuses_what_it_would_truncate():
+    # int() would turn each of these keys into the stream of (5, 1, 0)
+    for key in ((5, 1.5, 0), (5, True, 0), (5, 1, 0.0), (True, 1, 0), (5.0, 1, 0), (5, np.float64(1.0), 0)):
+        with pytest.raises(ValueError):
+            exp.derive_stream(*key)
+    want = exp.derive_stream(5, 1, 0).random(8)
+    assert np.array_equal(exp.derive_stream(np.int64(5), np.uint32(1), np.int8(0)).random(8), want)
+
+
 def test_unit_sin_theta():
     t = exp.unit_sin_theta(6)
     assert t.shape == (6,)
@@ -445,6 +454,16 @@ def clt_cfg(**over):
         pytest.param("delta", lambda: small_cfg(use_tilde=True, delta=True), id="delta_bool"),
         pytest.param("delta", lambda: small_cfg(use_tilde=True, delta=1j), id="delta_complex"),
         pytest.param("theta", lambda: exp.run_experiment(small_cfg(theta=[math.nan, 0.0, 0.0])), id="theta_nan"),
+        pytest.param(
+            "functional.u", lambda: exp.run_experiment(small_cfg(functional=functionals.exp_linear(np.ones(2)))),
+            id="u_length",
+        ),
+        pytest.param(
+            "functional.u", lambda: exp.run_experiment(clt_cfg(functional=functionals.linear(np.ones(2)))),
+            id="clt_u_length",
+        ),
+        pytest.param("compare.tilde", lambda: small_cfg(use_tilde="no"), id="tilde_string"),
+        pytest.param("compare.plugin", lambda: small_cfg(compare_plugin="no"), id="plugin_string"),
     ],
 )
 def test_experiment_config_rejects_fields_it_ignores(field, make):
