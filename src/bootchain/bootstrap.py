@@ -30,7 +30,7 @@ and f at the start, one value for any functional, serves both the plug-in
 order and the fold's step-0 column. The M chains of one start are
 antithetic: every kernel of the form theta + c L(theta) (symmetric driver
 block) draws for the first h = ceil(M/2) chains and gives chain h+i the
-negated draw of chain i (models._paired). Each chain keeps its law, so the
+negated draw of chain i (models._paired_step). Each chain keeps its law, so the
 fold's expectation is unchanged, while the pair cancels the odd-order terms
 of f(state) - f(start), the bulk of the fold's variance. Pairs never cross
 starts, and the abort rule counts single chains.

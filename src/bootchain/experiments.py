@@ -282,7 +282,7 @@ def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.n
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     """(model, functional, theta, sigma_f) at grid point (n, d), calling
     each factory at d; the one check that theta is finite and has the
-    grid's dimension, and that the functional's u has it."""
+    grid's dimension, and that the functional's u and Q fit it, finite."""
     specs = (cfg.model, cfg.functional, unit_sin_theta if cfg.theta is None else cfg.theta)
     model, func, theta = (spec(d) if callable(spec) else spec for spec in specs)
     theta = np.asarray(theta, dtype=float)
@@ -292,6 +292,11 @@ def _grid_point(cfg: ExperimentConfig, n: int, d: int):
         raise ConfigError("theta: entries must be finite")
     if func.u is not None and func.u.shape != (d,):
         raise ConfigError(f"functional.u: length {func.u.size} does not match d = {d}")
+    if func.Q is not None and func.Q.shape != (d, d):
+        raise ConfigError(f"functional.Q: expected a list of d = {d} rows")
+    for name, entries in (("u", func.u), ("Q", func.Q)):
+        if entries is not None and not np.all(np.isfinite(entries)):
+            raise ConfigError(f"functional.{name}: entries must be finite")
     return model, func, theta, models.sigma_f(model, func, theta)
 
 

@@ -71,13 +71,14 @@ def radial(profile: str) -> Functional:
 
 
 def _row_dot(a, b) -> np.ndarray:
-    """np.sum(a * b, axis=-1), bit for bit. Below 8 coordinates numpy's
-    pairwise sum is a left fold from its +0.0 identity, which column adds
-    repeat without a reduction call per row; from 8 up its unrolled
-    accumulators change the order, so np.sum itself runs there."""
+    """The row sums of a * b, whose bits do not depend on the batch. Below
+    8 coordinates numpy's pairwise sum is a left fold from its +0.0 identity,
+    which column adds repeat bit for bit without a reduction call per row
+    (einsum is slower there on many rows); from 8 up one np.einsum, 2-4x
+    faster than np.sum(a * b, axis=-1) and a few ulps off it in many rows."""
     d = a.shape[-1]
     if not 0 < d < 8:
-        return np.sum(a * b, axis=-1)
+        return np.einsum("...i,...i->...", a, b)
     out = a[..., 0] * b[..., 0]
     out += 0.0  # the identity turns an all -0.0 row into +0.0
     for i in range(1, d):

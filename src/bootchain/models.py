@@ -50,16 +50,16 @@ the draws are those of the M copies of each start. Every step of the form
 theta + c L(theta) (driver block) whose driver law is symmetric, which is
 every one but Poisson counts and centered-exponential tags, draws its
 driver block for the first h = ceil(M/2) chains of each start and negates
-it for the rest (_paired): antithetic twins, each with its chain's law.
+it for the rest (_paired_step): antithetic twins, each with its chain's law.
 Negation covers the exact sum laws too: a Binomial count b mirrors to
-n - b, and Laplace's Gamma difference to the swapped pair.
+n - b, and Laplace's Gamma difference to the swapped pair. At the fan-out,
+where a start's chains share L(theta), the increments are mirrored instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -390,6 +390,27 @@ def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:
     return thetas, (thetas.shape[0], chains)
 
 
+def _paired_step(model: Model, thetas, chains: int, drivers, finish=None) -> np.ndarray:
+    """thetas + finish(L(thetas) eta), finish scaling in place, for a (B, 1, d)
+    or (B, M, d) block with chains = M: drivers((B, h)) draws the (B, h, d) eta
+    of the first h = ceil(M/2) chains of each start. States mirror eta
+    (_paired); at the fan-out L(theta) (-eta) = -L(theta) eta, so the drawn
+    half alone is factored and finished, and chain h+i is start - increment i."""
+    thetas, (groups, _) = _chain_block(model, thetas, chains)
+    fan_out, h = thetas.shape[1] < chains, (chains + 1) // 2
+    step = _factor(model, thetas, drivers((groups, h)) if fan_out else _paired(drivers, (groups, chains)))
+    if finish is not None:
+        finish(step)
+    if not fan_out:
+        step += thetas  # step is the factor's own new array, so it takes the sum
+        return step
+    start = np.repeat(thetas, h, axis=1)  # a broadcast (B, 1, d) would loop over d alone
+    out = np.empty((groups, chains, model.dim))
+    np.add(start, step, out=out[:, :h])
+    np.subtract(start[:, : chains // 2], step[:, : chains // 2], out=out[:, h:])
+    return out
+
+
 def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 1) -> np.ndarray:
     """One bootstrap step for a block of chain states: a (B, 1, d) block of
     starts, or the (B, M, d) states of a later step, with chains = M, to
@@ -399,7 +420,7 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     per-state work (L(theta), the Poisson rate and its domain check) runs
     once per start. Every family whose driver law is symmetric (all but
     Poisson counts and a centered-exponential tag) draws for half of each
-    start's M chains and pairs the rest antithetically (_paired). Rows
+    start's M chains and pairs the rest antithetically (_paired_step). Rows
     outside the sampling domain (and NaN inputs) come back NaN.
     """
     if isinstance(model, GaussianShift):
@@ -409,16 +430,15 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     d = model.dim
 
     if isinstance(model, IndependentComponents):
-        antithetic = "centered_exponential" not in model.noise_dist
-        etabar = np.empty(lead + (d,))
-        for j, tag in enumerate(model.noise_dist):
-            raw, mean = _DRIVERS[tag]
-            draw = partial(_chunked_raw_mean, raw, rng, n) if mean is None else partial(mean, rng, n)
-            # a plain (B, M) draw keeps the stream order of B M rows
-            etabar[..., j] = _paired(draw, lead) if antithetic else draw(lead)
-        x = _factor(model, thetas, etabar)
-        x += thetas
-        return x
+        def drivers(shape):  # driver means, one (rows, chains) column per coordinate
+            etabar = np.empty(shape + (d,))
+            for j, tag in enumerate(model.noise_dist):
+                raw, mean = _DRIVERS[tag]
+                etabar[..., j] = _chunked_raw_mean(raw, rng, n, shape) if mean is None else mean(rng, n, shape)
+            return etabar
+        if "centered_exponential" not in model.noise_dist:
+            return _paired_step(model, thetas, chains, drivers)
+        return _factor(model, thetas, drivers(lead)) + thetas  # plain: the stream order of B M rows
 
     if isinstance(model, ExponentialFamily):  # Poisson counts
         with np.errstate(over="ignore", invalid="ignore"):
@@ -449,13 +469,13 @@ def surrogate_step(model: Model, states, n: int, rng, delta: float = math.inf, c
     Truncation is per draw, at the current state: the sup of the noise over
     all states is not observable for state-dependent noise, and for constant
     noise the two rules coincide. The block and chains follow sample_xi_block:
-    (B, 1, d) or (B, M, d) with chains = M, to (B, M, d) in antithetic pairs.
+    (B, 1, d) or (B, M, d) with chains = M, to (B, M, d) in pairs (_paired_step).
     Untruncated, it is the shift's bootstrap step."""
-    xi = sample_xi_block(model, states, rng, chains)
-    if delta < math.inf:
-        cut = functionals._row_dot(xi, xi) >= (delta * math.sqrt(n)) ** 2
-        if cut.any():
-            xi[cut] = 0.0
-    xi /= math.sqrt(n)
-    xi += states  # xi is the kernel's own new array, so it takes the sum
-    return xi
+    def finish(xi):
+        if delta < math.inf:
+            cut = functionals._row_dot(xi, xi) >= (delta * math.sqrt(n)) ** 2
+            if cut.any():
+                xi[cut] = 0.0
+        xi /= math.sqrt(n)
+
+    return _paired_step(model, states, chains, lambda shape: rng.standard_normal(shape + (model.dim,)), finish)

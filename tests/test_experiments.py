@@ -14,6 +14,10 @@ from bootchain import bootstrap, functionals, models
 # every digest pin below, when the block streams went from keyed Philox to
 # SFC64, after the old digests passed with Philox patched back in
 STREAM_CONTRACT_DIGEST = "87cff8e27612d330ecc6c6846742b9f01d4a6a9cdec2d25c904dc27f4fc0f718"
+# SHA-256 of the exact bits of test_row_dot_pin_at_d10; first taken with
+# np.sum from 8 coordinates up (5e26ecd52c5f36cc0582303a988e9ed5b7136d7e061494aa02477ace6acf3614),
+# re-taken when functionals._row_dot moved to np.einsum there
+ROW_DOT_D10_DIGEST = "bd145a8ebd25b195e13569418c4a4fe2dc2189ebb93c51f8bbafbaabff6cd2c2"
 # frozen closed-form targets for the exp-linear bias oracle at
 # a = sigma^2 ||u||^2 / (2n) = 1/200 (mpmath, 40 digits)
 EXPM1_A = 0.0050125208594010634
@@ -462,6 +466,19 @@ def clt_cfg(**over):
             "functional.u", lambda: exp.run_experiment(clt_cfg(functional=functionals.linear(np.ones(2)))),
             id="clt_u_length",
         ),
+        pytest.param(
+            "functional.Q", lambda: exp.run_experiment(small_cfg(functional=functionals.quadratic_form(np.eye(2)))),
+            id="Q_shape",
+        ),
+        pytest.param(
+            "functional.u", lambda: exp.run_experiment(small_cfg(functional=functionals.linear([math.nan, 0.0, 0.0]))),
+            id="u_nan",
+        ),
+        pytest.param(
+            "functional.Q",
+            lambda: exp.run_experiment(small_cfg(functional=functionals.quadratic_form(np.full((3, 3), math.inf)))),
+            id="Q_inf",
+        ),
         pytest.param("compare.tilde", lambda: small_cfg(use_tilde="no"), id="tilde_string"),
         pytest.param("compare.plugin", lambda: small_cfg(compare_plugin="no"), id="plugin_string"),
     ],
@@ -629,6 +646,28 @@ def test_stream_contract_pin():
         "the numbers a seed produces changed: state the new stream contract in "
         'README "Determinism" and CHANGES.md, then update STREAM_CONTRACT_DIGEST'
     )
+
+
+def test_row_dot_pin_at_d10():
+    # Surrogate chains at d = 10, truncated so that about a third of the
+    # draws are cut: pins the truncation's ||xi||^2 and the quadratic f's
+    # row sums where functionals._row_dot runs np.einsum, which no digest
+    # above reaches (their rows round to 1e-12, far above its ulps). Every
+    # operation here is elementwise or a row sum, with no BLAS product, so
+    # the exact bits are pinned.
+    d, n, m = 10, 100, 9
+    model, f = models.GaussianShift(dim=d), functionals.quadratic_form()
+    starts = np.array([exp.unit_sin_theta(d) * (0.5 + 0.25 * i) for i in range(6)])
+    step = partial(models.surrogate_step, delta=0.35)
+    h, cut = hashlib.sha256(), []
+    before = np.broadcast_to(starts[:, None], (6, m, d))
+    for states in bootstrap.chain_steps(model, starts, 3, n, m, exp.derive_stream(2030, 0, 0), step):
+        cut.append(np.all(states == before, axis=-1).mean())
+        before = states
+        h.update(states.tobytes())
+        h.update(functionals.value(f, states).tobytes())
+    assert 0.1 < min(cut) and max(cut) < 0.6
+    assert h.hexdigest() == ROW_DOT_D10_DIGEST
 
 
 E1 = np.array([1.0, 0.0, 0.0])

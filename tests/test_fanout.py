@@ -2,9 +2,12 @@
 
 All M chains of a start begin at that start, so the chain driver hands the
 kernel the B starts as a (B, 1, d) block and the kernel fans each out to its
-M chains; later steps pass the (B, M, d) states. The chain states must be
-bit-identical to a driver that materializes the M copies of each start and
-passes (B, M, d) at step 0 too, for every kernel, order, and parity of M.
+M chains; later steps pass the (B, M, d) states. A paired kernel runs its
+factor on the drawn half of a fan-out only and writes each twin as the
+start minus its chain's increment. The chain states must be bit-identical
+to a driver that materializes the M copies of each start and passes
+(B, M, d) at step 0 too, for every kernel with an elementwise factor,
+order, and parity of M; with a matrix factor they agree to a few ulps.
 The bootstrap step of the Gaussian shift, Gaussian-mean included, is the
 untruncated surrogate step on every block: starts with chains = 1 or M,
 and states.
@@ -85,6 +88,13 @@ def _starts(b: int, d: int = D) -> np.ndarray:
     return np.array([unit_sin_theta(d) * (0.5 + 0.3 * i) for i in range(b)])
 
 
+# BLAS rounds a row by the shape of the product it sits in, and the fan-out
+# multiplies the (B h, d) drawn half where the materialized driver
+# multiplies all (B M, d) drivers
+MATRIX_FACTORS = ("shift_constant_matrix", "ic_mixed")
+PLAIN_KERNELS = ("ic_centered_exponential", "ic_mixed_exponential", "poisson")
+
+
 @pytest.mark.parametrize("m", [4, 7], ids=["even_M", "odd_M"])
 @pytest.mark.parametrize("case", sorted(KERNELS))
 def test_fan_out_matches_materialized_starts(case, m):
@@ -96,7 +106,52 @@ def test_fan_out_matches_materialized_starts(case, m):
         got = simulate_chain_block(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
         ref = materialized_chains(model, starts, k, 50, m, derive_stream(seed, k, 0), step)
         assert got.shape == (k + 1, 3, m, model.dim)
-        assert np.array_equal(got, ref)
+        if case not in MATRIX_FACTORS:
+            assert np.array_equal(got, ref)
+            continue
+        # within a few ulps of each step's increment and state
+        ulps = np.spacing(np.abs(ref[1:] - ref[:-1])) + np.spacing(np.abs(ref[1:]))
+        assert np.array_equal(got[0], ref[0])
+        assert np.all(np.abs(got[1:] - ref[1:]) <= 4.0 * ulps)
+
+
+@pytest.mark.parametrize("m", [4, 7], ids=["even_M", "odd_M"])
+@pytest.mark.parametrize("case", sorted(set(KERNELS) - set(PLAIN_KERNELS)))
+def test_fan_out_twins_are_the_start_minus_the_drawn_increment(case, m, monkeypatch):
+    # a paired kernel factors the drawn half of a (B, 1, d) fan-out only:
+    # chain i < h is the start plus its increment and chain h+i the start
+    # minus it, bit for bit, with a matrix factor too
+    model, step = KERNELS[case]
+    step = step or models.estimate_block
+    seen, factor = [], models._factor
+
+    def recording_factor(model, thetas, v):
+        seen.append(factor(model, thetas, v))
+        return seen[-1]  # the kernel finishes its increments in this array
+
+    monkeypatch.setattr(models, "_factor", recording_factor)
+    starts = _starts(3, model.dim)[:, None, :]
+    got = step(model, starts, 50, derive_stream(467, m, 0), chains=m)
+    (inc,) = seen
+    h = (m + 1) // 2
+    assert inc.shape == (3, h, model.dim)
+    assert np.array_equal((starts + inc).view(np.int64), got[:, :h].view(np.int64))
+    assert np.array_equal((starts - inc[:, : m // 2]).view(np.int64), got[:, h:].view(np.int64))
+
+
+def test_zero_radius_freezes_the_twins_bit_for_bit():
+    # delta = 0 cuts every draw, so each chain stays at its start. A twin is
+    # the start minus +0.0, which keeps a -0.0 start coordinate; a drawn
+    # chain is the start plus +0.0, which turns it into +0.0
+    starts = _starts(3)
+    starts[:, 1] = -0.0
+    m, h = 7, 4
+    model = KERNELS["shift_identity"][0]
+    got = models.surrogate_step(model, starts[:, None], 50, derive_stream(468, 0, 0), 0.0, chains=m)
+    frozen = np.repeat(starts[:, None], m, axis=1)
+    assert np.array_equal(got, frozen)
+    assert np.array_equal(got[:, h:].view(np.int64), frozen[:, h:].view(np.int64))
+    assert not np.signbit(got[:, :h, 1]).any()
 
 
 def test_truncation_fires_in_the_fan_out_cases():

@@ -124,9 +124,10 @@ def test_grad_check_rejects_bad_step():
 
 @pytest.mark.parametrize("d", [*range(1, 13), 17, 63, 178, 503])
 def test_row_dot_is_numpy_row_sum_bit_for_bit(d):
-    # column adds below 8 coordinates, np.sum from 8 up: either way the bits
-    # of np.sum(a * b, axis=-1), so a numpy whose summation order moved
-    # fails here rather than in the digests of the outputs
+    # column adds below 8 coordinates with the bits of np.sum(a * b,
+    # axis=-1), and from 8 up one np.einsum: a numpy whose summation order
+    # moved fails here rather than in the digests of the outputs. Either
+    # way a NaN or an infinite product and an all-zero row sum as IEEE says
     rng = np.random.default_rng(500 + d)
     for shape in ((d,), (5, d), (4, 7, d)):
         for trial in range(24):
@@ -141,7 +142,14 @@ def test_row_dot_is_numpy_row_sum_bit_for_bit(d):
                 a.reshape(-1, d)[-1] = -0.0
                 b.reshape(-1, d)[-1] = np.abs(b.reshape(-1, d)[-1])
             with np.errstate(invalid="ignore", over="ignore"):
-                want = np.asarray(np.sum(a * b, axis=-1))
+                want = np.asarray(np.sum(a * b, axis=-1) if d < 8 else np.einsum("...i,...i->...", a, b))
                 got = np.asarray(fn._row_dot(a, b))
+                rows = (a * b).reshape(-1, d)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got = got.reshape(-1)
+            assert np.all(np.isnan(got) == np.isnan(rows).any(axis=-1))
+            infinite = ~np.isnan(got) & np.isinf(rows).any(axis=-1)
+            assert np.array_equal(got[infinite], rows[infinite].sum(axis=-1))
+            zero = np.all(rows == 0.0, axis=-1)
+            assert np.array_equal(got[zero].view(np.int64), np.zeros(zero.sum()).view(np.int64))
