@@ -281,10 +281,12 @@ def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.n
 
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     """(model, functional, theta, sigma_f) at grid point (n, d), calling
-    each factory at d; the one check that theta is finite and has the
-    grid's dimension, and that the functional's u and Q fit it, finite."""
+    each factory at d; the one check that the model and a finite theta have
+    the grid's dimension, and that the functional's u and Q fit it, finite."""
     specs = (cfg.model, cfg.functional, unit_sin_theta if cfg.theta is None else cfg.theta)
     model, func, theta = (spec(d) if callable(spec) else spec for spec in specs)
+    if model.dim != d:
+        raise ConfigError(f"model: dim {model.dim} does not match grid point d = {d}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d,):
         raise ConfigError(f"theta has dimension {theta.shape}, grid point (n={n}, d={d}) needs {d}")
@@ -355,7 +357,8 @@ def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta,
     starts = np.broadcast_to(theta, (cfg.replicates, 1, d))
     theta_hat = models.estimate_block(model, starts, n, derive_stream(cfg.seed, gi, 0))[:, 0]
     dev = math.sqrt(n) * ((theta_hat - theta) @ func.u)
-    xi_proj = models.sample_xi_block(model, starts, derive_stream(cfg.seed, gi, 1))[:, 0] @ func.u
+    z = derive_stream(cfg.seed, gi, 1).standard_normal(starts.shape)
+    xi_proj = models._factor(model, starts, z)[:, 0] @ func.u
 
     good = np.isfinite(dev)
     extra = {}

@@ -14,6 +14,7 @@ phi; grad applies phi' and then the chain rule of the feature's shape.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ def linear(u) -> Functional:
 
 
 def power(u, p: int) -> Functional:
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise ValueError("power exponent must be a positive integer")
-    return Functional("power", u=np.asarray(u, dtype=float), p=p)
+    return Functional("power", u=np.asarray(u, dtype=float), p=int(p))
 
 
 def quadratic_form(Q=None) -> Functional:

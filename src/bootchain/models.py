@@ -24,13 +24,12 @@ Every noise tag is one unit-variance driver in one table (_DRIVERS), and
 independent components apply their factor to the driver means:
 estimate_block returns theta + L(theta) (driver means).
 
-The model API is three vectorized kernels that step many parameter rows at
-once, estimate_block (theta_hat fitted to data drawn at each row),
-sample_xi_block (surrogate draws xi) and surrogate_step (theta + xi/sqrt(n),
-xi truncated at a radius delta), plus sigma and the sigma_f and
-default_delta derived from it. For the Gaussian shift theta_hat ~
-N(theta, Sigma(theta)/n), so its estimate_block is the untruncated
-surrogate_step. Every other estimator here sees the data only
+The model API is two vectorized kernels that step many parameter rows at
+once, estimate_block (theta_hat fitted to data drawn at each row) and
+surrogate_step (theta + xi/sqrt(n), xi truncated at a radius delta), plus
+sigma and the sigma_f and default_delta derived from it. For the Gaussian
+shift theta_hat ~ N(theta, Sigma(theta)/n), so its estimate_block is the
+untruncated surrogate_step. Every other estimator here sees the data only
 through its sample mean, so estimate_block draws that mean from the exact
 law of a sum of n draws wherever one exists: Binomial for Rademacher sums,
 Gamma for exponential sums, a difference of two Gamma(n, 1) sums for
@@ -41,7 +40,7 @@ they are the only kernels left that make n raw draws per cell
 (_chunked_raw_mean). Rows whose state left the sampling domain come back
 as NaN and are counted by the callers.
 
-All three kernels take one block shape, with a chain axis: (B, 1, d) starts
+Both kernels take one block shape, with a chain axis: (B, 1, d) starts
 or (B, M, d) states with chains = M, stepped to (B, M, d). B independent
 rows, such as the outer theta_hat draw, are B starts with chains = 1.
 A (B, 1, d) block fans out, so the work that depends on the state alone,
@@ -208,16 +207,6 @@ def _matmul_rows(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
     rounds a row by the shape of the product it sits in, so this keeps a
     chain block's bits those of its flat (B M, d) form."""
     return (vecs.reshape(-1, vecs.shape[-1]) @ mat).reshape(vecs.shape[:-1] + mat.shape[1:])
-
-
-def _paired(draw, lead: tuple, tail=()) -> np.ndarray:
-    """draw(size) for a kernel result of leading shape lead = (B, M), the M
-    chains of B starts: one draw for the first h = ceil(M/2) chains, shape
-    (B, h) + tail, mirrored along axis 1: chain h+i takes the negated draw
-    of chain i. With an odd M, chain h-1 has no twin."""
-    groups, chains = lead
-    half = draw((groups, (chains + 1) // 2) + tail)
-    return np.concatenate([half, -half[:, : chains // 2]], axis=1)
 
 
 def _normalize_tags(tags, d: int, allowed) -> tuple[str, ...]:
@@ -393,12 +382,15 @@ def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:
 def _paired_step(model: Model, thetas, chains: int, drivers, finish=None) -> np.ndarray:
     """thetas + finish(L(thetas) eta), finish scaling in place, for a (B, 1, d)
     or (B, M, d) block with chains = M: drivers((B, h)) draws the (B, h, d) eta
-    of the first h = ceil(M/2) chains of each start. States mirror eta
-    (_paired); at the fan-out L(theta) (-eta) = -L(theta) eta, so the drawn
-    half alone is factored and finished, and chain h+i is start - increment i."""
+    of the first h = ceil(M/2) chains of each start, and chain h+i takes -eta_i
+    (none for h-1 at odd M). The fan-out factors and finishes the drawn half
+    alone, as L(theta) (-eta) = -L(theta) eta: chain h+i is start - increment i."""
     thetas, (groups, _) = _chain_block(model, thetas, chains)
     fan_out, h = thetas.shape[1] < chains, (chains + 1) // 2
-    step = _factor(model, thetas, drivers((groups, h)) if fan_out else _paired(drivers, (groups, chains)))
+    step = drivers((groups, h))  # eta; rebinding frees it before the fan-out allocates
+    if not fan_out:
+        step = np.concatenate([step, -step[:, : chains // 2]], axis=1)
+    step = _factor(model, thetas, step)
     if finish is not None:
         finish(step)
     if not fan_out:
@@ -453,22 +445,14 @@ def estimate_block(model: Model, thetas: np.ndarray, n: int, rng, chains: int = 
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def sample_xi_block(model: Model, thetas: np.ndarray, rng, chains: int = 1) -> np.ndarray:
-    """Surrogate draws xi(theta) = L(theta) z ~ N(0, Sigma(theta)), one per
-    chain, from one standard normal block: (B, M, d) draws in antithetic
-    pairs for a (B, 1, d) or (B, M, d) chain block with chains = M, where a
-    (B, 1, d) block computes L once per start (see estimate_block)."""
-    thetas, lead = _chain_block(model, thetas, chains)
-    return _factor(model, thetas, _paired(rng.standard_normal, lead, (model.dim,)))
-
-
 def surrogate_step(model: Model, states, n: int, rng, delta: float = math.inf, chains: int = 1) -> np.ndarray:
-    """One Gaussian step for a block of states: states + xi(states)/sqrt(n),
-    each xi zeroed where ||xi||^2 >= (delta sqrt(n))^2, so k steps stay within
-    k delta; delta = inf turns truncation off, delta = 0 freezes the chain.
+    """One Gaussian step for a block of states: states + xi(states)/sqrt(n)
+    with xi(theta) = L(theta) z, z standard normal, each xi zeroed where
+    ||xi||^2 >= (delta sqrt(n))^2, so k steps stay within k delta;
+    delta = inf turns truncation off, delta = 0 freezes the chain.
     Truncation is per draw, at the current state: the sup of the noise over
     all states is not observable for state-dependent noise, and for constant
-    noise the two rules coincide. The block and chains follow sample_xi_block:
+    noise the two rules coincide. The block and chains follow estimate_block:
     (B, 1, d) or (B, M, d) with chains = M, to (B, M, d) in pairs (_paired_step).
     Untruncated, it is the shift's bootstrap step."""
     def finish(xi):

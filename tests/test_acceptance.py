@@ -222,7 +222,7 @@ def test_c8_homotopy_superposition():
             # the superposition from its definition: step j adds t_j xi_j / sqrt(n)
             rng, sup = exp.derive_stream(1008, idx, 0), starts[:, None]
             for t in bits:
-                sup = sup + t * models.sample_xi_block(model, sup, rng) / math.sqrt(n)
+                sup = sup + t * models._factor(model, sup, rng.standard_normal(sup.shape)) / math.sqrt(n)
             chain = simulate_chain_block(
                 model, starts, l, n, 1, exp.derive_stream(1008, idx, 1), models.surrogate_step
             )

@@ -459,6 +459,10 @@ def clt_cfg(**over):
         pytest.param("delta", lambda: small_cfg(use_tilde=True, delta=1j), id="delta_complex"),
         pytest.param("theta", lambda: exp.run_experiment(small_cfg(theta=[math.nan, 0.0, 0.0])), id="theta_nan"),
         pytest.param(
+            "model", lambda: exp.run_experiment(small_cfg(grid=exp.GridSpec(n_values=(100,), d_fixed=5))),
+            id="model_dim",
+        ),
+        pytest.param(
             "functional.u", lambda: exp.run_experiment(small_cfg(functional=functionals.exp_linear(np.ones(2)))),
             id="u_length",
         ),

@@ -175,10 +175,9 @@ def test_poisson_overflowing_start_aborts_its_group_only():
     assert np.array_equal(got[:, [0, 2]], alone)
 
 
-# the three step kernels as kernel(model, block, rng, chains)
+# the two step kernels as kernel(model, block, rng, chains)
 STEP_KERNELS = (
     lambda model, block, rng, chains: models.estimate_block(model, block, 1, rng, chains),
-    models.sample_xi_block,
     lambda model, block, rng, chains: models.surrogate_step(model, block, 1, rng, chains=chains),
 )
 

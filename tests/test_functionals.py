@@ -107,9 +107,12 @@ def test_values_and_grads_finite(coords):
 
 def test_constructor_validation():
     # a bool is an int to isinstance, but True is no exponent
-    for p in (0, 2.0, True):
+    for p in (0, 2.0, True, np.int64(0), np.bool_(True), np.float64(2.0)):
         with pytest.raises(ValueError):
             fn.power(np.ones(2), p)
+    # a numpy integer is an exponent, by the rule experiments.as_int applies to integer fields
+    p = fn.power(np.ones(2), np.int64(2)).p
+    assert p == 2 and type(p) is int
     with pytest.raises(ValueError):
         fn.radial("nope")
     with pytest.raises(ValueError):

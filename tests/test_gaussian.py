@@ -75,10 +75,13 @@ def test_superposition_matches_shorter_chain():
     theta = unit_sin_theta(3)
     n, m = 100, 10_000
     f = functionals.quadratic_form()
-    # the flag superposition from its definition: each step adds t_j xi_j / sqrt(n)
+    # the flag superposition from its definition: each step adds t_j xi_j / sqrt(n),
+    # the m draws of a step in antithetic pairs
     rng, sup = derive_stream(305, 0, 0), theta[None, None, :]
     for t in (1, 0, 1):
-        sup = sup + t * models.sample_xi_block(model, sup, rng, m) / math.sqrt(n)
+        half = rng.standard_normal((1, (m + 1) // 2, 3))
+        z = np.concatenate([half, -half[:, : m // 2]], axis=1)
+        sup = sup + t * models._factor(model, sup, z) / math.sqrt(n)
     chain = simulate_chain_block(
         model, theta[None], 2, n, m, derive_stream(305, 1, 0), models.surrogate_step
     )[:, 0]
@@ -150,7 +153,8 @@ def test_xi_squared_norm_matches_trace():
     )
     theta = np.array([0.2, -0.4, 0.9])
     draws = 10_000
-    xi = models.sample_xi_block(model, np.broadcast_to(theta, (draws, 1, 3)), derive_stream(310, 0, 0))[:, 0]
+    z = derive_stream(310, 0, 0).standard_normal((draws, 1, 3))
+    xi = models._factor(model, np.broadcast_to(theta, (draws, 1, 3)), z)[:, 0]
     sq = np.sum(xi * xi, axis=1)
     mean, se = sq.mean(), sq.std(ddof=1) / math.sqrt(draws)
     target = float(np.trace(models.sigma(model, theta)))
