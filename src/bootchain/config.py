@@ -3,9 +3,9 @@
 This module maps JSON keys and types onto experiments.ExperimentConfig,
 which holds every rule about fields and values. Unknown keys are rejected
 at every level, so a typo fails loudly with the offending field path
-instead of silently running the wrong experiment. Model, functional and
-theta entries become dimension-indexed factories, which lets one config
-drive a sweep where d = ceil(n^alpha) varies across the grid.
+instead of silently running the wrong experiment. Model and functional
+entries, and a theta or u given as {"rule": name}, become factories of the
+grid dimension d, so one config drives a sweep where d = ceil(n^alpha) varies.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ _TOP_KEYS = {
     "compare",
 }
 _REQUIRED = ("kind", "model", "functional", "k", "grid", "mc", "seed")
-
-THETA_RULES = ("unit_sin",)
-U_RULES = ("unit_sin", "e1")
+_RULES = {"unit_sin": unit_sin_theta, "e1": lambda d: np.eye(1, d)[0]}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str):
@@ -68,6 +66,17 @@ def _as_vector(value, where: str, d: int | None = None) -> np.ndarray:
     return v
 
 
+def _vector_or_rule(value, where: str, rules: tuple[str, ...]):
+    """A fixed vector, or the factory of d that {"rule": name} names."""
+    if not isinstance(value, dict):
+        return _as_vector(value, where)
+    _reject_unknown(value, {"rule"}, where)
+    rule = _require(value, "rule", where)
+    if rule not in rules:
+        raise ConfigError(f"{where}.rule: unknown rule {rule!r}")
+    return _RULES[rule]
+
+
 def _as_matrix(value, where: str, d: int) -> np.ndarray:
     """A finite d x d matrix, given as a list of d rows."""
     if not isinstance(value, list) or len(value) != d:
@@ -82,14 +91,6 @@ def _per_coordinate(value, where: str, d: int):
 
 # ---------------------------------------------------------------------------
 # factories: each builds its object at the grid dimension d
-
-
-def _u_rule(rule: str, d: int) -> np.ndarray:
-    if rule == "e1":
-        u = np.zeros(d)
-        u[0] = 1.0
-        return u
-    return unit_sin_theta(d)
 
 
 def _build_scaling_map(cfg, where: str, d: int) -> models.ScalingMap:
@@ -155,14 +156,8 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
     variant = _require(cfg, "variant", where)
 
     def resolve_u():
-        u = _require(cfg, "u", where)
-        if isinstance(u, dict):
-            _reject_unknown(u, {"rule"}, f"{where}.u")
-            rule = _require(u, "rule", f"{where}.u")
-            if rule not in U_RULES:
-                raise ConfigError(f"{where}.u.rule: unknown rule {rule!r}")
-            return _u_rule(rule, d)
-        return _as_vector(u, f"{where}.u")
+        u = _vector_or_rule(_require(cfg, "u", where), f"{where}.u", ("unit_sin", "e1"))
+        return u(d) if callable(u) else u
 
     try:
         if variant == "linear":
@@ -188,19 +183,6 @@ def build_functional(cfg: dict, d: int) -> functionals.Functional:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.variant: unknown functional {variant!r}")
-
-
-def _theta(cfg) -> np.ndarray | None:
-    """None for the unit_sin rule, else the fixed vector."""
-    if cfg is None:
-        return None
-    if isinstance(cfg, dict):
-        _reject_unknown(cfg, {"rule"}, "theta")
-        rule = _require(cfg, "rule", "theta")
-        if rule not in THETA_RULES:
-            raise ConfigError(f"theta.rule: unknown rule {rule!r}")
-        return None
-    return _as_vector(cfg, "theta")
 
 
 def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
@@ -232,7 +214,7 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
         kind=doc["kind"],
         model=partial(build_model, dict(doc["model"])),
         functional=partial(build_functional, dict(doc["functional"])),
-        theta=_theta(doc.get("theta")),
+        theta=None if doc.get("theta") is None else _vector_or_rule(doc["theta"], "theta", ("unit_sin",)),
         k=doc["k"],
         grid=grid,
         inner_chains=_require(mc, "M", "mc"),

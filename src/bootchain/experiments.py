@@ -3,11 +3,11 @@ and oracle checks.
 
 ExperimentConfig and GridSpec hold every rule about fields and values, for
 JSON and Python configs alike. One runner, run_experiment, serves every
-kind. It resolves each grid point once (_grid_point: the model, functional
-and theta, the one check of theta, and sigma_f) and checks the kind's
-preconditions at every point before any replicate runs. _summary turns a
-point's error vector into its row (bias, se, sd, rmse, d_k, aborts, the
-failed flag). risk, sweep, normality and oracle-check rows come from one
+kind. It resolves and checks every grid point, in grid order, before any
+replicate runs (_grid_point: the model, functional, theta and sigma_f, the
+one check of their dimensions and of the kind's preconditions). _summary
+turns a point's error vector into its row (bias, se, sd, rmse, d_k, aborts,
+the failed flag). risk, sweep, normality and oracle-check rows come from one
 replicate pass per point; clt rows from a plug-in draw and a surrogate draw
 per point, with W1/W2 in the row's extra; oracle-check rows are tested
 against the exact _oracle_bias.
@@ -281,8 +281,10 @@ def _batched_errors(payload: tuple, total: int, threads: int, pool=None) -> np.n
 
 def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     """(model, functional, theta, sigma_f) at grid point (n, d), calling
-    each factory at d; the one check that the model and a finite theta have
-    the grid's dimension, and that the functional's u and Q fit it, finite."""
+    each factory at d, and the one check of the point: the model, a finite
+    theta and the functional's finite u and Q fit d, and the kind's
+    preconditions hold (the normality sigma_f floor, clt's linear
+    functional, the closed form of _oracle_bias)."""
     specs = (cfg.model, cfg.functional, unit_sin_theta if cfg.theta is None else cfg.theta)
     model, func, theta = (spec(d) if callable(spec) else spec for spec in specs)
     if model.dim != d:
@@ -299,7 +301,14 @@ def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     for name, entries in (("u", func.u), ("Q", func.Q)):
         if entries is not None and not np.all(np.isfinite(entries)):
             raise ConfigError(f"functional.{name}: entries must be finite")
-    return model, func, theta, models.sigma_f(model, func, theta)
+    sig_f = models.sigma_f(model, func, theta)
+    if cfg.kind == "normality" and not sig_f >= SIGMA_F_FLOOR:
+        raise ConfigError(f"sigma_f = {sig_f:g} below the {SIGMA_F_FLOOR:g} floor at (n={n}, d={d})")
+    if cfg.kind == "clt" and (func.u is None or func.profile != "identity"):
+        raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
+    if cfg.kind == "oracle-check":
+        _oracle_bias(model, func, theta, n, cfg.k)
+    return model, func, theta, sig_f
 
 
 def _summary(
@@ -335,16 +344,6 @@ def _summary(
         seconds=seconds,
         failed=aborts > bootstrap.ABORT_RATE_LIMIT * errs.size or valid.size < 2,
     )
-
-
-def _check_point(cfg: ExperimentConfig, n: int, d: int, model, func, theta, sig_f) -> None:
-    """The kind's preconditions at one resolved grid point."""
-    if cfg.kind == "normality" and not sig_f >= SIGMA_F_FLOOR:
-        raise ConfigError(f"sigma_f = {sig_f:g} below the {SIGMA_F_FLOOR:g} floor at (n={n}, d={d})")
-    if cfg.kind == "clt" and (func.u is None or func.profile != "identity"):
-        raise ConfigError("clt diagnostic needs a linear functional (the projection u)")
-    if cfg.kind == "oracle-check":
-        _oracle_bias(model, func, theta, n, cfg.k)
 
 
 def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta, sig_u):
@@ -404,15 +403,15 @@ def _oracle_verdict(summ: TrialSummary, model, func, theta) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
-    """Every grid point's rows, in grid order. A clt point gives one _clt_row;
-    any other kind runs one pass of R replicates per point on one worker
-    pool for the whole run (its workers start on the first pass that
-    splits), summarized once per order, each row with the pass's wall time:
-    (k,), (0, k) with compare_plugin, or 0..k with oracle verdicts for
-    oracle-check. A sweep's final row gets the rate fit of its order-k rows."""
+    """Every grid point's rows, in grid order, once _grid_point has passed
+    every point (the first failing point fails the run). A clt point gives
+    one _clt_row; any other kind runs one pass of R replicates per point on
+    one worker pool for the whole run (its workers start on the first pass
+    that splits), summarized once per order, each row with the pass's wall
+    time: (k,), (0, k) with compare_plugin, or 0..k with oracle verdicts
+    for oracle-check. A sweep's final row gets the rate fit of its order-k
+    rows."""
     points = [(n, d, *_grid_point(cfg, n, d)) for n, d in cfg.grid.points()]
-    for point in points:
-        _check_point(cfg, *point)
     if cfg.kind == "clt":
         return [_clt_row(cfg, gi, *point) for gi, point in enumerate(points)]
     orders = (0, cfg.k) if cfg.compare_plugin else (cfg.k,)

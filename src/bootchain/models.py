@@ -58,6 +58,7 @@ where a start's chains share L(theta), the increments are mirrored instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,13 @@ class DiagTanhMap:
 
 # a theta-dependent linear map A(theta) applied to noise vectors
 ScalingMap = IdentityMap | ConstantMatrixMap | DiagTanhMap
+
+
+def _check_dim(model) -> None:
+    """dim as an int; a bool, fractional or non-positive dim is refused."""
+    if isinstance(model.dim, bool) or not isinstance(model.dim, numbers.Integral) or model.dim < 1:
+        raise ValueError("dim must be an integer >= 1")
+    object.__setattr__(model, "dim", int(model.dim))
 
 
 def _check_map_dim(noise_map: ScalingMap, dim: int) -> None:
@@ -233,8 +241,7 @@ class GaussianShift:
     noise_map: ScalingMap = IdentityMap()
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_dim(self)
         _check_map_dim(self.noise_map, self.dim)
 
 
@@ -255,8 +262,7 @@ class IndependentComponents:
     noise_map: ScalingMap = IdentityMap()
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_dim(self)
         tags = _normalize_tags(self.noise_dist, self.dim, _DRIVERS)
         object.__setattr__(self, "noise_dist", tags)
         _check_map_dim(self.noise_map, self.dim)
@@ -264,6 +270,8 @@ class IndependentComponents:
             dmat = np.asarray(self.directions, dtype=float)
             if dmat.shape != (self.dim, self.dim):
                 raise ValueError("directions must be a (d, d) matrix of columns x_j")
+            if not np.all(np.isfinite(dmat)):
+                raise ValueError("directions must be finite")
             if np.linalg.matrix_rank(dmat) < self.dim:
                 raise ValueError("directions must be linearly independent")
             object.__setattr__(self, "directions", dmat)
@@ -278,8 +286,7 @@ class ExponentialFamily:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_dim(self)
 
 
 def location(dim: int, noise_dist="laplace", scale=1.0) -> IndependentComponents:

@@ -239,6 +239,24 @@ def test_independent_components_take_the_location_drivers(tmp_path):
     assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, model=model)))]) == 0
 
 
+def test_vector_rules_regenerate_at_every_grid_point():
+    """e1 and unit_sin give their vector at every d of an alpha sweep, from
+    build_functional and through _grid_point; theta still refuses e1."""
+    doc = dict(MINIMAL_RISK, grid={"n": [1, 9, 49], "alpha": 0.5})
+    e1 = lambda d: (np.arange(d) == 0).astype(float)
+    for rule, vector in (("e1", e1), ("unit_sin", experiments.unit_sin_theta)):
+        functional = {"variant": "linear", "u": {"rule": rule}}
+        cfg, _ = config.parse_config(dict(doc, functional=functional))
+        assert [d for _, d in cfg.grid.points()] == [1, 3, 7]
+        for n, d in cfg.grid.points():
+            assert np.array_equal(config.build_functional(functional, d).u, vector(d))
+            _, func, theta, _ = experiments._grid_point(cfg, n, d)
+            assert np.array_equal(func.u, vector(d))
+            assert np.array_equal(theta, experiments.unit_sin_theta(d))
+    with pytest.raises(experiments.ConfigError, match="theta.rule: unknown rule 'e1'"):
+        config.parse_config(dict(doc, theta={"rule": "e1"}))
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_config_parses(path):
     cfg, outputs = config.load_config(path)

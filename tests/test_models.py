@@ -278,6 +278,14 @@ def test_spec_validation_errors():
     for scale in ([1.0, -0.5], [1.0, math.inf]):
         with pytest.raises(ValueError):
             models.IdentityMap(scale=np.array(scale))
+    for family in (models.GaussianShift, models.IndependentComponents, models.ExponentialFamily):
+        for dim in (True, 2.5, "3", 0):
+            with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+                family(dim)
+        assert type(family(np.int64(2)).dim) is int
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="directions must be finite"):
+            models.IndependentComponents(dim=2, directions=np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize(
