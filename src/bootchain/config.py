@@ -209,6 +209,9 @@ def parse_config(doc: dict) -> tuple[ExperimentConfig, dict]:
     for key, val in outputs.items():
         if not isinstance(val, str) or not val:
             raise ConfigError(f"outputs.{key}: expected a non-empty path string")
+    for key in ("model", "functional"):
+        if not isinstance(doc[key], dict):
+            raise ConfigError(f"{key}: expected an object")
 
     cfg = ExperimentConfig(
         kind=doc["kind"],

@@ -27,7 +27,7 @@ estimate_block returns theta + L(theta) (driver means).
 The model API is two vectorized kernels that step many parameter rows at
 once, estimate_block (theta_hat fitted to data drawn at each row) and
 surrogate_step (theta + xi/sqrt(n), xi truncated at a radius delta), plus
-sigma and the sigma_f and default_delta derived from it. For the Gaussian
+sigma_f and default_delta read off L(theta). For the Gaussian
 shift theta_hat ~ N(theta, Sigma(theta)/n), so its estimate_block is the
 untruncated surrogate_step. Every other estimator here sees the data only
 through its sample mean, so estimate_block draws that mean from the exact
@@ -137,11 +137,11 @@ class DiagTanhMap:
 ScalingMap = IdentityMap | ConstantMatrixMap | DiagTanhMap
 
 
-def _check_dim(model) -> None:
+def _as_dim(dim) -> int:
     """dim as an int; a bool, fractional or non-positive dim is refused."""
-    if isinstance(model.dim, bool) or not isinstance(model.dim, numbers.Integral) or model.dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
         raise ValueError("dim must be an integer >= 1")
-    object.__setattr__(model, "dim", int(model.dim))
+    return int(dim)
 
 
 def _check_map_dim(noise_map: ScalingMap, dim: int) -> None:
@@ -241,7 +241,7 @@ class GaussianShift:
     noise_map: ScalingMap = IdentityMap()
 
     def __post_init__(self):
-        _check_dim(self)
+        object.__setattr__(self, "dim", _as_dim(self.dim))
         _check_map_dim(self.noise_map, self.dim)
 
 
@@ -262,7 +262,7 @@ class IndependentComponents:
     noise_map: ScalingMap = IdentityMap()
 
     def __post_init__(self):
-        _check_dim(self)
+        object.__setattr__(self, "dim", _as_dim(self.dim))
         tags = _normalize_tags(self.noise_dist, self.dim, _DRIVERS)
         object.__setattr__(self, "noise_dist", tags)
         _check_map_dim(self.noise_map, self.dim)
@@ -286,14 +286,14 @@ class ExponentialFamily:
     dim: int
 
     def __post_init__(self):
-        _check_dim(self)
+        object.__setattr__(self, "dim", _as_dim(self.dim))
 
 
 def location(dim: int, noise_dist="laplace", scale=1.0) -> IndependentComponents:
     """Log-concave location X = theta + eta, theta_hat = Xbar, with Laplace,
     logistic or Gaussian noise of the given scale per coordinate: independent
     components along the standard basis with A = diag(scale * sd)."""
-    tags = _normalize_tags(noise_dist, dim, _LOCATION_SD)
+    tags = _normalize_tags(noise_dist, _as_dim(dim), _LOCATION_SD)
     s = np.broadcast_to(np.asarray(scale, dtype=float), (dim,))
     if not np.all(np.isfinite(s) & (s > 0)):
         raise ValueError("noise scales must be finite and positive")
@@ -305,7 +305,7 @@ def gaussian_mean(dim: int, base=1.0) -> GaussianShift:
     """Gaussian-mean X ~ N(v theta, diag(v)) with base variances v: the MLE
     Xbar / v ~ N(theta, diag(1/v)/n) exactly, so it is the Gaussian shift
     with A = diag(1/sqrt(v)), the root of the inverse Fisher information."""
-    v = np.broadcast_to(np.asarray(base, dtype=float), (dim,))
+    v = np.broadcast_to(np.asarray(base, dtype=float), (_as_dim(dim),))
     if not np.all(np.isfinite(v) & (v > 0)):
         raise ValueError("gaussian_mean base variances must be finite and positive")
     return GaussianShift(dim, IdentityMap(1.0 / np.sqrt(v)))
@@ -350,31 +350,23 @@ def _factor(model: Model, thetas: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# covariance and vectorized kernels
-
-
-def sigma(model: Model, theta) -> np.ndarray:
-    """Sigma(theta) = L(theta) L(theta)^T: the covariance of the surrogate
-    xi(theta) and of the normal limit of sqrt(n)(theta_hat - theta)."""
-    d = model.dim
-    lt = _factor(model, np.broadcast_to(np.asarray(theta, dtype=float), (d, d)), np.eye(d))
-    return lt.T @ lt
+# efficient scale, truncation radius and vectorized kernels
 
 
 def sigma_f(model: Model, f, theta) -> float:
-    """sqrt(<Sigma(theta) f'(theta), f'(theta)>), the efficient scale of f: the
-    limiting sd of sqrt(n)(f(theta_hat) - f(theta)), clamped at 0 against rounding."""
-    theta = np.asarray(theta, dtype=float)
-    g = functionals.grad(f, theta)
-    quad = float(g @ sigma(model, theta) @ g)
-    return math.sqrt(max(quad, 0.0))
+    """||L(theta)^T f'(theta)||, the efficient scale of f: the limiting sd of
+    sqrt(n)(f(theta_hat) - f(theta)). Row i of lt is L(theta) e_i: lt = L^T."""
+    theta, d = np.asarray(theta, dtype=float), model.dim
+    lt = _factor(model, np.broadcast_to(theta, (d, d)), np.eye(d))
+    return float(np.linalg.norm(lt @ functionals.grad(f, theta)))
 
 
 def default_delta(model: Model, theta, n: int) -> float:
-    """delta = 3 sqrt(tr Sigma(theta) / n), the radius of a surrogate run whose
+    """delta = 3 ||L(theta)||_F / sqrt(n), the radius of a surrogate run whose
     config sets none: by Gaussian norm concentration, truncation ~ never fires."""
-    tr = float(np.trace(sigma(model, theta)))
-    return 3.0 * math.sqrt(tr / n)
+    theta, d = np.asarray(theta, dtype=float), model.dim
+    lt = _factor(model, np.broadcast_to(theta, (d, d)), np.eye(d))
+    return 3.0 * float(np.linalg.norm(lt)) / math.sqrt(n)
 
 
 def _chain_block(model: Model, thetas, chains: int) -> tuple[np.ndarray, tuple]:

@@ -8,6 +8,9 @@ raw_gaussian_mean does the same for the Gaussian-mean model, which the
 package runs as a Gaussian shift.
 simulate_chain_block keeps every state of a chain block, which the run
 path (bootstrap.fk_estimate_at) folds as it is drawn and never stores.
+sigma multiplies out the covariance Sigma(theta) = L(theta) L(theta)^T of
+the package's own factor, the reference the family tests check; the
+package reads sigma_f and the default delta off L(theta) and never forms it.
 """
 
 import math
@@ -26,6 +29,14 @@ def simulate_chain_block(model, starts, k: int, n: int, m: int, rng, step=None) 
     for j, after in enumerate(bootstrap.chain_steps(model, starts, k, n, m, rng, step), 1):
         states[j] = after
     return states
+
+
+def sigma(model, theta) -> np.ndarray:
+    """Sigma(theta) = L(theta) L(theta)^T: the covariance of the surrogate
+    xi(theta) and of the normal limit of sqrt(n)(theta_hat - theta)."""
+    d = model.dim
+    lt = models._factor(model, np.broadcast_to(np.asarray(theta, dtype=float), (d, d)), np.eye(d))
+    return lt.T @ lt
 
 
 def raw_estimate(model, theta, n: int, rng) -> np.ndarray:

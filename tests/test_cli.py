@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootchain import cli, config, distances, experiments, models
+from bootchain import cli, config, distances, experiments
+from raw_reference import sigma
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -128,10 +129,14 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("compare", []), ("compare", 0), ("compare", False), ("outputs", []), ("outputs", "")]
+    "key, value",
+    [("compare", []), ("compare", 0), ("compare", False), ("outputs", []), ("outputs", "")]
+    + [("model", v) for v in (5, "x", [1, 2], None, [])]
+    + [("functional", v) for v in (5, "x")],
 )
 def test_non_object_compare_or_outputs_exits_2(tmp_path, capsys, key, value):
-    # a falsy non-object is no empty object: "outputs": [] would write no file
+    # a falsy non-object is no empty object: "outputs": [] would write no file;
+    # a model or functional that is no object is a config error, not a crash
     assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, **{key: value})))]) == 2
     assert capsys.readouterr().err == f"error: {key}: expected an object\n"
 
@@ -235,7 +240,7 @@ def test_independent_components_take_the_location_drivers(tmp_path):
     # a Laplace driver has unit variance, so Sigma = scale^2 I
     noise = {"kind": "identity", "scale": 1.5}
     model = {"variant": "independent_components", "noise_dist": "laplace", "noise": noise}
-    assert np.allclose(models.sigma(config.build_model(model, 3), np.zeros(3)), 2.25 * np.eye(3))
+    assert np.allclose(sigma(config.build_model(model, 3), np.zeros(3)), 2.25 * np.eye(3))
     assert cli.main(["run", str(write_cfg(tmp_path, dict(MINIMAL_RISK, model=model)))]) == 0
 
 

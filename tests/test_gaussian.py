@@ -7,7 +7,7 @@ import pytest
 from bootchain import bootstrap, distances, functionals, models
 from bootchain.experiments import derive_stream, unit_sin_theta
 from law_gate import assert_same_law, wasserstein1_bootstrap_se
-from raw_reference import simulate_chain_block
+from raw_reference import sigma, simulate_chain_block
 
 
 def test_tiny_delta_freezes_chain():
@@ -68,6 +68,27 @@ def test_sigma_f_examples():
     assert models.sigma_f(model, functionals.exp_linear(u), np.zeros(3)) == pytest.approx(
         np.linalg.norm(u)
     )
+
+
+def test_sigma_f_and_delta_on_a_non_symmetric_factor():
+    # sigma_f = ||L^T f'||, not ||L f'||: every diagonal family has L = L^T
+    shift = models.GaussianShift(dim=2, noise_map=models.ConstantMatrixMap([[1.0, 2.0], [0.0, 1.0]]))
+    e1 = functionals.linear(np.array([1.0, 0.0]))
+    assert models.sigma_f(shift, e1, np.zeros(2)) == pytest.approx(math.sqrt(5.0))
+    assert models.default_delta(shift, np.zeros(2), 100) == pytest.approx(3.0 * math.sqrt(6.0 / 100))
+    # L(theta) = A(theta) D with a state-dependent A and non-symmetric directions D
+    ic = models.IndependentComponents(
+        dim=3,
+        noise_dist="gaussian",
+        directions=np.array([[1.0, 0.4, 0.0], [-0.3, 1.0, 0.7], [0.2, 0.0, 1.5]]),
+        noise_map=models.DiagTanhMap(a=np.array([1.0, 2.0, 1.5]), b=np.array([0.3, -0.5, 0.2])),
+    )
+    theta = np.array([0.2, -0.4, 0.9])
+    sig = sigma(ic, theta)
+    for f in (functionals.exp_linear(np.array([0.5, -1.0, 0.25])), functionals.quadratic_form()):
+        g = functionals.grad(f, theta)
+        assert models.sigma_f(ic, f, theta) == pytest.approx(math.sqrt(g @ sig @ g), rel=1e-12)
+    assert models.default_delta(ic, theta, 50) == pytest.approx(3.0 * math.sqrt(np.trace(sig) / 50), rel=1e-12)
 
 
 def test_superposition_matches_shorter_chain():
@@ -157,7 +178,7 @@ def test_xi_squared_norm_matches_trace():
     xi = models._factor(model, np.broadcast_to(theta, (draws, 1, 3)), z)[:, 0]
     sq = np.sum(xi * xi, axis=1)
     mean, se = sq.mean(), sq.std(ddof=1) / math.sqrt(draws)
-    target = float(np.trace(models.sigma(model, theta)))
+    target = float(np.trace(sigma(model, theta)))
     assert abs(mean - target) <= 5.0 * se
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from raw_reference import raw_estimate, raw_gaussian_mean
+from raw_reference import raw_estimate, raw_gaussian_mean, sigma
 
 from bootchain import models
 from bootchain.experiments import derive_stream, unit_sin_theta
@@ -79,7 +79,7 @@ def test_poisson_surrogate_covariance_is_inverse_fisher():
     # the MLE log(Xbar) has Fisher information Psi'(theta) = diag(e^theta)
     model = models.ExponentialFamily(dim=3)
     theta = np.array([-0.5, 0.0, 1.0])
-    assert np.allclose(models.sigma(model, theta), np.diag(np.exp(-theta)))
+    assert np.allclose(sigma(model, theta), np.diag(np.exp(-theta)))
     # MC sanity on the sampler variance
     rng = derive_stream(107, 0, 0)
     xi = models._factor(model, np.broadcast_to(theta, (50_000, 1, 3)), rng.standard_normal((50_000, 1, 3)))[:, 0]
@@ -90,21 +90,21 @@ def test_poisson_surrogate_covariance_is_inverse_fisher():
 
 def test_sigma_examples():
     ic = models.IndependentComponents(dim=3, noise_dist="gaussian")
-    assert np.allclose(models.sigma(ic, np.zeros(3)), np.eye(3))
+    assert np.allclose(sigma(ic, np.zeros(3)), np.eye(3))
 
     loc = models.location(dim=2, noise_dist="laplace", scale=[0.5, 2.0])
-    assert np.allclose(models.sigma(loc, np.zeros(2)), np.diag([2 * 0.5**2, 2 * 2.0**2]))
+    assert np.allclose(sigma(loc, np.zeros(2)), np.diag([2 * 0.5**2, 2 * 2.0**2]))
     # each location noise's own variance at scale s: 2 s^2 for Laplace(s),
     # pi^2 s^2 / 3 for logistic(s), s^2 for normal(s)
     s = np.array([0.5, 2.0, 1.5])
     loc = models.location(dim=3, noise_dist=("laplace", "logistic", "gaussian"), scale=s)
-    assert np.allclose(models.sigma(loc, np.zeros(3)), np.diag(np.array([2.0, math.pi**2 / 3, 1.0]) * s**2))
+    assert np.allclose(sigma(loc, np.zeros(3)), np.diag(np.array([2.0, math.pi**2 / 3, 1.0]) * s**2))
 
     dmap = models.DiagTanhMap(a=np.array([2.0, 3.0]), b=np.array([0.5, -1.0]))
     gs = models.GaussianShift(dim=2, noise_map=dmap)
     theta = np.array([0.3, -0.7])
     diag = dmap.a + dmap.b * np.tanh(theta)
-    assert np.allclose(models.sigma(gs, theta), np.diag(diag**2))
+    assert np.allclose(sigma(gs, theta), np.diag(diag**2))
 
 
 def test_sigma_of_mixed_independent_components():
@@ -116,7 +116,7 @@ def test_sigma_of_mixed_independent_components():
     model = models.IndependentComponents(
         dim=3, noise_dist="rademacher", directions=D, noise_map=models.ConstantMatrixMap(A)
     )
-    assert np.allclose(models.sigma(model, np.zeros(3)), A @ D @ D.T @ A.T)
+    assert np.allclose(sigma(model, np.zeros(3)), A @ D @ D.T @ A.T)
 
 
 @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ def test_estimator_covariance_matches_sigma(model, theta, n):
     hats = models.estimate_block(model, np.broadcast_to(theta, (reps, 1, 3)), n, rng)[:, 0]
     dev = math.sqrt(n) * (hats - theta)
     emp = dev.T @ dev / reps
-    sig = models.sigma(model, theta)
+    sig = sigma(model, theta)
     se = np.sqrt((np.outer(np.diag(sig), np.diag(sig)) + sig**2) / reps)
     assert np.all(np.abs(emp - sig) <= 5.0 * se)
 
@@ -278,11 +278,13 @@ def test_spec_validation_errors():
     for scale in ([1.0, -0.5], [1.0, math.inf]):
         with pytest.raises(ValueError):
             models.IdentityMap(scale=np.array(scale))
-    for family in (models.GaussianShift, models.IndependentComponents, models.ExponentialFamily):
+    # the two builders check dim before they broadcast their parameters to it
+    builders = (models.location, models.gaussian_mean)
+    for build in (models.GaussianShift, models.IndependentComponents, models.ExponentialFamily, *builders):
         for dim in (True, 2.5, "3", 0):
             with pytest.raises(ValueError, match="dim must be an integer >= 1"):
-                family(dim)
-        assert type(family(np.int64(2)).dim) is int
+                build(dim)
+        assert type(build(np.int64(2)).dim) is int
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="directions must be finite"):
             models.IndependentComponents(dim=2, directions=np.array([[1.0, bad], [0.0, 1.0]]))
@@ -317,7 +319,7 @@ def test_gaussian_mean_family():
     base = np.array([0.5, 2.0])
     model = models.gaussian_mean(2, base)
     theta = np.array([1.0, -0.5])
-    assert np.allclose(models.sigma(model, theta), np.diag(1.0 / base))  # theta_hat = Xbar / v
+    assert np.allclose(sigma(model, theta), np.diag(1.0 / base))  # theta_hat = Xbar / v
     rng = derive_stream(113, 0, 0)
     hat = raw_gaussian_mean(base, theta, 4000, rng)
     assert np.linalg.norm(hat - theta) <= 0.2  # sd ~ sqrt(1/(v n)) per coord
