@@ -131,6 +131,8 @@ def fk_estimate_at(model, f, theta_hat, orders, n: int, m: int, rng, step=None) 
     orders = tuple(orders)
     for k in orders:
         _check_order(k)
+    if not orders:
+        raise ValueError("need at least one order")
     top = max(orders)
     if top > 0 and m < 1:
         raise ValueError("need at least one chain when k >= 1")

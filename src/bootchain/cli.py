@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EXPERIMENT = 3
 EXIT_IO = 4
-
-THREADS_ENV = "BOOTCHAIN_THREADS"
 
 
 class ReportError(ValueError):
@@ -342,12 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the JSON config")
     p_run.add_argument("--out-dir", default=None, help="directory for output files")
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker count (default: ${THREADS_ENV} or 1)",
-    )
+    p_run.add_argument("--threads", type=int, default=1, help="worker count (default: 1)")
 
     p_rep = sub.add_parser("report", help="render a rate chart from a results CSV")
     p_rep.add_argument("csv", help="CSV produced by the run command")
@@ -361,17 +353,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            threads, source = args.threads, "--threads"
-            if threads is None:
-                env = os.environ.get(THREADS_ENV, "1")
-                source = f"{THREADS_ENV} ({env!r})"
-                try:
-                    threads = int(env)
-                except ValueError:
-                    raise ConfigError(f"{source} must be an integer") from None
-            if threads < 1:
-                raise ConfigError(f"{source} must be >= 1")
-            return cmd_run(args.config, args.out_dir, threads)
+            if args.threads < 1:
+                raise ConfigError("--threads must be >= 1")
+            return cmd_run(args.config, args.out_dir, args.threads)
         if args.command == "report":
             return cmd_report(args.csv, args.svg)
         return cmd_selftest()

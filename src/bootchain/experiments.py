@@ -7,10 +7,9 @@ kind. It resolves and checks every grid point, in grid order, before any
 replicate runs (_grid_point: the model, functional, theta and sigma_f, the
 one check of their dimensions and of the kind's preconditions). _summary
 turns a point's error vector into its row (bias, se, sd, rmse, d_k, aborts,
-the failed flag). risk, sweep, normality and oracle-check rows come from one
-replicate pass per point; clt rows from a plug-in draw and a surrogate draw
-per point, with W1/W2 in the row's extra; oracle-check rows are tested
-against the exact _oracle_bias.
+the failed flag). Every kind's rows come from one replicate pass per point;
+a clt row gets W1/W2 against an exact surrogate draw in its extra, an
+oracle-check row its test against the exact _oracle_bias.
 
 Reproducibility contract: a grid point's R replicates run in blocks of
 B = max(1, 2^16 // (M d)) (_BLOCK_SCALARS), and block b draws all of its
@@ -22,12 +21,14 @@ with chains = M, each row's M chains in antithetic pairs where the
 kernel's driver is symmetric (bootstrap.chain_steps). At B = 1 a block is
 one replicate. Every order row a grid point reports (the plug-in row of
 compare_plugin, each oracle-check order) is folded from the same theta_hat
-and the prefixes of the same chains. B depends on (M, d) alone; a run's
-one worker pool splits the block range at any size, and the aggregation is
-a sequential fold in replicate order, so summaries are bit-identical for a
-fixed seed at every worker count and for every set of orders. Wall time is
-the one nondeterministic field; timing="none" zeroes it for byte-stable
-output files.
+and the prefixes of the same chains; a clt point (k = 0, M = 1) steps none,
+and grid point g draws its surrogate projections from derive_stream(
+master_seed, g, 1). B depends on (M, d) alone; a run's one worker pool
+splits the block range at any size, and the aggregation is a sequential
+fold in replicate order, so summaries are bit-identical for a fixed seed at
+every worker count and for every set of orders. Wall time is the one
+nondeterministic field; timing="none" zeroes it for byte-stable output
+files.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class ExperimentConfig:
     grid: GridSpec
     inner_chains: int = 1000  # M
     replicates: int = 2000  # R
-    delta: float | None = None  # None -> 3 sqrt(tr Sigma / n); inf: no truncation
+    delta: float | None = None  # None -> 3 ||L(theta)||_F / sqrt(n); inf: no truncation
     seed: int = 0
     use_tilde: bool = False
     compare_plugin: bool = False
@@ -311,14 +312,11 @@ def _grid_point(cfg: ExperimentConfig, n: int, d: int):
     return model, func, theta, sig_f
 
 
-def _summary(
-    n: int, d: int, k: int, errs: np.ndarray, sig_f: float, seconds: float, dev=None
-) -> TrialSummary:
+def _summary(n: int, d: int, k: int, errs: np.ndarray, sig_f: float, seconds: float) -> TrialSummary:
     """The row of one order at one grid point from its R errors (NaN marks
-    an aborted replicate). d_k is the Kolmogorov distance of dev / sigma_f
-    to N(0, 1), where dev is sqrt(n) errs unless the caller drew it exactly."""
-    good = np.isfinite(errs)
-    valid = errs[good]
+    an aborted replicate). d_k is the Kolmogorov distance of sqrt(n) errs /
+    sigma_f to N(0, 1)."""
+    valid = errs[np.isfinite(errs)]
     aborts = int(errs.size - valid.size)
     bias = se_bias = sd = rmse = d_k = math.nan
     if valid.size >= 2:
@@ -327,8 +325,7 @@ def _summary(
         rmse = float(math.sqrt(np.mean(valid**2)))
         se_bias = sd / math.sqrt(valid.size)
         if sig_f > 0:
-            dev = valid * math.sqrt(n) if dev is None else dev[good]
-            d_k = distances.kolmogorov_to_std_normal(dev / sig_f)
+            d_k = distances.kolmogorov_to_std_normal(valid * math.sqrt(n) / sig_f)
     return TrialSummary(
         n=n,
         d=d,
@@ -346,31 +343,21 @@ def _summary(
     )
 
 
-def _clt_row(cfg: ExperimentConfig, gi: int, n: int, d: int, model, func, theta, sig_u):
-    """W1/W2 between the u-projections of sqrt(n)(theta_hat - theta) and of
-    the surrogate xi(theta) at grid point gi, drawn vectorized over the
-    replicates from the point's own streams (on no pool). The CSV-shaped
-    fields describe the plug-in error of the linear functional <u, .>; the
-    distances live in extra["w1"], extra["w2"]."""
-    t0 = time.perf_counter()
-    starts = np.broadcast_to(theta, (cfg.replicates, 1, d))
-    theta_hat = models.estimate_block(model, starts, n, derive_stream(cfg.seed, gi, 0))[:, 0]
-    dev = math.sqrt(n) * ((theta_hat - theta) @ func.u)
-    z = derive_stream(cfg.seed, gi, 1).standard_normal(starts.shape)
-    xi_proj = models._factor(model, starts, z)[:, 0] @ func.u
-
-    good = np.isfinite(dev)
-    extra = {}
-    if good.sum() >= 2:  # else _summary marks the row failed
-        w1 = distances.wasserstein1(dev[good], xi_proj[good])
-        w2 = distances.wasserstein2(dev[good], xi_proj[good])
-        if not w1 <= w2 + 1e-12:
-            raise EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
-        extra = {"w1": w1, "w2": w2}
-    seconds = time.perf_counter() - t0 if cfg.timing == "wall" else 0.0
-    summ = _summary(n, d, 0, dev / math.sqrt(n), sig_u, seconds, dev=dev)
-    summ.extra = extra
-    return summ
+def _clt_distances(summ: TrialSummary, errs: np.ndarray, seed: int, g: int) -> None:
+    """W1/W2 into a clt row's extra: between sqrt(n) times the pass's finite
+    errors <u, theta_hat - theta> and the surrogate's projections <u, xi> =
+    <L(theta)^T u, z> ~ N(0, sigma_f^2), drawn exactly as sigma_f times one
+    normal per finite error from grid point g's stream (seed, g, 1)."""
+    errs = errs[np.isfinite(errs)]
+    if errs.size < 2:  # _summary marked the row failed
+        return
+    dev = math.sqrt(summ.n) * errs
+    xi_proj = summ.sigma_f * derive_stream(seed, g, 1).standard_normal(errs.size)
+    w1 = distances.wasserstein1(dev, xi_proj)
+    w2 = distances.wasserstein2(dev, xi_proj)
+    if not w1 <= w2 + 1e-12:
+        raise EstimationError(f"W1 = {w1!r} exceeds W2 = {w2!r}")
+    summ.extra.update(w1=w1, w2=w2)
 
 
 def _oracle_bias(model, func, theta, n: int, k: int) -> float:
@@ -404,23 +391,20 @@ def _oracle_verdict(summ: TrialSummary, model, func, theta) -> None:
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary]:
     """Every grid point's rows, in grid order, once _grid_point has passed
-    every point (the first failing point fails the run). A clt point gives
-    one _clt_row; any other kind runs one pass of R replicates per point on
-    one worker pool for the whole run (its workers start on the first pass
-    that splits), summarized once per order, each row with the pass's wall
-    time: (k,), (0, k) with compare_plugin, or 0..k with oracle verdicts
-    for oracle-check. A sweep's final row gets the rate fit of its order-k
-    rows."""
+    every point (the first failing point fails the run). Each point runs one
+    pass of R replicates on one worker pool for the whole run (its workers
+    start on the first pass that splits), summarized once per order, each
+    row with the pass's wall time: (k,), (0, k) with compare_plugin, or 0..k
+    with oracle verdicts for oracle-check; a clt row gets its W1/W2. A
+    sweep's final row gets the rate fit of its order-k rows."""
     points = [(n, d, *_grid_point(cfg, n, d)) for n, d in cfg.grid.points()]
-    if cfg.kind == "clt":
-        return [_clt_row(cfg, gi, *point) for gi, point in enumerate(points)]
     orders = (0, cfg.k) if cfg.compare_plugin else (cfg.k,)
     if cfg.kind == "oracle-check":
         orders = tuple(range(cfg.k + 1))
 
     out = []
     with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for n, d, model, func, theta, sig_f in points:
+        for g, (n, d, model, func, theta, sig_f) in enumerate(points):
             f_true = float(functionals.value(func, theta))
             step = None  # the bootstrap step, or the surrogate step truncated at delta
             if cfg.use_tilde:
@@ -434,6 +418,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[TrialSummary
                 out.append(_summary(n, d, k, errs, sig_f, seconds))
                 if cfg.kind == "oracle-check":
                     _oracle_verdict(out[-1], model, func, theta)
+                elif cfg.kind == "clt":
+                    _clt_distances(out[-1], errs, cfg.seed, g)
     if cfg.kind == "sweep":
         rows = [s for s in out if s.k == cfg.k and not s.failed and s.rmse > 0]
         if len(rows) >= 3:

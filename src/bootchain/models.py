@@ -220,6 +220,8 @@ def _matmul_rows(vecs: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def _normalize_tags(tags, d: int, allowed) -> tuple[str, ...]:
     if isinstance(tags, str):
         tags = (tags,) * d
+    if not isinstance(tags, (list, tuple)):
+        raise ValueError("noise_dist: expected a noise tag or a list of tags")
     tags = tuple(tags)
     if len(tags) != d:
         raise ValueError(f"need one noise tag per coordinate ({d}), got {len(tags)}")

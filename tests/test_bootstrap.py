@@ -250,6 +250,12 @@ def test_fk_estimate_at_orders_are_their_single_order_runs():
     assert np.isnan(bootstrap.fk_estimate_at(model, f, theta[None], (3,), n, m, derive_stream(212, 0, 0))[0, 0])
 
 
+def test_fk_estimate_at_needs_an_order():
+    model, f, rng = models.GaussianShift(dim=2), functionals.quadratic_form(), derive_stream(213, 0, 0)
+    with pytest.raises(ValueError, match="^need at least one order$"):
+        bootstrap.fk_estimate_at(model, f, np.zeros((1, 2)), (), 50, 10, rng)
+
+
 def _aborting_step(model, states, n, rng, dead, chains=1):
     out = models.estimate_block(model, states, n, rng, chains)
     out[:, dead] = np.nan

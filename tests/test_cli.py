@@ -381,28 +381,22 @@ def test_selftest_fault_injection(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_threads_env_var_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    doc = dict(MINIMAL_RISK, outputs={"csv": "env.csv"})
-    assert cli.main(["run", str(write_cfg(tmp_path, doc)), "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "env.csv").exists()
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_2(tmp_path, capsys, threads):
+    assert cli.main(["run", str(write_cfg(tmp_path, MINIMAL_RISK)), "--threads", threads]) == 2
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
 
 
-def test_malformed_threads_env_var_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, "abc")
-    assert cli.main(["run", str(write_cfg(tmp_path, MINIMAL_RISK))]) == 2
-    err = capsys.readouterr().err
-    assert cli.THREADS_ENV in err and len(err.splitlines()) == 1
-
-
-def test_threads_env_var_below_one_names_the_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, "0")
-    assert cli.main(["run", str(write_cfg(tmp_path, MINIMAL_RISK))]) == 2
-    assert capsys.readouterr().err == f"error: {cli.THREADS_ENV} ('0') must be >= 1\n"
+@pytest.mark.parametrize("variant", ["independent_components", "log_concave_location"])
+@pytest.mark.parametrize("noise_dist", [5, None, {"a": 1}], ids=["int", "null", "object"])
+def test_noise_dist_neither_tag_nor_list_exits_2(tmp_path, capsys, variant, noise_dist):
+    doc = dict(MINIMAL_RISK, model={"variant": variant, "noise_dist": noise_dist})
+    assert cli.main(["run", str(write_cfg(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == "error: model: noise_dist: expected a noise tag or a list of tags\n"
 
 
 def test_zero_noise_surrogate_run_has_zero_bias(tmp_path):
-    # default delta = 3 sqrt(tr Sigma / n) = 0: surrogate and bootstrap chains
+    # default delta = 3 ||L(theta)||_F / sqrt(n) = 0: surrogate and bootstrap chains
     # both stay at theta_hat = theta, so both rows read the same rounding-level bias
     model = {"variant": "gaussian_shift", "noise": {"kind": "identity", "scale": 0}}
     rows = []

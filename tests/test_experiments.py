@@ -719,7 +719,7 @@ KIND_ROW_DIGESTS = {
     "risk": "6b5bdba5ba3699acc5d533454376856fba29bb433858511e09aaf6460da06a1a",
     "normality": "f285e2ef611154567a0fce7b36e6b40399d0cf6b3dd910d2983a4523457834b5",
     "sweep": "3916c3ad72b2764b55bda113c93227eb2bf829915a5ccc3ce3d8fbae8879f940",
-    "clt": "2bdbd707521634a4dbfa1652eb4afe135190b455a30141043149bedb1f02ab82",
+    "clt": "362521c04578e490e77b54aee2d5abc65c6ec8b613a6a3c9b575849f53386433",
     "oracle-check": "10992a0e25425a65947a8dfcc18ef2cc0cd352df00cc2de28402770418237728",
 }
 
@@ -792,40 +792,42 @@ def test_asymmetric_families_keep_plain_chains(case):
 # digest), first taken when the kernels still took plain (rows, d) blocks
 # beside chain blocks. The risk digests were re-taken when the block budget
 # went from 2^14 to 2^16 scalars (B = 176 -> 704, one block per point; the
-# clt digests draw no blocks and did not move), and both when the block
-# streams went from keyed Philox to SFC64, each time only after the old
-# digests passed with the old rule patched back in. No other change may
-# move the rows
+# clt digests draw no blocks and did not move), both when the block
+# streams went from keyed Philox to SFC64, and the clt digests (with the
+# clt pin above) when clt points moved into the replicate pass, their
+# surrogate projections drawn as sigma_f times one normal per replicate;
+# each time only after the old digests passed with the old rule patched
+# back in. No other change may move the rows
 FAMILY_DIGESTS = {
     "laplace": (
         models.location(dim=3, noise_dist="laplace"),
         "0b89a4743315feecaf5084157c46aa2e97a345f4644ae899fc5f64feec2365be",
-        "c3891d5438883439bd9a2245724adc9f7cda00f16eb8b122a4385fb7ea1cf23d",
+        "103f2c6c402c8845b56630c20214a949de7c5af03ba6e5c8349a9820cf9635bd",
     ),
     "logistic": (
         models.location(dim=3, noise_dist="logistic", scale=(0.5, 1.0, 2.0)),
         "f5c6270da5b574f219ab61543edb5a4456f5c0fa8b8e5bb538be15f88d0f8e1a",
-        "e854ceab8e3993c7a64754545f19fe95808129d8b190f1a2bde25336de4296e7",
+        "2a540335824a4bd555e63146c1bc87345dae9bb62c4078a2034e0f8100751708",
     ),
     "ic_uniform": (
         models.IndependentComponents(dim=3, noise_dist="uniform"),
         "467777aa40bfe53384376c98f4a2fb221d2a21444d93c464d296f44d191d78bf",
-        "c132e7cc562ac35858cdd1131ce256a12d7371a73df9fd64679c893c5e6b4f46",
+        "96fead38cb44bad3197448f419927418514106703f0adf30104bd0b5924d144a",
     ),
     "ic_gaussian": (
         models.IndependentComponents(dim=3, noise_dist="gaussian", directions=np.triu(np.ones((3, 3)))),
         "cd4f04d5b683d3a3c4533058a63f54e2443fbb765f45ccb9e423719b033ebfee",
-        "eafe65b19a5bf099285c70dbfe6a1100f0b3b9d99d4b0f06a7aaaa292dc50060",
+        "7f8f860cd463c832d698011dbe51aa5ca435f55624c0b30d6248ac6ab7c7ed7c",
     ),
     "gaussian_mean": (
         models.gaussian_mean(3, (0.5, 2.0, 7.0)),
         "e9f570808f675add23e991ef481940e3f457a7f65f93d6b548742947894e581e",
-        "2351141427cbffa161066f9c7d0b45e9d5e93295ea020b00b553cae2d59a5839",
+        "c4cf5a5037e66fa787cc6c733b2b315bd8a60d3f156d47302541cdedaaede7ee",
     ),
     "shift_diag_tanh": (
         models.GaussianShift(dim=3, noise_map=models.DiagTanhMap(a=(1.0, 1.5, 2.0), b=(0.5, -1.0, 1.5))),
         "750ab4d9630e203a347d849a217377ca77f280e5b9b8d495533bd7d23c347136",
-        "32672db76037751efe3214a47b42ed4abb7c22846247ca6598271d983b369133",
+        "eeac995efa82000e3125a1d7a95204e105acb163fba4d00136fc7dfc6a2d226a",
     ),
 }
 
@@ -979,6 +981,28 @@ def test_oracle_check_starts_one_pool_per_run(monkeypatch):
     rows = exp.run_experiment(cfg, threads=2)
     assert [s.k for s in rows] == [0, 1, 2, 0, 1, 2]
     assert len(SpyPool.starts) == 1 and len(passes) == 2 and len(SpyPool.splits) == 2
+
+
+def test_clt_rows_split_over_the_pool_are_thread_invariant(monkeypatch):
+    # a clt point is one replicate pass like any other: at d = 100 and M = 1
+    # its R replicates are 5 blocks, so the pass at 2 threads splits
+    monkeypatch.setattr(SpyPool, "splits", [])
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", SpyPool)
+    cfg = small_cfg(
+        kind="clt",
+        model=models.IndependentComponents(dim=100, noise_dist="rademacher"),
+        functional=functionals.linear(np.eye(1, 100)[0]),
+        k=0,
+        inner_chains=1,
+        replicates=3000,
+        grid=exp.GridSpec(n_values=(20, 40), d_fixed=100),
+        timing="none",
+    )
+    assert cfg.replicates >= 4 * exp._block_size(1, 100)
+    alone = exp.run_experiment(cfg)
+    assert exp.run_experiment(cfg, threads=2) == alone
+    assert len(SpyPool.splits) == 2 and all(len(ranges) == 2 for ranges in SpyPool.splits)
+    assert all(s.extra["w1"] <= s.extra["w2"] and s.aborts == 0 for s in alone)
 
 
 def test_block_size_at_the_shipped_shapes():

@@ -264,6 +264,10 @@ def test_spec_validation_errors():
         models.IndependentComponents(dim=2, directions=np.ones((2, 2)))  # rank 1
     with pytest.raises(ValueError):
         models.IndependentComponents(dim=2, noise_dist=("rademacher",))
+    for tags in (5, None, {"a": 1}, iter(("laplace", "laplace"))):
+        for build in (models.IndependentComponents, models.location):
+            with pytest.raises(ValueError, match="^noise_dist: expected a noise tag or a list of tags$"):
+                build(2, tags)
     with pytest.raises(ValueError):
         models.location(dim=2, noise_dist="laplace", scale=0.0)
     with pytest.raises(ValueError):
